@@ -1,17 +1,14 @@
 """Associated primes of monomial ideals via irredundant irreducible decomposition.
 
-Two decomposition engines produce the same (unique) irredundant decomposition:
+One engine computes the (unique) irredundant decomposition: the corner scan
+localizes at each candidate support (inverting the other variables) and reads
+components off the socle of the localized ideal: c is a corner iff c is outside
+the ideal but every c*x_i is inside, and then the component has exponents c+1.
+Membership over the bounded exponent box is one boolean array, so the scan is a
+handful of slice operations per support. Only supports made of variables that
+occur in some generator are swept.
 
-* ``splitting`` recursively factors a generator with two or more support
-  variables into coprime parts, intersecting the two simpler ideals; memoized,
-  with a node budget since the recursion can blow up on large ideals.
-* ``corner`` localizes at each candidate support (inverting the other
-  variables) and reads components off the socle of the localized ideal: c is a
-  corner iff c is outside the ideal but every c*x_i is inside, and then the
-  component has exponents c+1. Membership over the bounded exponent box is one
-  boolean array, so the scan is a handful of slice operations per support.
-
-A third, search-based witness oracle re-derives the associated primes from the
+A search-based witness oracle re-derives the associated primes from the
 definition (colon by a candidate monomial equals the prime) and is used as an
 independent cross-check.
 """
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +33,6 @@ from .monomials import (
     minimalize_rows,
 )
 
-SPLITTING_AUTO_LIMIT = 2048  # box-size proxy below which splitting is the default
-SPLITTING_NODE_BUDGET = 50_000
 CORNER_CELL_CAP = 40_000_000  # per-support membership mask cells
 
 
@@ -85,95 +80,40 @@ def _require_decomposable(ideal: MonomialIdeal) -> None:
 
 
 # ---------------------------------------------------------------------------
-# splitting engine
-# ---------------------------------------------------------------------------
-
-
-def _splitting_components(
-    ideal: MonomialIdeal, node_budget: int
-) -> frozenset[tuple[tuple[int, int], ...]]:
-    n = ideal.vset.n
-    memo: dict[tuple, frozenset] = {}
-
-    def minimal(gens: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-        kept = minimalize_rows(np.array(gens, dtype=np.int64))
-        return tuple(tuple(int(v) for v in row) for row in kept)
-
-    def recurse(gens: tuple[tuple[int, ...], ...]) -> frozenset:
-        if gens in memo:
-            return memo[gens]
-        if len(memo) >= node_budget:
-            raise BudgetExceededError(
-                f"splitting decomposition exceeded {node_budget} subproblems"
-            )
-        pivot = next((g for g in gens if sum(1 for e in g if e > 0) >= 2), None)
-        if pivot is None:
-            # all generators are pure powers of distinct variables
-            component = tuple(
-                sorted((next(i for i, e in enumerate(g) if e > 0), max(g)) for g in gens)
-            )
-            result = frozenset({component})
-        else:
-            rest = [g for g in gens if g != pivot]
-            var = next(i for i, e in enumerate(pivot) if e > 0)
-            pure = tuple(pivot[var] if i == var else 0 for i in range(n))
-            other = tuple(0 if i == var else pivot[i] for i in range(n))
-            result = recurse(minimal(rest + [pure])) | recurse(minimal(rest + [other]))
-        memo[gens] = result
-        return result
-
-    return recurse(tuple(g.exps for g in ideal.gens))
-
-
-def _filter_redundant(
-    components: Iterable[tuple[tuple[int, int], ...]]
-) -> tuple[IrreducibleComponent, ...]:
-    """Drop components containing another component.
-
-    For irreducible monomial ideals, an intersection lies inside Q exactly when
-    a single member does (pick a monomial outside Q from each member otherwise;
-    their lcm stays outside Q), so the pairwise check gives full irredundancy.
-    """
-    comps = [IrreducibleComponent(c) for c in sorted(set(components))]
-    kept = [
-        c
-        for c in comps
-        if not any(o is not c and c.contains_component(o) for o in comps)
-    ]
-    return tuple(kept)
-
-
-# ---------------------------------------------------------------------------
 # corner engine
 # ---------------------------------------------------------------------------
 
 
-def _corner_components(
-    ideal: MonomialIdeal, cell_cap: int = CORNER_CELL_CAP
-) -> tuple[IrreducibleComponent, ...]:
-    n = ideal.vset.n
-    if n > 20:
-        raise BudgetExceededError(f"corner decomposition sweeps 2^{n} supports")
+def _corner_components(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     exps = ideal.exponent_array
+    # a support holding a variable that occurs in no generator localizes to a
+    # box with a zero side and has no corners, so only occurring ones are swept
+    occurring = [i for i in range(ideal.vset.n) if exps[:, i].any()]
+    m = len(occurring)
+    if m > 20:
+        raise BudgetExceededError(
+            f"corner decomposition sweeps 2^{m} supports of the occurring variables"
+        )
     support_masks = [
-        sum(1 << i for i in range(n) if row[i] > 0) for row in exps.tolist()
+        sum(1 << j for j, i in enumerate(occurring) if row[i] > 0)
+        for row in exps.tolist()
     ]
     out: list[tuple[tuple[int, int], ...]] = []
-    for mask in range(1, 1 << n):
+    for mask in range(1, 1 << m):
         # localization is proper only if every generator meets the support
         if any(sup & mask == 0 for sup in support_masks):
             continue
-        indices = [i for i in range(n) if mask & (1 << i)]
+        indices = [i for j, i in enumerate(occurring) if mask & (1 << j)]
         localized = minimalize_rows(exps[:, indices])
         u = localized.max(axis=0)
         if (u == 0).any():
             continue
         shape = tuple(int(v) + 1 for v in u)
         cells = prod(shape)
-        if cells > cell_cap:
+        if cells > CORNER_CELL_CAP:
             raise BudgetExceededError(
                 f"corner membership mask needs {cells} cells for support "
-                f"{[ideal.vset.names[i] for i in indices]} (cap {cell_cap})"
+                f"{[ideal.vset.names[i] for i in indices]} (cap {CORNER_CELL_CAP})"
             )
         member = np.zeros(shape, dtype=bool)
         for row in localized:
@@ -198,37 +138,19 @@ def _corner_components(
 # ---------------------------------------------------------------------------
 
 
-def irreducible_decomposition(
-    ideal: MonomialIdeal, method: str = "auto"
-) -> tuple[IrreducibleComponent, ...]:
+def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """The unique irredundant decomposition of a proper nonzero monomial ideal
     into ideals generated by pure variable powers."""
     _require_decomposable(ideal)
-    if method == "auto":
-        box = prod(e + 1 for e in ideal.max_exponents())
-        method = "splitting" if box <= SPLITTING_AUTO_LIMIT else "corner"
-    if method == "splitting":
-        raw = _splitting_components(ideal, SPLITTING_NODE_BUDGET)
-        return _filter_redundant(raw)
-    if method == "corner":
-        return _corner_components(ideal)
-    raise UsageError(f"unknown decomposition method: {method}")
+    return _corner_components(ideal)
 
 
 @lru_cache(maxsize=512)
-def _associated_primes_cached(
-    ideal: MonomialIdeal, method: str
-) -> tuple[MonomialPrime, ...]:
-    comps = irreducible_decomposition(ideal, method=method)
+def associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
+    """Radical supports of the irredundant irreducible components, sorted."""
+    comps = irreducible_decomposition(ideal)
     primes = {c.radical(ideal.vset) for c in comps}
     return tuple(sorted(primes))
-
-
-def associated_primes(
-    ideal: MonomialIdeal, method: str = "auto"
-) -> tuple[MonomialPrime, ...]:
-    """Radical supports of the irredundant irreducible components, sorted."""
-    return _associated_primes_cached(ideal, method)
 
 
 def minimal_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
@@ -285,7 +207,7 @@ def associated_primes_witness_oracle(
 
     Enumerates every monomial below the componentwise generator maximum, skips
     ideal members, and keeps candidates whose colon ideal is generated by
-    single variables. Independent of the decomposition engines.
+    single variables. Independent of the decomposition engine.
     """
     _require_decomposable(ideal)
     u = ideal.max_exponents()
@@ -295,15 +217,19 @@ def associated_primes_witness_oracle(
             f"witness oracle box has {total} candidates (cap {cap})"
         )
     n = ideal.vset.n
-    gens = ideal.exponent_array.astype(np.int16)
+    # int16 keeps the (candidates x gens x n) arrays small; wider exponents
+    # would wrap, so they switch the whole search to int64
+    narrow = max(u) <= np.iinfo(np.int16).max
+    dtype, degree_dtype = (np.int16, np.int32) if narrow else (np.int64, np.int64)
+    gens = ideal.exponent_array.astype(dtype)
     radices = np.array([e + 1 for e in u], dtype=np.int64)
     found: dict[tuple[str, ...], Monomial] = {}
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cand = np.zeros((len(ids), n), dtype=np.int16)
+        cand = np.zeros((len(ids), n), dtype=dtype)
         rem = ids
         for axis in range(n - 1, -1, -1):
-            cand[:, axis] = (rem % radices[axis]).astype(np.int16)
+            cand[:, axis] = (rem % radices[axis]).astype(dtype)
             rem = rem // radices[axis]
         member = np.zeros(len(ids), dtype=bool)
         for row in gens:
@@ -312,7 +238,7 @@ def associated_primes_witness_oracle(
         if not len(cand):
             continue
         quotients = np.maximum(gens[None, :, :] - cand[:, None, :], 0)
-        degrees = quotients.sum(axis=2, dtype=np.int32)
+        degrees = quotients.sum(axis=2, dtype=degree_dtype)
         unit_rows = degrees == 1
         in_prime = (quotients.astype(bool) & unit_rows[:, :, None]).any(axis=1)
         covered = (quotients.astype(bool) & in_prime[:, None, :]).any(axis=2)

@@ -2,14 +2,16 @@
 
 Commands: analyze (prime chains of a graph or ideal file), graph (matching
 invariants and parallelizations), verify-paper (the bundled reference claims),
-property-battery (the theorem sweeps). Exit codes: 0 success, 1 failed checks,
-2 parse errors, 3 budget refusals.
+property-battery (the theorem sweeps). Exit codes: 0 success, 1 failed checks
+or a reader that closed the output pipe early, 2 parse errors, 3 budget
+refusals.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -279,7 +281,14 @@ def main(argv: list[str] | None = None) -> int:
         "property-battery": _cmd_battery,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (``| head``): send what is still buffered to
+        # devnull so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILED
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,6 +1,7 @@
-"""Decomposition engines, the witness oracle, and prime-set combinatorics."""
+"""The decomposition engine, the witness oracle, and prime-set combinatorics."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -28,8 +29,26 @@ def ideal(*rows):
     return MonomialIdeal.from_exponents(VariableSet.standard(len(rows[0])), rows)
 
 
-def primes(ideal_, **kw):
-    return {p.names for p in associated_primes(ideal_, **kw)}
+def primes(ideal_):
+    return {p.names for p in associated_primes(ideal_)}
+
+
+def assert_irredundant_decomposition(target, comps):
+    """The components are the unique irredundant irreducible decomposition of
+    ``target`` (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 5):
+    they intersect back to it and none contains another.
+
+    The pairwise test gives full irredundancy: for irreducible monomial ideals,
+    an intersection lies inside Q exactly when a single member does (pick a
+    monomial outside Q from each member otherwise; their lcm stays outside Q).
+    """
+    as_ideals = [c.as_ideal(target.vset) for c in comps]
+    total = as_ideals[0]
+    for other in as_ideals[1:]:
+        total = total.intersect(other)
+    assert total == target, str(target)
+    for a, b in permutations(comps, 2):
+        assert not a.contains_component(b), f"{a} contains {b} in {target}"
 
 
 class TestDecomposition:
@@ -60,9 +79,7 @@ class TestDecomposition:
         for g in connected_graphs(2, 4):
             for k in (1, 2):
                 power = edge_ideal(g).power(k)
-                split = set(irreducible_decomposition(power, method="splitting"))
-                corner = set(irreducible_decomposition(power, method="corner"))
-                assert split == corner, f"{g} k={k}"
+                assert_irredundant_decomposition(power, irreducible_decomposition(power))
 
     def test_engines_agree_on_random_ideals(self):
         rng = random.Random(99)
@@ -78,9 +95,7 @@ class TestDecomposition:
             target = MonomialIdeal.from_exponents(vset, rows)
             if target.is_unit or target.is_zero:
                 continue
-            split = set(irreducible_decomposition(target, method="splitting"))
-            corner = set(irreducible_decomposition(target, method="corner"))
-            assert split == corner, str(target)
+            assert_irredundant_decomposition(target, irreducible_decomposition(target))
 
     def test_three_routes_agree_on_mid_size_ideals(self):
         from itertools import combinations as combs
@@ -90,11 +105,19 @@ class TestDecomposition:
         )
         targets = [assce().power(2), assce().power(3), edge_ideal(k5).power(4)]
         for target in targets:
-            split = set(irreducible_decomposition(target, method="splitting"))
-            corner = set(irreducible_decomposition(target, method="corner"))
-            assert split == corner
+            corner = irreducible_decomposition(target)
+            assert_irredundant_decomposition(target, corner)
             oracle = {w.prime for w in associated_primes_witness_oracle(target)}
             assert oracle == {c.radical(target.vset) for c in corner}
+
+    def test_unused_variables_do_not_count_toward_the_support_cap(self):
+        # 24 declared variables, 2 occurring: only the occurring ones are swept
+        vset = VariableSet.standard(24)
+        rows = [(1, 1) + (0,) * 22, (0, 2) + (0,) * 22]
+        target = MonomialIdeal.from_exponents(vset, rows)
+        comps = irreducible_decomposition(target)
+        assert {c.entries for c in comps} == {((1, 1),), ((0, 1), (1, 2))}
+        assert primes(target) == {("x2",), ("x1", "x2")}
 
     def test_intersection_reconstructs_ideal(self):
         for target in (
@@ -103,13 +126,7 @@ class TestDecomposition:
             ideal((2, 0), (1, 1)),
             ideal((3, 0, 0), (1, 1, 1), (0, 2, 1)),
         ):
-            comps = [
-                c.as_ideal(target.vset) for c in irreducible_decomposition(target)
-            ]
-            total = comps[0]
-            for other in comps[1:]:
-                total = total.intersect(other)
-            assert total == target
+            assert_irredundant_decomposition(target, irreducible_decomposition(target))
 
 
 class TestAssociatedPrimes:
@@ -201,6 +218,12 @@ class TestWitnessOracle:
         for target in (assce(), assce().power(2), edge_ideal(Graph.cycle(5)).power(2)):
             oracle = {w.prime for w in associated_primes_witness_oracle(target)}
             assert oracle == set(associated_primes(target))
+
+    def test_exponents_wider_than_int16(self):
+        i = ideal((40000, 0), (0, 1))
+        witnesses = associated_primes_witness_oracle(i)
+        assert [w.prime.names for w in witnesses] == [("x1", "x2")]
+        assert witnesses[0].witness.exps == (39999, 0)
 
     def test_cap_refusal(self):
         with pytest.raises(BudgetExceededError):

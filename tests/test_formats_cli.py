@@ -248,6 +248,34 @@ class TestCli:
         assert "refused" in proc.stderr
         assert proc.stdout == ""  # no partial JSON on failure
 
+    def test_analyze_ideal_with_many_unused_vars(self, tmp_path):
+        # 24 declared variables, 2 of them used: the decomposition sweeps only
+        # the used ones, so this is answered instead of refused
+        names = " ".join(f"x{i}" for i in range(1, 25))
+        proc = run_cli(
+            "analyze", "wide.ideal", "--allow-unused-vars",
+            files={"wide.ideal": f"vars: {names}\nx1*x2\nx2^2\n"},
+            tmp_path=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Ass(R/I^1) = {(x1,x2), (x2)}" in proc.stdout
+        assert "Ass(R/I^3) = {(x1,x2), (x2)}" in proc.stdout
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        (tmp_path / "c4.graph").write_text(C4_GRAPH)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "edge_ideal_lab", "analyze", "c4.graph"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=tmp_path,
+            env=child_env(),
+        )
+        proc.stdout.close()  # the reader is gone before the child writes
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert stderr == ""
+
     def test_verify_filtered(self, tmp_path):
         proc = run_cli("verify-paper", "--only", "spread", tmp_path=tmp_path, files={})
         assert proc.returncode == 0

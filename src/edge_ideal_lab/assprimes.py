@@ -58,11 +58,9 @@ class IrreducibleComponent:
         return MonomialPrime.from_indices(vset, self.support)
 
     def as_ideal(self, vset: VariableSet) -> MonomialIdeal:
-        rows = []
-        for i, e in self.entries:
-            row = [0] * vset.n
-            row[i] = e
-            rows.append(tuple(row))
+        rows = np.zeros((len(self.entries), vset.n), dtype=np.int64)
+        for row, (i, e) in enumerate(self.entries):
+            rows[row, i] = e
         return MonomialIdeal.from_exponents(vset, rows)
 
     def contains_component(self, other: IrreducibleComponent) -> bool:
@@ -334,12 +332,11 @@ def combined_ideal(parts: Sequence[MonomialIdeal]) -> MonomialIdeal:
     for p in parts:
         names.extend(p.vset.names)
     joint = VariableSet(tuple(names))
-    rows = []
+    blocks = []
     offset = 0
     for p in parts:
-        for g in p.gens:
-            row = [0] * len(names)
-            row[offset : offset + p.vset.n] = list(g.exps)
-            rows.append(tuple(row))
+        block = np.zeros((len(p), len(names)), dtype=np.int64)
+        block[:, offset : offset + p.vset.n] = p.exponent_array
+        blocks.append(block)
         offset += p.vset.n
-    return MonomialIdeal.from_exponents(joint, rows)
+    return MonomialIdeal.from_exponents(joint, np.vstack(blocks))

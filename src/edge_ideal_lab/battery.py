@@ -76,8 +76,8 @@ def colon_identity_holds(ideal: MonomialIdeal, k: int) -> bool:
     generator g, i.e. an AND of shifted masks; both sides' minimal generators
     are bounded by the componentwise maxima, so the box decides equality.
     """
-    power_k = ideal.power(k)
-    power_k1 = power_k.product(ideal)
+    # the chain I^0 = R, I, ..., I^(k+1), so k = 0 needs no special case
+    *_, power_k, power_k1 = [MonomialIdeal.unit(ideal.vset), *ideal.powers(k + 1)]
     bounds = tuple(
         max(x, y) for x, y in zip(power_k.max_exponents(), power_k1.max_exponents())
     )
@@ -123,11 +123,8 @@ def persistence_sweep(
     for idx, g in enumerate(graphs):
         ideal = edge_ideal(g)
         sets = []
-        power = ideal
         oracle_ok = True
-        for k in range(1, max_power + 1):
-            if k > 1:
-                power = power.product(ideal)
+        for power in ideal.powers(max_power):
             primes = set(associated_primes(power))
             sets.append(primes)
             if oracle_cap is not None:
@@ -152,10 +149,7 @@ def maximal_step_sweep(
         m = maximal_prime(ideal.vset)
         seen = False
         ok = True
-        power = ideal
-        for k in range(1, max_power + 1):
-            if k > 1:
-                power = power.product(ideal)
+        for power in ideal.powers(max_power):
             present = m in associated_primes(power)
             if seen and not present:
                 ok = False
@@ -233,9 +227,7 @@ def membership_coherence_sweep(
     parallelization, for every a with entries up to max_entry."""
     for name, g in named_graphs.items():
         ideal = edge_ideal(g)
-        powers = [ideal]
-        for _ in range(max_power - 1):
-            powers.append(powers[-1].product(ideal))
+        powers = list(ideal.powers(max_power))
         ok = True
         bad = ""
         for a in iter_product(range(max_entry + 1), repeat=g.n):
@@ -258,10 +250,7 @@ def multiset_matching_sweep(
     perfect matching; the ideal-membership route is the independent check."""
     for name, g in named_graphs.items():
         ideal = edge_ideal(g)
-        top = (max_entry * g.n) // 2
-        powers = [ideal]
-        for _ in range(top - 1):
-            powers.append(powers[-1].product(ideal))
+        powers = list(ideal.powers((max_entry * g.n) // 2))
         ok = True
         bad = ""
         for a in iter_product(range(max_entry + 1), repeat=g.n):
@@ -357,9 +346,8 @@ def closure_battery(
         ideal = edge_ideal(g)
         ok = True
         detail = []
-        for k in range(1, max_power + 1):
+        for k, power in enumerate(ideal.powers(max_power), 1):
             closure = integral_closure_power(ideal, k)
-            power = ideal.power(k)
             if not power.is_subset_of(closure):
                 ok = False
                 detail.append(f"power not inside closure at k={k}")

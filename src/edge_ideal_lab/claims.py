@@ -176,8 +176,8 @@ def _fig9_chain(graphs):
 def _claim_fig9_normal_through_cube(graphs, ideals):
     ideal = edge_ideal(graphs["FIG9"])
     oks = [
-        integral_closure_power(ideal, k, cap=2 * 10**7) == ideal.power(k)
-        for k in (1, 2, 3)
+        integral_closure_power(ideal, k, cap=2 * 10**7) == power
+        for k, power in enumerate(ideal.powers(3), 1)
     ]
     return (all(oks), "closure equals power at k=1,2,3")
 
@@ -232,15 +232,14 @@ def _claim_fig9_matching_oracle(graphs, ideals):
 
 def _claim_assce(graphs, ideals):
     ideal = ideals["ASSCE"]
-    p2 = ideal.power(2)
-    p3 = p2.product(ideal)
-    p4 = p3.product(ideal)
+    powers = list(ideal.powers(4))
+    _, p2, p3, _ = powers
     colon_ok = p2.colon(ideal) == ideal and p3.colon(ideal) != p2
-    sets = [set(associated_primes(p)) for p in (ideal, p2, p3, p4)]
+    sets = [set(associated_primes(p)) for p in powers]
     ascending = all(a <= b for a, b in zip(sets, sets[1:]))
     stabilized = sets[2] == sets[3] and sets[1] != sets[2]
     non_normal = any(
-        integral_closure_power(ideal, k) != ideal.power(k) for k in (1, 2, 3, 4)
+        integral_closure_power(ideal, k) != p for k, p in enumerate(powers, 1)
     )
     return (
         colon_ok and ascending and stabilized and non_normal,

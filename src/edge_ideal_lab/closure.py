@@ -99,7 +99,7 @@ def _minimal_cover_vectors(ideal: MonomialIdeal) -> np.ndarray:
 
 def _closure_fast_path(
     ideal: MonomialIdeal, k: int, bounds: tuple[int, ...]
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     n = ideal.vset.n
     covers = _minimal_cover_vectors(ideal)
     radices = np.array([b + 1 for b in bounds], dtype=np.int64)
@@ -118,19 +118,18 @@ def _closure_fast_path(
         src[axis] = slice(0, bounds[axis])
         dst[axis] = slice(1, bounds[axis] + 1)
         minimal[tuple(dst)] &= ~member[tuple(src)]
-    return [tuple(int(v) for v in row) for row in np.argwhere(minimal)]
+    return np.argwhere(minimal)
 
 
 def _closure_lp_path(
     ideal: MonomialIdeal, k: int, bounds: tuple[int, ...], degree_floor: int
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     poly = NewtonPolyhedron.of_power(ideal, k)
     radices = np.array([b + 1 for b in bounds], dtype=np.int64)
     total = int(radices.prod())
     points = _decode_box(np.arange(total, dtype=np.int64), radices)
     degrees = points.sum(axis=1)
     found: list[np.ndarray] = []
-    out: list[tuple[int, ...]] = []
     for s in range(degree_floor, int(degrees.max()) + 1):
         block = points[degrees == s]
         if not len(block):
@@ -142,8 +141,7 @@ def _closure_lp_path(
         for row in block:
             if np_member([int(v) for v in row], poly):
                 found.append(row)
-                out.append(tuple(int(v) for v in row))
-    return out
+    return np.array(found, dtype=np.int64).reshape(-1, len(bounds))
 
 
 @lru_cache(maxsize=256)
@@ -219,8 +217,8 @@ def is_normal_up_to(
     """Compare each power with its integral closure for k = 1..max_power."""
     checked = []
     first_failure = None
-    for k in range(1, max_power + 1):
-        equal = integral_closure_power(ideal, k, cap=cap) == ideal.power(k)
+    for k, power in enumerate(ideal.powers(max_power), 1):
+        equal = integral_closure_power(ideal, k, cap=cap) == power
         checked.append((k, equal))
         if not equal and first_failure is None:
             first_failure = k

@@ -7,7 +7,7 @@ and serializations are byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +47,22 @@ class VariableSet:
         return f"VariableSet({' '.join(self.names)})"
 
 
+def _trusted(cls, **fields):
+    """An instance of a frozen dataclass built without its __post_init__
+    checks, for values that are canonical by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_range(low: int, high: int) -> None:
+    if low < 0:
+        raise UsageError("exponents must be non-negative")
+    if high > MAX_EXPONENT:
+        raise UsageError("exponent overflow")
+
+
 def _check_same(a: VariableSet, b: VariableSet) -> None:
     if a.names != b.names:
         raise MismatchedVariablesError(f"variable sets differ: {a!r} vs {b!r}")
@@ -62,10 +78,7 @@ class Monomial:
     def __post_init__(self):
         if len(self.exps) != self.vset.n:
             raise UsageError("exponent vector length must equal variable count")
-        if any(e < 0 for e in self.exps):
-            raise UsageError("exponents must be non-negative")
-        if any(e > MAX_EXPONENT for e in self.exps):
-            raise UsageError("exponent overflow")
+        _check_range(min(self.exps), max(self.exps))
 
     @classmethod
     def one(cls, vset: VariableSet) -> Monomial:
@@ -101,22 +114,6 @@ class Monomial:
     def mul(self, other: Monomial) -> Monomial:
         _check_same(self.vset, other.vset)
         return Monomial(self.vset, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def gcd(self, other: Monomial) -> Monomial:
-        _check_same(self.vset, other.vset)
-        return Monomial(self.vset, tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def lcm(self, other: Monomial) -> Monomial:
-        _check_same(self.vset, other.vset)
-        return Monomial(self.vset, tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def quotient_by_gcd(self, other: Monomial) -> Monomial:
-        """self / gcd(self, other); the generator map of a colon by a monomial."""
-        _check_same(self.vset, other.vset)
-        return Monomial(self.vset, tuple(max(a - b, 0) for a, b in zip(self.exps, other.exps)))
-
-    def sort_key(self) -> tuple:
-        return (self.degree, self.exps)
 
     def __str__(self) -> str:
         if self.is_one:
@@ -171,27 +168,23 @@ def minimalize_rows(rows: np.ndarray) -> np.ndarray:
     return kept_blocks[0] if len(kept_blocks) == 1 else np.vstack(kept_blocks)
 
 
-def _minimalize_exps(
-    exps: Iterable[tuple[int, ...]], n: int
-) -> tuple[tuple[int, ...], ...]:
-    as_list = list(exps)
-    if not as_list:
-        return ()
-    kept = minimalize_rows(np.array(as_list, dtype=np.int64).reshape(-1, n))
-    return tuple(tuple(int(v) for v in row) for row in kept)
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, held as its canonical minimal generating set.
 
-    The empty generating set is the zero ideal; the single generator 1 is the
-    unit ideal. Construct through :meth:`from_monomials` or the arithmetic
-    methods; the canonical form is enforced there.
+    The canonical form is the read-only int64 ``exponent_array`` of the
+    divisibility-minimal generators sorted by (degree, exponents); ``gens``
+    holds the same rows as :class:`Monomial` objects. The empty generating set
+    is the zero ideal; the single generator 1 is the unit ideal. Construct
+    through :meth:`from_exponents` (the one constructor that validates and
+    canonicalizes), :meth:`from_monomials` or the arithmetic methods. A direct
+    ``MonomialIdeal(vset, gens)`` only checks that ``gens`` is canonical.
     """
 
     vset: VariableSet
     gens: tuple[Monomial, ...]
+    # the read-only (num_gens, n) int64 matrix of the generators' exponents
+    exponent_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_monomials(cls, vset: VariableSet, gens: Iterable[Monomial]) -> MonomialIdeal:
@@ -202,25 +195,51 @@ class MonomialIdeal:
 
     @classmethod
     def from_exponents(
-        cls, vset: VariableSet, exps: Iterable[Sequence[int]]
+        cls, vset: VariableSet, exps: np.ndarray | Iterable[Sequence[int]]
     ) -> MonomialIdeal:
-        minimal = _minimalize_exps((tuple(e) for e in exps), vset.n)
-        return cls(vset, tuple(Monomial(vset, e) for e in minimal))
+        """The ideal generated by the given exponent rows: an integer (m, n)
+        array or any iterable of length-n rows. Rows are validated here, once,
+        and minimalized once."""
+        n = vset.n
+        if not isinstance(exps, np.ndarray):
+            rows = [tuple(r) for r in exps]
+            if any(len(r) != n for r in rows):
+                raise UsageError("exponent vector length must equal variable count")
+            # checked on Python ints: the int64 cast must not see a huge value
+            flat = [v for r in rows for v in r]
+            _check_range(min(flat, default=0), max(flat, default=0))
+            exps = np.array(rows, dtype=np.int64).reshape(-1, n)
+        elif exps.ndim != 2 or exps.shape[1] != n:
+            raise UsageError("exponent vector length must equal variable count")
+        elif exps.size:
+            _check_range(exps.min(), exps.max())
+        return cls._canonical(vset, minimalize_rows(exps.astype(np.int64, copy=False)))
+
+    @classmethod
+    def _canonical(cls, vset: VariableSet, rows: np.ndarray) -> MonomialIdeal:
+        """Wrap rows that are already minimal and sorted, without re-checking."""
+        rows = rows.view()
+        rows.setflags(write=False)
+        gens = tuple(_trusted(Monomial, vset=vset, exps=tuple(r)) for r in rows.tolist())
+        return _trusted(cls, vset=vset, gens=gens, exponent_array=rows)
 
     @classmethod
     def zero(cls, vset: VariableSet) -> MonomialIdeal:
-        return cls(vset, ())
+        return cls._canonical(vset, np.zeros((0, vset.n), dtype=np.int64))
 
     @classmethod
     def unit(cls, vset: VariableSet) -> MonomialIdeal:
-        return cls(vset, (Monomial.one(vset),))
+        return cls._canonical(vset, np.zeros((1, vset.n), dtype=np.int64))
 
     def __post_init__(self):
         exps = tuple(g.exps for g in self.gens)
         if exps != tuple(sorted(set(exps), key=lambda e: (sum(e), e))):
             raise UsageError("generators are not in canonical sorted form")
-        if exps != _minimalize_exps(exps, self.vset.n):
+        rows = np.array(exps, dtype=np.int64).reshape(-1, self.vset.n)
+        if len(minimalize_rows(rows)) != len(exps):
             raise UsageError("generating set is not divisibility-minimal")
+        rows.setflags(write=False)
+        object.__setattr__(self, "exponent_array", rows)
 
     @property
     def is_zero(self) -> bool:
@@ -231,10 +250,6 @@ class MonomialIdeal:
         return len(self.gens) == 1 and self.gens[0].is_one
 
     @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
-    @property
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree for g in self.gens)
 
@@ -242,13 +257,6 @@ class MonomialIdeal:
         """The common generator degree, or None for mixed degrees / zero ideal."""
         degs = {g.degree for g in self.gens}
         return degs.pop() if len(degs) == 1 else None
-
-    @cached_property
-    def exponent_array(self) -> np.ndarray:
-        """Generator exponents as a (num_gens, n) int64 array."""
-        if not self.gens:
-            return np.zeros((0, self.vset.n), dtype=np.int64)
-        return np.array([g.exps for g in self.gens], dtype=np.int64)
 
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max of the generators (the exponent vector of their lcm)."""
@@ -267,7 +275,7 @@ class MonomialIdeal:
     def sum(self, other: MonomialIdeal) -> MonomialIdeal:
         _check_same(self.vset, other.vset)
         return MonomialIdeal.from_exponents(
-            self.vset, [g.exps for g in self.gens] + [g.exps for g in other.gens]
+            self.vset, np.vstack((self.exponent_array, other.exponent_array))
         )
 
     def product(self, other: MonomialIdeal) -> MonomialIdeal:
@@ -277,19 +285,27 @@ class MonomialIdeal:
         a = self.exponent_array
         b = other.exponent_array
         prods = (a[:, None, :] + b[None, :, :]).reshape(-1, self.vset.n)
-        return MonomialIdeal.from_exponents(self.vset, [tuple(int(v) for v in r) for r in prods])
+        return MonomialIdeal.from_exponents(self.vset, prods)
+
+    def powers(self, max_power: int) -> Iterator[MonomialIdeal]:
+        """I, I^2, ..., I^max_power, each one the previous one times I.
+
+        Lazy: a consumer that stops early builds no further product. Nothing
+        is memoized, so a chain costs max_power - 1 products per walk.
+        """
+        power = self
+        for k in range(1, max_power + 1):
+            if k > 1:
+                power = power.product(self)
+            yield power
 
     def power(self, k: int) -> MonomialIdeal:
         """The k-fold product; k = 0 gives the unit ideal by convention."""
         if k < 0:
             raise UsageError("power must be non-negative")
-        if k == 0:
-            return MonomialIdeal.unit(self.vset)
-        if self.is_zero:
-            return MonomialIdeal.zero(self.vset)
-        result = self
-        for _ in range(k - 1):
-            result = result.product(self)
+        result = MonomialIdeal.unit(self.vset)
+        for result in self.powers(k):
+            pass  # keep only the last power
         return result
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
@@ -299,14 +315,13 @@ class MonomialIdeal:
         a = self.exponent_array
         b = other.exponent_array
         lcms = np.maximum(a[:, None, :], b[None, :, :]).reshape(-1, self.vset.n)
-        return MonomialIdeal.from_exponents(self.vset, [tuple(int(v) for v in r) for r in lcms])
+        return MonomialIdeal.from_exponents(self.vset, lcms)
 
     def colon_monomial(self, m: Monomial) -> MonomialIdeal:
         """(self : m) for a single monomial m."""
         _check_same(self.vset, m.vset)
-        return MonomialIdeal.from_monomials(
-            self.vset, (g.quotient_by_gcd(m) for g in self.gens)
-        )
+        quotients = np.maximum(self.exponent_array - np.array(m.exps, dtype=np.int64), 0)
+        return MonomialIdeal.from_exponents(self.vset, quotients)
 
     def colon(self, other: MonomialIdeal) -> MonomialIdeal:
         """(self : other) = intersection of the colons by the generators of other."""
@@ -319,11 +334,6 @@ class MonomialIdeal:
             result = piece if result is None else result.intersect(piece)
         assert result is not None
         return result
-
-    def restrict(self, indices: Sequence[int], subset_vset: VariableSet) -> MonomialIdeal:
-        """Localize: keep only the given exponent coordinates (others become units)."""
-        rows = [tuple(g.exps[i] for i in indices) for g in self.gens]
-        return MonomialIdeal.from_exponents(subset_vset, rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):

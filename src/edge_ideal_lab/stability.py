@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .assprimes import associated_primes
@@ -225,8 +226,7 @@ def ass_chain(
     budget_seconds: float | None = None,
 ) -> ChainReport:
     """Associated primes of each power 1..max_power."""
-    sets, complete = _chain_sets(ideal, max_power, closures=False, budget=budget_seconds)
-    return ChainReport(label, max_power, tuple(sets), None, n1_bound, complete)
+    return _chain_report(ideal, max_power, label, n1_bound, budget_seconds, True, None)
 
 
 def closure_ass_chain(
@@ -237,34 +237,7 @@ def closure_ass_chain(
     closure_cap: int = 10**7,
 ) -> ChainReport:
     """Associated primes of the closure of each power 1..max_power."""
-    sets, complete = _chain_sets(
-        ideal, max_power, closures=True, budget=budget_seconds, closure_cap=closure_cap
-    )
-    return ChainReport(label, max_power, None, tuple(sets), None, complete)
-
-
-def _chain_sets(
-    ideal: MonomialIdeal,
-    max_power: int,
-    closures: bool,
-    budget: float | None,
-    closure_cap: int = 10**7,
-) -> tuple[list[PrimeSet], bool]:
-    if max_power < 1:
-        raise UsageError("max power must be >= 1")
-    start = time.monotonic()
-    sets: list[PrimeSet] = []
-    power = ideal
-    for k in range(1, max_power + 1):
-        if k > 1:
-            power = power.product(ideal)
-        target = (
-            integral_closure_power(ideal, k, cap=closure_cap) if closures else power
-        )
-        sets.append(associated_primes(target))
-        if budget is not None and time.monotonic() - start > budget and k < max_power:
-            return sets, False
-    return sets, True
+    return _chain_report(ideal, max_power, label, None, budget_seconds, False, closure_cap)
 
 
 def both_chains(
@@ -275,18 +248,48 @@ def both_chains(
     budget_seconds: float | None = None,
     closure_cap: int = 10**7,
 ) -> ChainReport:
-    ass_sets, complete_a = _chain_sets(ideal, max_power, False, budget_seconds)
-    closure_sets, complete_c = _chain_sets(
-        ideal, max_power, True, budget_seconds, closure_cap
-    )
-    k = min(len(ass_sets), len(closure_sets))
+    return _chain_report(ideal, max_power, label, n1_bound, budget_seconds, True, closure_cap)
+
+
+def _chain_report(
+    ideal: MonomialIdeal,
+    max_power: int,
+    label: str,
+    n1_bound: int | None,
+    budget: float | None,
+    ass: bool,
+    closure_cap: int | None,
+) -> ChainReport:
+    """One walk over k = 1..max_power: the Ass side when ``ass``, the closure
+    side unless ``closure_cap`` is None.
+
+    The clock starts once and powers are built only for the Ass side. A
+    refusal on either side at power k ends the walk there; so does a spent
+    budget, leaving an incomplete report.
+    """
+    if max_power < 1:
+        raise UsageError("max power must be >= 1")
+    start = time.monotonic()
+    ass_sets: list[PrimeSet] = []
+    closure_sets: list[PrimeSet] = []
+    complete = True
+    powers = ideal.powers(max_power) if ass else repeat(None, max_power)
+    for k, power in enumerate(powers, 1):
+        if ass:
+            ass_sets.append(associated_primes(power))
+        if closure_cap is not None:
+            closure = integral_closure_power(ideal, k, cap=closure_cap)
+            closure_sets.append(associated_primes(closure))
+        if budget is not None and time.monotonic() - start > budget and k < max_power:
+            complete = False
+            break
     return ChainReport(
         label,
         max_power,
-        tuple(ass_sets[:k]),
-        tuple(closure_sets[:k]),
+        tuple(ass_sets) if ass else None,
+        tuple(closure_sets) if closure_cap is not None else None,
         n1_bound,
-        complete_a and complete_c and k == max_power,
+        complete,
     )
 
 
@@ -362,10 +365,7 @@ def maximal_ideal_criteria(graph: Graph, max_power: int) -> MaximalIdealReport:
     m = maximal_prime(ideal.vset)
     in_ass = None
     in_closure = None
-    power = ideal
-    for k in range(1, max_power + 1):
-        if k > 1:
-            power = power.product(ideal)
+    for k, power in enumerate(ideal.powers(max_power), 1):
         if in_ass is None and m in associated_primes(power):
             in_ass = k
         if in_closure is None and m in associated_primes(
@@ -397,10 +397,7 @@ def ntf_check(graph: Graph, max_power: int) -> TorsionFreeReport:
     """Whether Ass stays equal to Ass(R/I) for powers and closures up to K."""
     ideal = edge_ideal(graph)
     base = set(associated_primes(ideal))
-    power = ideal
-    for k in range(1, max_power + 1):
-        if k > 1:
-            power = power.product(ideal)
+    for k, power in enumerate(ideal.powers(max_power), 1):
         if set(associated_primes(power)) != base:
             return TorsionFreeReport(max_power, False, k)
         closure = integral_closure_power(ideal, k)

@@ -27,9 +27,7 @@ class PowerLab:
 
 
 def build_lab(ideal: MonomialIdeal, max_power: int, cap: int = 10**7) -> PowerLab:
-    powers = {1: ideal}
-    for k in range(2, max_power + 1):
-        powers[k] = powers[k - 1].product(ideal)
+    powers = dict(enumerate(ideal.powers(max_power), 1))
     closures = {
         k: integral_closure_power(ideal, k, cap=cap) for k in range(1, max_power + 1)
     }

@@ -69,10 +69,7 @@ def corpus_sweep(corpus5):
         colon_ok = all(colon_identity_holds(ideal, k) for k in (1, 2, 3))
         ass_sets = []
         oracle_ok = True
-        power = ideal
-        for k in range(1, 5):
-            if k > 1:
-                power = power.product(ideal)
+        for power in ideal.powers(4):
             primes = set(associated_primes(power))
             ass_sets.append(primes)
             if prod(e + 1 for e in power.max_exponents()) <= 10**7:
@@ -94,10 +91,7 @@ def seeded_sweep(seeded67):
         ideal = edge_ideal(g)
         sets = []
         oracle_ok = True
-        power = ideal
-        for k in range(1, 4):
-            if k > 1:
-                power = power.product(ideal)
+        for power in ideal.powers(3):
             primes = set(associated_primes(power))
             sets.append(primes)
             if prod(e + 1 for e in power.max_exponents()) <= 10**7:
@@ -221,9 +215,7 @@ class TestCriterion5MatchingBattery:
             if g.n > 10:
                 continue
             ideal = edge_ideal(g)
-            powers = [ideal]
-            for _ in range(3):
-                powers.append(powers[-1].product(ideal))
+            powers = list(ideal.powers(4))
             if g.n <= 6:
                 vectors = list(iter_product(range(3), repeat=g.n))
             else:
@@ -246,10 +238,7 @@ class TestCriterion5MatchingBattery:
             if g.n > 4:
                 continue
             ideal = edge_ideal(g)
-            top = (3 * g.n) // 2
-            powers = [ideal]
-            for _ in range(top - 1):
-                powers.append(powers[-1].product(ideal))
+            powers = list(ideal.powers((3 * g.n) // 2))
             for a in iter_product(range(4), repeat=g.n):
                 total = sum(a)
                 member = edge_subring_member(g, a)

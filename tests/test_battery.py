@@ -2,6 +2,7 @@
 acceptance suite's job)."""
 
 from edge_ideal_lab.battery import (
+    colon_identity_holds,
     corpus_graphs,
     ideals_equal_on_box,
     membership_mask,
@@ -28,6 +29,12 @@ def test_mask_equality_agrees_with_canonical_equality():
     assert not ideals_equal_on_box(i.power(2), i.power(3))
     colon = i.power(3).colon(i)
     assert ideals_equal_on_box(colon, i.power(2)) == (colon == i.power(2))
+
+
+def test_colon_identity_from_power_zero():
+    # (I : I) is the unit ideal I^0, and (I^3 : I) = I^2 on the triangle
+    i = edge_ideal(Graph.cycle(3))
+    assert all(colon_identity_holds(i, k) for k in (0, 1, 2))
 
 
 def test_corpus_counts():

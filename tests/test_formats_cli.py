@@ -238,6 +238,18 @@ class TestCli:
         proc = run_cli("analyze", "nope.graph", tmp_path=tmp_path, files={"d.txt": ""})
         assert proc.returncode == 2
 
+    def test_huge_exponent_is_a_parse_error(self, tmp_path):
+        # 10^20 does not fit in int64: refused by the range check, not by numpy
+        for exponent in ("3000000000", "100000000000000000000"):
+            proc = run_cli(
+                "analyze", "big.ideal",
+                files={"big.ideal": f"vars: x1 x2\nx1^{exponent}*x2\n"},
+                tmp_path=tmp_path,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == "error: exponent overflow\n"
+            assert proc.stdout == ""
+
     def test_budget_exit_code(self, tmp_path):
         proc = run_cli(
             "analyze", "fig9.graph", "--max-power", "5", "--closure-cap", "1000",

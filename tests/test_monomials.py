@@ -1,8 +1,10 @@
 """Monomial and ideal arithmetic."""
 
+import numpy as np
 import pytest
 
 from edge_ideal_lab.errors import MismatchedVariablesError, UsageError
+from edge_ideal_lab.fixtures import assce
 from edge_ideal_lab.graphs import Graph, edge_ideal
 from edge_ideal_lab.monomials import (
     Monomial,
@@ -60,6 +62,41 @@ class TestMinimalize:
             MonomialIdeal(V3, gens)
 
 
+class TestFromExponents:
+    def test_rows_of_wrong_length_rejected(self):
+        # three rows of length 2 over three variables must not be read as one
+        # row of length 3, nor reach numpy's reshape
+        for rows in ([(1, 2), (3, 4), (5, 6)], [(1, 2)], [(1, 2, 3), (1, 2)]):
+            with pytest.raises(UsageError, match="length"):
+                MonomialIdeal.from_exponents(V3, rows)
+        with pytest.raises(UsageError, match="length"):
+            MonomialIdeal.from_exponents(V3, np.array([[1, 2], [3, 4]]))
+
+    def test_huge_exponent_is_an_overflow_error(self):
+        for e in (2**70, 3_000_000_000):
+            with pytest.raises(UsageError, match="exponent overflow"):
+                MonomialIdeal.from_exponents(V3, [(e, 1, 0)])
+
+    def test_negative_exponent_rejected(self):
+        for rows in ([(1, -1, 0)], np.array([[1, -1, 0]])):
+            with pytest.raises(UsageError, match="non-negative"):
+                MonomialIdeal.from_exponents(V3, rows)
+
+    def test_array_and_rows_agree(self):
+        rows = [(2, 1, 0), (1, 1, 0), (0, 0, 3)]
+        from_array = MonomialIdeal.from_exponents(V3, np.array(rows))
+        assert from_array == MonomialIdeal.from_exponents(V3, rows)
+        assert [g.exps for g in from_array.gens] == [(1, 1, 0), (0, 0, 3)]
+
+    def test_exponent_array_is_canonical_and_read_only(self):
+        i = edge_ideal(Graph.cycle(5)).power(2)
+        arr = i.exponent_array
+        assert arr.dtype == np.int64
+        assert arr.tolist() == [list(g.exps) for g in i.gens]
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7
+
+
 class TestSumPowerProduct:
     def test_sum_with_zero(self):
         i = ideal((1, 1))
@@ -87,6 +124,12 @@ class TestSumPowerProduct:
     def test_power_coherence(self):
         i = edge_ideal(Graph.cycle(4))
         assert i.power(2).product(i.power(3)) == i.power(5)
+
+    def test_powers_chain_matches_power(self):
+        for i in (assce(), edge_ideal(Graph.cycle(5))):
+            assert list(i.powers(4)) == [i.power(k) for k in range(1, 5)]
+            assert list(i.powers(0)) == []
+            assert i.power(0) == MonomialIdeal.unit(i.vset)
 
 
 class TestColon:

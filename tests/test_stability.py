@@ -2,7 +2,7 @@
 
 import pytest
 
-from edge_ideal_lab.errors import UsageError
+from edge_ideal_lab.errors import BudgetExceededError, UsageError
 from edge_ideal_lab.fixtures import c3_disjoint_c3, c3_disjoint_c4, fig9
 from edge_ideal_lab.graphs import Graph, edge_ideal
 from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
@@ -108,12 +108,56 @@ class TestChainReports:
         assert report.computed_powers == 1
         assert not report.n1_certified
 
+    def test_budget_stops_both_sides_at_once(self):
+        report = both_chains(
+            edge_ideal(Graph.cycle(5)), 3, "I(C5)", budget_seconds=0.0
+        )
+        assert not report.complete
+        assert len(report.ass_sets) == len(report.closure_ass_sets) == 1
+
     def test_text_rendering_mentions_certified_bound(self):
         g = Graph.cycle(4)
         text = both_chains(edge_ideal(g), 3, "I(C4)", stability_bound(g)).to_text()
         assert "certified" in text
         uncertified = ass_chain(edge_ideal(Graph.cycle(5)), 2, "I(C5)", 3).to_text()
         assert "constant within computed range" in uncertified
+
+
+@pytest.fixture
+def product_count(monkeypatch):
+    """Counts MonomialIdeal.product calls made while the test runs."""
+    calls = []
+    original = MonomialIdeal.product
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, "product", counting)
+    return calls
+
+
+class TestChainProducts:
+    """The chains walk one power chain, built only where the Ass side needs it."""
+
+    def test_closure_chain_builds_no_power(self, product_count):
+        closure_ass_chain(edge_ideal(Graph.cycle(5)), 3)
+        assert len(product_count) == 0
+
+    def test_both_chains_build_each_power_once(self, product_count):
+        both_chains(edge_ideal(Graph.cycle(5)), 3)
+        assert len(product_count) == 2
+
+    def test_ass_chain_builds_each_power_once(self, product_count):
+        ass_chain(edge_ideal(Graph.cycle(5)), 4)
+        assert len(product_count) == 3
+
+    def test_refusal_stops_at_its_power(self, product_count):
+        # the closure box of C5 is 2^5 at k=1 and 3^5 at k=2: refused at k=2,
+        # after I^2 and before I^3
+        with pytest.raises(BudgetExceededError):
+            both_chains(edge_ideal(Graph.cycle(5)), 3, closure_cap=100)
+        assert len(product_count) == 1
 
 
 class TestMaximalIdealCriteria:

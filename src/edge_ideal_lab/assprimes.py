@@ -8,9 +8,9 @@ Membership over the bounded exponent box is one boolean array, so the scan is a
 handful of slice operations per support. Only supports made of variables that
 occur in some generator are swept.
 
-A search-based witness oracle re-derives the associated primes from the
-definition (colon by a candidate monomial equals the prime) and is used as an
-independent cross-check.
+A witness oracle re-derives the associated primes from the definition (the
+colon by a monomial outside the ideal equals a prime) by lookups in one
+membership mask, and is used as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .monomials import (
     MonomialIdeal,
     MonomialPrime,
     VariableSet,
+    membership_mask,
     minimalize_rows,
 )
 
@@ -113,9 +114,7 @@ def _corner_components(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]
                 f"corner membership mask needs {cells} cells for support "
                 f"{[ideal.vset.names[i] for i in indices]} (cap {CORNER_CELL_CAP})"
             )
-        member = np.zeros(shape, dtype=bool)
-        for row in localized:
-            member[tuple(slice(int(e), None) for e in row)] = True
+        member = membership_mask(localized, u)
         inner = tuple(slice(0, int(v)) for v in u)
         corners = ~member[inner]
         for axis in range(len(indices)):
@@ -191,69 +190,51 @@ class AssWitness:
     """A prime realized as (ideal : witness), with the witness outside the ideal."""
 
     prime: MonomialPrime
-    power: int | None
     witness: Monomial
 
 
 def associated_primes_witness_oracle(
-    ideal: MonomialIdeal,
-    cap: int = 10**7,
-    power: int | None = None,
-    chunk: int = 4096,
+    ideal: MonomialIdeal, cap: int = 10**7
 ) -> tuple[AssWitness, ...]:
-    """Brute-force search for associated primes straight from the definition.
+    """Associated primes straight from the definition, each with its witness.
 
-    Enumerates every monomial below the componentwise generator maximum, skips
-    ideal members, and keeps candidates whose colon ideal is generated by
-    single variables. Independent of the decomposition engine.
+    Every associated prime is (I : x^c) for some c in the box [0, u] under the
+    generator maximum u, beyond which membership no longer changes. For c
+    outside I let S = {i : c + e_i in I}; where c_i = u_i, c + e_i saturates
+    back to c and so counts as outside. Then (I : x^c) contains P_S, and
+    equals it exactly when c, with every coordinate outside S raised to u, is
+    still outside I. Each prime keeps its first witness in C order. Only the
+    membership mask is shared with the decomposition engine.
     """
     _require_decomposable(ideal)
     u = ideal.max_exponents()
-    total = prod(e + 1 for e in u)
+    shape = tuple(e + 1 for e in u)
+    total = prod(shape)
     if total > cap:
         raise BudgetExceededError(
             f"witness oracle box has {total} candidates (cap {cap})"
         )
-    n = ideal.vset.n
-    # int16 keeps the (candidates x gens x n) arrays small; wider exponents
-    # would wrap, so they switch the whole search to int64
-    narrow = max(u) <= np.iinfo(np.int16).max
-    dtype, degree_dtype = (np.int16, np.int32) if narrow else (np.int64, np.int64)
-    gens = ideal.exponent_array.astype(dtype)
-    radices = np.array([e + 1 for e in u], dtype=np.int64)
-    found: dict[tuple[str, ...], Monomial] = {}
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cand = np.zeros((len(ids), n), dtype=dtype)
-        rem = ids
-        for axis in range(n - 1, -1, -1):
-            cand[:, axis] = (rem % radices[axis]).astype(dtype)
-            rem = rem // radices[axis]
-        member = np.zeros(len(ids), dtype=bool)
-        for row in gens:
-            member |= (cand >= row).all(axis=1)
-        cand = cand[~member]
-        if not len(cand):
-            continue
-        quotients = np.maximum(gens[None, :, :] - cand[:, None, :], 0)
-        degrees = quotients.sum(axis=2, dtype=degree_dtype)
-        unit_rows = degrees == 1
-        in_prime = (quotients.astype(bool) & unit_rows[:, :, None]).any(axis=1)
-        covered = (quotients.astype(bool) & in_prime[:, None, :]).any(axis=2)
-        is_prime = covered.all(axis=1)
-        for idx in np.nonzero(is_prime)[0]:
-            names = tuple(
-                sorted(
-                    ideal.vset.names[i] for i in np.nonzero(in_prime[idx])[0]
-                )
-            )
-            if names not in found:
-                found[names] = Monomial(
-                    ideal.vset, tuple(int(v) for v in cand[idx])
-                )
+    member = membership_mask(ideal.exponent_array, u).ravel()
+    outside = np.flatnonzero(~member)
+    raised = np.full(len(outside), total - 1, dtype=np.int64)  # the corner u
+    in_prime = np.empty((ideal.vset.n, len(outside)), dtype=bool)
+    stride = total
+    for i, side in enumerate(shape):
+        stride //= side  # C-order stride of axis i
+        c = outside // stride % side
+        # c + e_i, or c itself where c_i = u_i (membership saturates there)
+        in_prime[i] = member[np.where(c < u[i], outside + stride, outside)]
+        # keep c_i on the axes in S; the others stay raised to u_i
+        raised -= np.where(in_prime[i], (u[i] - c) * stride, 0)
+    realized = ~member[raised]
+    supports, first = np.unique(in_prime[:, realized].T, axis=0, return_index=True)
+    cells = np.unravel_index(outside[realized][first], shape)
     witnesses = [
-        AssWitness(MonomialPrime(names), power, monomial)
-        for names, monomial in found.items()
+        AssWitness(
+            MonomialPrime.from_indices(ideal.vset, np.flatnonzero(support).tolist()),
+            Monomial(ideal.vset, tuple(int(axis[j]) for axis in cells)),
+        )
+        for j, support in enumerate(supports)
     ]
     return tuple(sorted(witnesses, key=lambda w: w.prime))
 

@@ -10,14 +10,12 @@ equality is ideal equality), which keeps exhaustive sweeps cheap.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from math import prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .assprimes import (
     associated_primes,
-    associated_primes_witness_oracle,
     irreducible_decomposition,
     minimal_primes,
     minimal_vertex_covers,
@@ -46,27 +44,9 @@ from .graphs import (
     sample_graphs,
     tutte_condition_holds,
 )
-from .monomials import Monomial, MonomialIdeal, maximal_prime
+from .monomials import Monomial, MonomialIdeal, maximal_prime, membership_mask
 
 Check = tuple[str, bool, str]
-
-
-def membership_mask(ideal: MonomialIdeal, bounds: Sequence[int]) -> np.ndarray:
-    """Boolean array over the box [0, bounds] marking membership in the ideal."""
-    shape = tuple(int(b) + 1 for b in bounds)
-    mask = np.zeros(shape, dtype=bool)
-    for g in ideal.gens:
-        if all(e <= b for e, b in zip(g.exps, bounds)):
-            mask[tuple(slice(e, None) for e in g.exps)] = True
-    return mask
-
-
-def ideals_equal_on_box(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    """Ideal equality via masks over the union box of both generator maxima."""
-    bounds = tuple(
-        max(x, y) for x, y in zip(a.max_exponents(), b.max_exponents())
-    )
-    return bool((membership_mask(a, bounds) == membership_mask(b, bounds)).all())
 
 
 def colon_identity_holds(ideal: MonomialIdeal, k: int) -> bool:
@@ -81,9 +61,8 @@ def colon_identity_holds(ideal: MonomialIdeal, k: int) -> bool:
     bounds = tuple(
         max(x, y) for x, y in zip(power_k.max_exponents(), power_k1.max_exponents())
     )
-    shift = tuple(int(v) for v in np.max(ideal.exponent_array, axis=0))
-    extended = tuple(b + s for b, s in zip(bounds, shift))
-    high_mask = membership_mask(power_k1, extended)
+    extended = tuple(b + s for b, s in zip(bounds, ideal.max_exponents()))
+    high_mask = membership_mask(power_k1.exponent_array, extended)
     colon_mask: np.ndarray | None = None
     for g in ideal.gens:
         idx = tuple(
@@ -92,7 +71,7 @@ def colon_identity_holds(ideal: MonomialIdeal, k: int) -> bool:
         window = high_mask[idx]
         colon_mask = window if colon_mask is None else colon_mask & window
     assert colon_mask is not None
-    return bool((colon_mask == membership_mask(power_k, bounds)).all())
+    return bool((colon_mask == membership_mask(power_k.exponent_array, bounds)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -113,31 +92,13 @@ def colon_identity_sweep(
         yield f"colon-identity[{idx}:{g}]", ok, f"powers {tuple(powers)}"
 
 
-def persistence_sweep(
-    graphs: Iterable[Graph],
-    max_power: int = 4,
-    oracle_cap: int | None = None,
-) -> Iterator[Check]:
-    """Ascending-chain checks, optionally cross-checking each prime set with
-    the witness oracle (when a cap is given and admits the search)."""
+def persistence_sweep(graphs: Iterable[Graph], max_power: int = 4) -> Iterator[Check]:
+    """Ascending-chain checks of the associated primes of the powers."""
     for idx, g in enumerate(graphs):
         ideal = edge_ideal(g)
-        sets = []
-        oracle_ok = True
-        for power in ideal.powers(max_power):
-            primes = set(associated_primes(power))
-            sets.append(primes)
-            if oracle_cap is not None:
-                box = prod(e + 1 for e in power.max_exponents())
-                if box <= oracle_cap:
-                    oracle = associated_primes_witness_oracle(power, cap=oracle_cap)
-                    oracle_ok &= {w.prime for w in oracle} == primes
-        ascending = all(a <= b for a, b in zip(sets, sets[1:]))
-        ok = ascending and oracle_ok
-        detail = f"sizes {[len(s) for s in sets]}" + (
-            "" if oracle_ok else " ORACLE MISMATCH"
-        )
-        yield f"persistence[{idx}:{g}]", ok, detail
+        sets = [set(associated_primes(power)) for power in ideal.powers(max_power)]
+        ok = all(a <= b for a, b in zip(sets, sets[1:]))
+        yield f"persistence[{idx}:{g}]", ok, f"sizes {[len(s) for s in sets]}"
 
 
 def maximal_step_sweep(
@@ -426,7 +387,7 @@ def run_battery(
     results.extend(closure_battery(small_named, max_power=max_power))
     results.extend(closure_oracle_soundness(small_named, max_power=2, max_entry=2))
     results.extend(colon_identity_sweep(corpus, powers=range(1, max_power + 1)))
-    results.extend(persistence_sweep(corpus, max_power=max_power, oracle_cap=None))
+    results.extend(persistence_sweep(corpus, max_power=max_power))
     results.extend(persistence_sweep(seeded, max_power=2))
     results.extend(maximal_step_sweep(list(small_named.values()), max_power=max_power))
     return results

@@ -38,7 +38,6 @@ EXIT_BUDGET = 3
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--budget-seconds", type=float, default=None)
     parser.add_argument(
         "--threads",
         type=int,
@@ -60,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--mode", choices=("ass", "closure", "both"), default="both")
     analyze.add_argument("--allow-unused-vars", action="store_true")
     analyze.add_argument("--closure-cap", type=int, default=10**7)
+    analyze.add_argument("--budget-seconds", type=float, default=None)
     _common_flags(analyze)
 
     graph = sub.add_parser("graph", help="matching invariants and parallelizations")

@@ -181,19 +181,16 @@ def integral_closure_power(
 
 
 def closure_member_matching_oracle(
-    graph: Graph, a: Sequence[int], k: int, m_cap: int | None = None
+    graph: Graph, a: Sequence[int], k: int
 ) -> bool | None:
     """One-sided closure membership via matchings of scaled parallelizations.
 
     True when some multiple m has matching number of the m*a parallelization at
     least k*m (certifying x^a in the closure of the k-th edge-ideal power);
-    None when no m up to the cap certifies it.
+    None when no m = 1..n certifies it.
     """
-    m_cap = graph.n if m_cap is None else m_cap
-    if m_cap < 1:
-        raise UsageError("m_cap must be >= 1")
     a = tuple(int(v) for v in a)
-    for m in range(1, m_cap + 1):
+    for m in range(1, graph.n + 1):
         scaled = tuple(m * v for v in a)
         if matching_number(parallelize(graph, scaled).flat) >= k * m:
             return True

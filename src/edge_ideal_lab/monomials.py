@@ -168,6 +168,18 @@ def minimalize_rows(rows: np.ndarray) -> np.ndarray:
     return kept_blocks[0] if len(kept_blocks) == 1 else np.vstack(kept_blocks)
 
 
+def membership_mask(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+    """Boolean array over the box [0, bounds] marking the multiples of any row.
+
+    A row that exceeds the box somewhere marks nothing: its slice past the end
+    is empty.
+    """
+    mask = np.zeros(tuple(int(b) + 1 for b in bounds), dtype=bool)
+    for row in np.asarray(rows).tolist():
+        mask[tuple(slice(e, None) for e in row)] = True
+    return mask
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, held as its canonical minimal generating set.

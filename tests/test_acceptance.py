@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 from itertools import product as iter_product
-from math import prod
 
 import pytest
+from conftest import FIG9_CAP
 
 from edge_ideal_lab.assprimes import (
     associated_primes,
@@ -72,9 +72,8 @@ def corpus_sweep(corpus5):
         for power in ideal.powers(4):
             primes = set(associated_primes(power))
             ass_sets.append(primes)
-            if prod(e + 1 for e in power.max_exponents()) <= 10**7:
-                oracle = associated_primes_witness_oracle(power)
-                oracle_ok &= {w.prime for w in oracle} == primes
+            oracle = associated_primes_witness_oracle(power)
+            oracle_ok &= {w.prime for w in oracle} == primes
         out.append((g, colon_ok, ass_sets, oracle_ok))
     return out
 
@@ -94,9 +93,8 @@ def seeded_sweep(seeded67):
         for power in ideal.powers(3):
             primes = set(associated_primes(power))
             sets.append(primes)
-            if prod(e + 1 for e in power.max_exponents()) <= 10**7:
-                oracle = associated_primes_witness_oracle(power)
-                oracle_ok &= {w.prime for w in oracle} == primes
+            oracle = associated_primes_witness_oracle(power)
+            oracle_ok &= {w.prime for w in oracle} == primes
         out.append((g, sets, oracle_ok))
     return out
 
@@ -273,16 +271,12 @@ class TestCriterion6Oracles:
         checked = 0
         for lab in (fig9_lab, assce_lab):
             for k, power in lab.powers.items():
-                if prod(e + 1 for e in power.max_exponents()) > 10**7:
-                    continue
-                oracle = {w.prime for w in associated_primes_witness_oracle(power)}
-                assert oracle == set(lab.ass[k]), f"power {k}"
+                oracle = associated_primes_witness_oracle(power, cap=FIG9_CAP)
+                assert {w.prime for w in oracle} == set(lab.ass[k]), f"power {k}"
                 checked += 1
             for k, closure in lab.closures.items():
-                if prod(e + 1 for e in closure.max_exponents()) > 10**7:
-                    continue
-                oracle = {w.prime for w in associated_primes_witness_oracle(closure)}
-                assert oracle == set(lab.closure_ass[k]), f"closure {k}"
+                oracle = associated_primes_witness_oracle(closure, cap=FIG9_CAP)
+                assert {w.prime for w in oracle} == set(lab.closure_ass[k]), f"closure {k}"
                 checked += 1
         report("6.fixtures (oracle on nine-vertex and cubic fixture powers)", True, f"{checked} ideals")
 

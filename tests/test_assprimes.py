@@ -208,11 +208,14 @@ class TestWitnessOracle:
         assert next(iter(full)).witness.exps == (1, 1, 1)
 
     def test_witness_invariants(self):
-        for target in (edge_ideal(Graph.cycle(3)).power(2), assce()):
+        targets = [edge_ideal(Graph.cycle(3)).power(2), assce()]
+        for g in connected_graphs(2, 5):
+            targets.extend(edge_ideal(g).powers(3))
+        for target in targets:
             for w in associated_primes_witness_oracle(target):
-                assert not target.contains(w.witness)
+                assert not target.contains(w.witness), str(target)
                 colon = target.colon_monomial(w.witness)
-                assert colon == w.prime.as_ideal(target.vset)
+                assert colon == w.prime.as_ideal(target.vset), str(target)
 
     def test_matches_decomposition(self):
         for target in (assce(), assce().power(2), edge_ideal(Graph.cycle(5)).power(2)):

@@ -293,6 +293,14 @@ class TestCli:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout and "spread.values" in proc.stdout
 
+    def test_budget_seconds_only_on_analyze(self, tmp_path):
+        # only the prime chains honor a time budget; elsewhere it is refused
+        # instead of silently ignored
+        proc = run_cli("verify-paper", "--budget-seconds", "1", tmp_path=tmp_path, files={})
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --budget-seconds 1" in proc.stderr
+        assert proc.stdout == ""
+
     def test_battery_small(self, tmp_path):
         proc = run_cli(
             "property-battery", "--max-vertices", "3", "--max-power", "2",

@@ -4,9 +4,11 @@ One engine computes the (unique) irredundant decomposition: the corner scan
 localizes at each candidate support (inverting the other variables) and reads
 components off the socle of the localized ideal: c is a corner iff c is outside
 the ideal but every c*x_i is inside, and then the component has exponents c+1.
-Membership over the bounded exponent box is one boolean array, so the scan is a
-handful of slice operations per support. Only supports made of variables that
-occur in some generator are swept.
+Membership over the box [0, u] under the generator maximum u is one boolean
+array per ideal. Localizing at a support raises the other coordinates to u,
+where membership saturates, so each localization is a view of that one array
+and the scan is a handful of slice operations per support. Only supports made
+of variables that occur in some generator are swept.
 
 A witness oracle re-derives the associated primes from the definition (the
 colon by a monomial outside the ideal equals a prime) by lookups in one
@@ -31,10 +33,9 @@ from .monomials import (
     MonomialPrime,
     VariableSet,
     membership_mask,
-    minimalize_rows,
 )
 
-CORNER_CELL_CAP = 40_000_000  # per-support membership mask cells
+CORNER_CELL_CAP = 40_000_000  # cells of the one membership mask per ideal
 
 
 @dataclass(frozen=True)
@@ -93,39 +94,35 @@ def _corner_components(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]
         raise BudgetExceededError(
             f"corner decomposition sweeps 2^{m} supports of the occurring variables"
         )
+    rows = exps[:, occurring]
+    u = rows.max(axis=0).tolist()
+    cells = prod(v + 1 for v in u)
+    if cells > CORNER_CELL_CAP:
+        raise BudgetExceededError(
+            f"corner membership mask needs {cells} cells (cap {CORNER_CELL_CAP})"
+        )
+    member = membership_mask(rows, u)
     support_masks = [
-        sum(1 << j for j, i in enumerate(occurring) if row[i] > 0)
-        for row in exps.tolist()
+        sum(1 << j for j in range(m) if row[j] > 0) for row in rows.tolist()
     ]
     out: list[tuple[tuple[int, int], ...]] = []
     for mask in range(1, 1 << m):
         # localization is proper only if every generator meets the support
         if any(sup & mask == 0 for sup in support_masks):
             continue
-        indices = [i for j, i in enumerate(occurring) if mask & (1 << j)]
-        localized = minimalize_rows(exps[:, indices])
-        u = localized.max(axis=0)
-        if (u == 0).any():
-            continue
-        shape = tuple(int(v) + 1 for v in u)
-        cells = prod(shape)
-        if cells > CORNER_CELL_CAP:
-            raise BudgetExceededError(
-                f"corner membership mask needs {cells} cells for support "
-                f"{[ideal.vset.names[i] for i in indices]} (cap {CORNER_CELL_CAP})"
-            )
-        member = membership_mask(localized, u)
-        inner = tuple(slice(0, int(v)) for v in u)
-        corners = ~member[inner]
-        for axis in range(len(indices)):
+        axes = [j for j in range(m) if mask & (1 << j)]
+        # the localization is a view: other coordinates sit at u, where
+        # membership saturates; past the localized maximum it is constant along
+        # an axis, so the wider box adds no corner
+        inner = [slice(0, u[j]) if mask & (1 << j) else u[j] for j in range(m)]
+        corners = ~member[tuple(inner)]
+        for j in axes:
             shifted = list(inner)
-            shifted[axis] = slice(1, int(u[axis]) + 1)
+            shifted[j] = slice(1, u[j] + 1)
             corners &= member[tuple(shifted)]
-        if not corners.any():
-            continue
         for witness in np.argwhere(corners):
             out.append(
-                tuple((indices[j], int(witness[j]) + 1) for j in range(len(indices)))
+                tuple((occurring[j], int(c) + 1) for j, c in zip(axes, witness))
             )
     return tuple(IrreducibleComponent(c) for c in sorted(out))
 
@@ -203,38 +200,43 @@ def associated_primes_witness_oracle(
     outside I let S = {i : c + e_i in I}; where c_i = u_i, c + e_i saturates
     back to c and so counts as outside. Then (I : x^c) contains P_S, and
     equals it exactly when c, with every coordinate outside S raised to u, is
-    still outside I. Each prime keeps its first witness in C order. Only the
-    membership mask is shared with the decomposition engine.
+    still outside I. Each prime keeps its first witness in C order. A variable
+    in no generator is never in such a colon, so the box spans the occurring
+    variables only and witnesses are 0 elsewhere. Only the membership mask
+    builder is shared with the decomposition engine.
     """
     _require_decomposable(ideal)
-    u = ideal.max_exponents()
+    occurring = np.flatnonzero(ideal.exponent_array.any(axis=0))
+    rows = ideal.exponent_array[:, occurring]
+    u = rows.max(axis=0).tolist()
     shape = tuple(e + 1 for e in u)
     total = prod(shape)
     if total > cap:
         raise BudgetExceededError(
             f"witness oracle box has {total} candidates (cap {cap})"
         )
-    member = membership_mask(ideal.exponent_array, u).ravel()
+    member = membership_mask(rows, u).ravel()
     outside = np.flatnonzero(~member)
     raised = np.full(len(outside), total - 1, dtype=np.int64)  # the corner u
-    in_prime = np.empty((ideal.vset.n, len(outside)), dtype=bool)
+    in_prime = np.empty((len(occurring), len(outside)), dtype=bool)
     stride = total
-    for i, side in enumerate(shape):
-        stride //= side  # C-order stride of axis i
+    for j, side in enumerate(shape):
+        stride //= side  # C-order stride of axis j
         c = outside // stride % side
-        # c + e_i, or c itself where c_i = u_i (membership saturates there)
-        in_prime[i] = member[np.where(c < u[i], outside + stride, outside)]
-        # keep c_i on the axes in S; the others stay raised to u_i
-        raised -= np.where(in_prime[i], (u[i] - c) * stride, 0)
+        # c + e_j, or c itself where c_j = u_j (membership saturates there)
+        in_prime[j] = member[np.where(c < u[j], outside + stride, outside)]
+        # keep c_j on the axes in S; the others stay raised to u_j
+        raised -= np.where(in_prime[j], (u[j] - c) * stride, 0)
     realized = ~member[raised]
     supports, first = np.unique(in_prime[:, realized].T, axis=0, return_index=True)
-    cells = np.unravel_index(outside[realized][first], shape)
+    exps = np.zeros((len(supports), ideal.vset.n), dtype=np.int64)
+    exps[:, occurring] = np.transpose(np.unravel_index(outside[realized][first], shape))
     witnesses = [
         AssWitness(
-            MonomialPrime.from_indices(ideal.vset, np.flatnonzero(support).tolist()),
-            Monomial(ideal.vset, tuple(int(axis[j]) for axis in cells)),
+            MonomialPrime.from_indices(ideal.vset, occurring[support]),
+            Monomial(ideal.vset, tuple(row)),
         )
-        for j, support in enumerate(supports)
+        for support, row in zip(supports, exps.tolist())
     ]
     return tuple(sorted(witnesses, key=lambda w: w.prime))
 

@@ -38,12 +38,6 @@ EXIT_BUDGET = 3
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; all computations run identically regardless",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

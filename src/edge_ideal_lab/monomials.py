@@ -171,12 +171,15 @@ def minimalize_rows(rows: np.ndarray) -> np.ndarray:
 def membership_mask(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     """Boolean array over the box [0, bounds] marking the multiples of any row.
 
-    A row that exceeds the box somewhere marks nothing: its slice past the end
-    is empty.
+    Each in-box row marks its own cell, and a logical-or prefix scan along
+    every axis spreads the marks to all multiples: O(n * box) work. A row that
+    exceeds the box somewhere marks nothing.
     """
-    mask = np.zeros(tuple(int(b) + 1 for b in bounds), dtype=bool)
-    for row in np.asarray(rows).tolist():
-        mask[tuple(slice(e, None) for e in row)] = True
+    upper, arr = np.asarray(bounds), np.asarray(rows)
+    mask = np.zeros(tuple(upper + 1), dtype=bool)
+    mask[tuple(arr[(arr <= upper).all(axis=1)].T)] = True
+    for axis in range(mask.ndim):
+        np.logical_or.accumulate(mask, axis=axis, out=mask)
     return mask
 
 

@@ -2,9 +2,11 @@
 
 import random
 from itertools import permutations
+from math import prod
 
 import pytest
 
+from edge_ideal_lab import assprimes, monomials
 from edge_ideal_lab.assprimes import (
     associated_primes,
     associated_primes_witness_oracle,
@@ -111,13 +113,31 @@ class TestDecomposition:
             assert oracle == {c.radical(target.vset) for c in corner}
 
     def test_unused_variables_do_not_count_toward_the_support_cap(self):
-        # 24 declared variables, 2 occurring: only the occurring ones are swept
-        vset = VariableSet.standard(24)
-        rows = [(1, 1) + (0,) * 22, (0, 2) + (0,) * 22]
-        target = MonomialIdeal.from_exponents(vset, rows)
-        comps = irreducible_decomposition(target)
-        assert {c.entries for c in comps} == {((1, 1),), ((0, 1), (1, 2))}
-        assert primes(target) == {("x2",), ("x1", "x2")}
+        # 24 or 70 declared variables, 2 occurring: only the occurring ones are
+        # swept, by the corner scan and by the oracle (an array of 70 axes is
+        # more than numpy allows)
+        for n in (24, 70):
+            vset = VariableSet.standard(n)
+            rows = [(1, 1) + (0,) * (n - 2), (0, 2) + (0,) * (n - 2)]
+            target = MonomialIdeal.from_exponents(vset, rows)
+            comps = irreducible_decomposition(target)
+            assert {c.entries for c in comps} == {((1, 1),), ((0, 1), (1, 2))}
+            assert primes(target) == {("x2",), ("x1", "x2")}
+            witnesses = associated_primes_witness_oracle(target)
+            assert {w.prime.names for w in witnesses} == {("x2",), ("x1", "x2")}
+            for w in witnesses:
+                assert target.colon_monomial(w.witness) == w.prime.as_ideal(vset)
+
+    def test_corner_cell_cap_boundary(self, monkeypatch):
+        # the cap bounds the one mask over [0, u]: ASSCE^2 fits a cap of
+        # exactly its box and is refused one cell below it
+        target = assce().power(2)
+        box = prod(e + 1 for e in target.max_exponents())
+        monkeypatch.setattr(assprimes, "CORNER_CELL_CAP", box)
+        assert_irredundant_decomposition(target, irreducible_decomposition(target))
+        monkeypatch.setattr(assprimes, "CORNER_CELL_CAP", box - 1)
+        with pytest.raises(BudgetExceededError):
+            irreducible_decomposition(target)
 
     def test_intersection_reconstructs_ideal(self):
         for target in (
@@ -231,6 +251,21 @@ class TestWitnessOracle:
     def test_cap_refusal(self):
         with pytest.raises(BudgetExceededError):
             associated_primes_witness_oracle(assce().power(2), cap=10)
+
+    def test_independent_of_the_decomposition_engine(self, monkeypatch):
+        # the oracle is a cross-check: it must not reach the corner scan or
+        # the minimalization it would be checking
+        target = assce().power(2)
+        expected = set(associated_primes(target))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the witness oracle called decomposition code")
+
+        monkeypatch.setattr(assprimes, "irreducible_decomposition", forbidden)
+        monkeypatch.setattr(assprimes, "_corner_components", forbidden)
+        monkeypatch.setattr(monomials, "minimalize_rows", forbidden)
+        witnesses = associated_primes_witness_oracle(target)
+        assert {w.prime for w in witnesses} == expected
 
 
 class TestDisjointUnion:

@@ -7,7 +7,10 @@ from edge_ideal_lab.monomials import membership_mask
 
 
 def test_membership_mask_matches_contains():
+    import random
     from itertools import product
+
+    import numpy as np
 
     from edge_ideal_lab.monomials import Monomial
 
@@ -18,6 +21,26 @@ def test_membership_mask_matches_contains():
         assert mask[a] == ideal.contains(Monomial(ideal.vset, a))
     # a row past the box marks nothing
     assert not membership_mask([(4, 0, 0)], bounds).any()
+    # seeded random rows against the definition: each row marks the slice of
+    # its multiples, and a slice that starts past the box is empty
+    rng = random.Random(2014)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rows = np.array(
+            [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+        )
+        top = rows.max(axis=0)
+        for bounds in (np.maximum(top - 1, 0), top, top + 1):
+            # a row inside the box on every axis but one
+            past = np.minimum(rows[0], bounds)
+            axis = rng.randrange(n)
+            past[axis] = bounds[axis] + 1
+            inputs = np.vstack([rows, past])
+            expected = np.zeros(tuple(bounds + 1), dtype=bool)
+            for row in inputs.tolist():
+                expected[tuple(slice(e, None) for e in row)] = True
+            got = membership_mask(inputs, bounds)
+            assert (got == expected).all(), (inputs.tolist(), bounds.tolist())
 
 
 def test_colon_identity_from_power_zero():

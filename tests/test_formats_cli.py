@@ -300,6 +300,14 @@ class TestCli:
         assert proc.returncode == 2
         assert "unrecognized arguments: --budget-seconds 1" in proc.stderr
         assert proc.stdout == ""
+        # --threads is not an option of any command
+        proc = run_cli(
+            "analyze", "c4.graph", "--threads", "2",
+            tmp_path=tmp_path, files={"c4.graph": C4_GRAPH},
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --threads 2" in proc.stderr
+        assert proc.stdout == ""
 
     def test_battery_small(self, tmp_path):
         proc = run_cli(

@@ -26,6 +26,7 @@ from .closure import (
     integral_closure_power,
     np_member,
 )
+from .errors import UsageError
 from .graphs import (
     Graph,
     berge_deficiency,
@@ -361,6 +362,9 @@ def run_battery(
 ) -> list[Check]:
     """The default property battery: exhaustive small graphs plus seeded ones."""
     from .fixtures import graph_catalog, ideal_catalog
+
+    if max_power < 1:
+        raise UsageError("max power must be >= 1")
 
     named = {
         name: g

@@ -33,6 +33,8 @@ from .fixtures import (
 from .monomials import Monomial, MonomialIdeal, maximal_prime
 from .stability import analytic_spread, both_chains, stability_bound
 
+FIG9_CLOSURE_CAP = 2 * 10**7  # the fifth-power closure box has ~10^7 lattice points
+
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -169,14 +171,14 @@ def _fig9_chain(graphs):
         5,
         label="I(FIG9)",
         n1_bound=stability_bound(g),
-        closure_cap=2 * 10**7,
+        closure_cap=FIG9_CLOSURE_CAP,
     )
 
 
 def _claim_fig9_normal_through_cube(graphs, ideals):
     ideal = edge_ideal(graphs["FIG9"])
     oks = [
-        integral_closure_power(ideal, k, cap=2 * 10**7) == power
+        integral_closure_power(ideal, k, cap=FIG9_CLOSURE_CAP) == power
         for k, power in enumerate(ideal.powers(3), 1)
     ]
     return (all(oks), "closure equals power at k=1,2,3")
@@ -185,7 +187,7 @@ def _claim_fig9_normal_through_cube(graphs, ideals):
 def _claim_fig9_closure4(graphs, ideals):
     ideal = edge_ideal(graphs["FIG9"])
     witness = Monomial(ideal.vset, FIG9_CLOSURE_WITNESS)
-    closure = integral_closure_power(ideal, 4, cap=2 * 10**7)
+    closure = integral_closure_power(ideal, 4, cap=FIG9_CLOSURE_CAP)
     expected = ideal.power(4).sum(MonomialIdeal.from_monomials(ideal.vset, [witness]))
     inside = power_index(graphs["FIG9"], FIG9_CLOSURE_WITNESS)
     return (
@@ -197,7 +199,7 @@ def _claim_fig9_closure4(graphs, ideals):
 def _claim_fig9_closure5(graphs, ideals):
     ideal = edge_ideal(graphs["FIG9"])
     witness = Monomial(ideal.vset, FIG9_CLOSURE_WITNESS)
-    closure = integral_closure_power(ideal, 5, cap=2 * 10**7)
+    closure = integral_closure_power(ideal, 5, cap=FIG9_CLOSURE_CAP)
     expected = ideal.power(5).sum(
         ideal.product(MonomialIdeal.from_monomials(ideal.vset, [witness]))
     )

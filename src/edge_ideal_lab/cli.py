@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .battery import run_battery
 from .claims import run_claims
+from .closure import DEFAULT_BOX_CAP
 from .errors import BudgetExceededError, ParseError, UsageError
 from .formats import looks_like_ideal, parse_graph, parse_ideal
 from .graphs import (
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--max-power", type=int, default=3)
     analyze.add_argument("--mode", choices=("ass", "closure", "both"), default="both")
     analyze.add_argument("--allow-unused-vars", action="store_true")
-    analyze.add_argument("--closure-cap", type=int, default=10**7)
+    analyze.add_argument("--closure-cap", type=int, default=DEFAULT_BOX_CAP)
     analyze.add_argument("--budget-seconds", type=float, default=None)
     _common_flags(analyze)
 

@@ -2,10 +2,13 @@
 
 Membership in the closure of the k-th power is membership of the exponent
 vector in k times the Newton polyhedron of the base ideal, decided by exact
-rational LP feasibility. Generating the closure sweeps the bounded exponent
-box for the divisibility-minimal members; for degree-two squarefree ideals
-(edge ideals) the sweep runs against the half-integral vertex-cover duals of
-the matching LP instead of one LP call per lattice point.
+rational LP feasibility. The closure's minimal generators lie in the box
+[0, k*u] spanned by the power's generators. For degree-two squarefree ideals
+(edge ideals) membership is min_y a.y >= 2k over the minimal half-integral
+vertex covers y (the duals of the matching LP), so one boolean mask over the
+box is the AND of one broadcast inequality per cover, and the generators are
+the minimal cells of that mask. Other ideals walk the box in degree order
+with one LP call per undominated lattice point.
 """
 
 from __future__ import annotations
@@ -61,13 +64,17 @@ def np_member(exponents: Sequence[int] | Monomial, poly: NewtonPolyhedron) -> bo
     return feasible_nonneg(a_le, a, [[1] * q], [poly.scale])
 
 
-def _decode_box(ids: np.ndarray, radices: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(ids), len(radices)), dtype=np.int64)
-    rem = ids.copy()
-    for axis in range(len(radices) - 1, -1, -1):
-        out[:, axis] = rem % radices[axis]
-        rem = rem // radices[axis]
-    return out
+def _minimal_cells(mask: np.ndarray) -> np.ndarray:
+    """Indices of the cells of an upward-closed boolean box mask that have no
+    marked cell one step below them along any axis: its minimal elements."""
+    minimal = mask.copy()
+    for axis in range(mask.ndim):
+        below = [slice(None)] * mask.ndim
+        above = [slice(None)] * mask.ndim
+        below[axis] = slice(0, -1)
+        above[axis] = slice(1, None)
+        minimal[tuple(above)] &= ~mask[tuple(below)]
+    return np.argwhere(minimal)
 
 
 def _minimal_cover_vectors(ideal: MonomialIdeal) -> np.ndarray:
@@ -87,47 +94,31 @@ def _minimal_cover_vectors(ideal: MonomialIdeal) -> np.ndarray:
             idx[u] = yu
             idx[v] = yv
             valid[tuple(idx)] = False
-    minimal = valid.copy()
-    for axis in range(n):
-        below = [slice(None)] * n
-        above = [slice(None)] * n
-        below[axis] = slice(0, 2)
-        above[axis] = slice(1, 3)
-        minimal[tuple(above)] &= ~valid[tuple(below)]
-    return np.argwhere(minimal).astype(np.int64)
+    return _minimal_cells(valid)
 
 
 def _closure_fast_path(
     ideal: MonomialIdeal, k: int, bounds: tuple[int, ...]
 ) -> np.ndarray:
-    n = ideal.vset.n
-    covers = _minimal_cover_vectors(ideal)
-    radices = np.array([b + 1 for b in bounds], dtype=np.int64)
-    total = int(radices.prod())
-    member_flat = np.zeros(total, dtype=bool)
-    chunk = max(1, min(total, 1 << 20))
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cand = _decode_box(ids, radices)
-        member_flat[start : start + len(ids)] = (cand @ covers.T >= 2 * k).all(axis=1)
-    member = member_flat.reshape(tuple(int(r) for r in radices))
-    minimal = member.copy()
-    for axis in range(n):
-        src = [slice(None)] * n
-        dst = [slice(None)] * n
-        src[axis] = slice(0, bounds[axis])
-        dst[axis] = slice(1, bounds[axis] + 1)
-        minimal[tuple(dst)] &= ~member[tuple(src)]
-    return np.argwhere(minimal)
+    n = len(bounds)
+    # multiples[j][y_j] is y_j * (0..b_j) shaped to broadcast along axis j,
+    # built once because small boxes spend their time on per-cover overhead
+    multiples = []
+    for j, b in enumerate(bounds):
+        a = np.arange(b + 1, dtype=np.int64).reshape((-1,) + (1,) * (n - j - 1))
+        multiples.append((None, a, 2 * a))
+    member = np.ones(tuple(b + 1 for b in bounds), dtype=bool)
+    for y in _minimal_cover_vectors(ideal).tolist():
+        terms = [multiples[j][yj] for j, yj in enumerate(y) if yj]
+        member &= sum(terms[1:], terms[0]) >= 2 * k
+    return _minimal_cells(member)
 
 
 def _closure_lp_path(
     ideal: MonomialIdeal, k: int, bounds: tuple[int, ...], degree_floor: int
 ) -> np.ndarray:
     poly = NewtonPolyhedron.of_power(ideal, k)
-    radices = np.array([b + 1 for b in bounds], dtype=np.int64)
-    total = int(radices.prod())
-    points = _decode_box(np.arange(total, dtype=np.int64), radices)
+    points = np.indices(tuple(b + 1 for b in bounds)).reshape(len(bounds), -1).T
     degrees = points.sum(axis=1)
     found: list[np.ndarray] = []
     for s in range(degree_floor, int(degrees.max()) + 1):
@@ -152,7 +143,11 @@ def integral_closure_power(
 
     Requires the ideal to be generated in a single degree, so the closure's
     minimal generators stay inside the componentwise-maximum box of the power's
-    generators (k times the base maxima).
+    generators (k times the base maxima). ``cap`` bounds the lattice points
+    of that box. Edge ideals on at most FAST_PATH_MAX_VARS variables build
+    the closure's membership mask over the whole box, one broadcast cover
+    inequality at a time, and read off its minimal cells; any other ideal
+    takes the exact LP sweep, refused above 500 000 box points.
     """
     if k < 1:
         raise UsageError("power must be >= 1")

@@ -15,7 +15,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .assprimes import associated_primes
-from .closure import integral_closure_power
+from .closure import DEFAULT_BOX_CAP, integral_closure_power
 from .errors import UsageError
 from .graphs import Graph, edge_ideal, incidence_rank
 from .linalg import integer_rank
@@ -234,7 +234,7 @@ def closure_ass_chain(
     max_power: int,
     label: str = "I",
     budget_seconds: float | None = None,
-    closure_cap: int = 10**7,
+    closure_cap: int = DEFAULT_BOX_CAP,
 ) -> ChainReport:
     """Associated primes of the closure of each power 1..max_power."""
     return _chain_report(ideal, max_power, label, None, budget_seconds, False, closure_cap)
@@ -246,7 +246,7 @@ def both_chains(
     label: str = "I",
     n1_bound: int | None = None,
     budget_seconds: float | None = None,
-    closure_cap: int = 10**7,
+    closure_cap: int = DEFAULT_BOX_CAP,
 ) -> ChainReport:
     return _chain_report(ideal, max_power, label, n1_bound, budget_seconds, True, closure_cap)
 
@@ -269,6 +269,8 @@ def _chain_report(
     """
     if max_power < 1:
         raise UsageError("max power must be >= 1")
+    if budget is not None and not budget >= 0:  # NaN included
+        raise UsageError("budget seconds must be >= 0")
     start = time.monotonic()
     ass_sets: list[PrimeSet] = []
     closure_sets: list[PrimeSet] = []

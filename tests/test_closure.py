@@ -1,5 +1,7 @@
 """Newton-polyhedron membership and integral closure sweeps."""
 
+import tracemalloc
+
 import pytest
 
 from edge_ideal_lab.closure import (
@@ -11,7 +13,7 @@ from edge_ideal_lab.closure import (
     np_member,
 )
 from edge_ideal_lab.errors import BudgetExceededError, UsageError
-from edge_ideal_lab.fixtures import assce, fig7, fig9
+from edge_ideal_lab.fixtures import assce, c3_disjoint_c3, fig7, fig9
 from edge_ideal_lab.graphs import Graph, edge_ideal
 from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
 
@@ -70,15 +72,41 @@ class TestClosurePower:
             assert all(g.degree >= 2 * k for g in closure.gens)
 
     def test_lp_path_matches_fast_path(self):
-        for g in (Graph.cycle(3), Graph.cycle(4), Graph.path(4), fig7()):
+        bowtie = Graph.from_edges(
+            [f"x{i}" for i in range(1, 6)],
+            [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)],
+        )
+        cases = [
+            (g, k)
+            for g in (Graph.cycle(3), Graph.cycle(4), Graph.path(4), fig7())
+            for k in (1, 2)
+        ]
+        cases += [(c3_disjoint_c3(), k) for k in (1, 2, 3)]
+        cases += [(Graph.cycle(5), 3), (bowtie, 3)]
+        for g, k in cases:
             i = edge_ideal(g)
-            for k in (1, 2):
-                fast = integral_closure_power(i, k)
-                bounds = tuple(k * e for e in i.max_exponents())
-                slow = MonomialIdeal.from_exponents(
-                    i.vset, _closure_lp_path(i, k, bounds, 2 * k)
-                )
-                assert fast == slow, f"{g} k={k}"
+            fast = integral_closure_power(i, k)
+            bounds = tuple(k * e for e in i.max_exponents())
+            slow = MonomialIdeal.from_exponents(
+                i.vset, _closure_lp_path(i, k, bounds, 2 * k)
+            )
+            assert fast == slow, f"{g} k={k}"
+        # C3+C3 at k=3 is the smallest case found where the paths meet on a
+        # closure larger than the power: x1*...*x6 is in it but not in I^3
+        i = edge_ideal(c3_disjoint_c3())
+        assert integral_closure_power(i, 3) != i.power(3)
+
+    def test_fig9_closure_memory(self):
+        # the box of the fourth power has 5^9 cells; one bool mask over it and
+        # its int64 cover sums stay far below a box-by-covers matrix
+        ideal = edge_ideal(fig9())
+        tracemalloc.start()
+        try:
+            integral_closure_power.__wrapped__(ideal, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_closure_generators_pass_lp(self):
         i = edge_ideal(fig7())

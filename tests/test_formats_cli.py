@@ -319,6 +319,26 @@ class TestCli:
         doc = json.loads(proc.stdout)
         assert all(c["passed"] for c in doc["checks"])
 
+    def test_battery_refuses_zero_max_power(self, tmp_path):
+        # with no powers every power sweep is empty and would pass vacuously
+        proc = run_cli(
+            "property-battery", "--max-power", "0", "--max-vertices", "3",
+            "--samples", "1",
+            tmp_path=tmp_path, files={},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: max power must be >= 1\n"
+        assert proc.stdout == ""
+
+    def test_analyze_refuses_negative_budget(self, tmp_path):
+        proc = run_cli(
+            "analyze", "c4.graph", "--budget-seconds", "-1", "--max-power", "3",
+            tmp_path=tmp_path, files={"c4.graph": C4_GRAPH},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: budget seconds must be >= 0\n"
+        assert proc.stdout == ""
+
 
 class TestClaims:
     def test_ids_unique(self):

@@ -374,6 +374,12 @@ def run_battery(
     small_named = {name: g for name, g in named.items() if g.n <= 4}
     corpus = corpus_graphs(max_vertices)
     seeded = sample_graphs(samples, (6, 7), seed)
+    if not corpus and not seeded:
+        # with no graphs the colon-identity and persistence sweeps are empty
+        # and the battery would pass without testing either theorem
+        raise UsageError(
+            "no graphs to sweep: max vertices must be >= 2 or samples >= 1"
+        )
     results: list[Check] = []
     results.extend(matching_battery(named))
     results.extend(certificate_battery(small_named))

@@ -37,6 +37,13 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -53,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--max-power", type=int, default=3)
     analyze.add_argument("--mode", choices=("ass", "closure", "both"), default="both")
     analyze.add_argument("--allow-unused-vars", action="store_true")
-    analyze.add_argument("--closure-cap", type=int, default=DEFAULT_BOX_CAP)
+    analyze.add_argument("--closure-cap", type=positive_int, default=DEFAULT_BOX_CAP)
     analyze.add_argument("--budget-seconds", type=float, default=None)
     _common_flags(analyze)
 

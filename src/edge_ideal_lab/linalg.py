@@ -1,13 +1,14 @@
-"""Exact integer/rational linear algebra: matrix rank and LP feasibility.
+"""Exact integer linear algebra: matrix rank and LP feasibility.
 
-No floating point anywhere: rank uses fraction-free (Bareiss) elimination
-over the integers, and feasibility uses a phase-one simplex over Fraction
-with Bland's rule for guaranteed termination.
+No floating point and no rationals anywhere: both routines pivot on Python
+ints and stay fraction-free. Rank uses Bareiss elimination; feasibility uses
+an integer-preserving (Edmonds) phase-one simplex with Bland's rule for
+guaranteed termination, whose every division by the previous pivot is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 
@@ -48,61 +49,59 @@ def feasible_nonneg(
 
     Requires b_le >= 0 and b_eq >= 0 (all uses here satisfy this), so slacks
     give a starting basis for the inequality rows and one artificial variable
-    per equality row. Phase one minimizes the artificial sum; Bland's rule
-    guarantees termination.
+    per equality row. Phase one minimizes the artificial sum, entering by
+    Bland's rule (lowest improving column, which guarantees termination) and
+    leaving by the least ratio, ties to the lowest basic variable.
+
+    The tableau is integer-preserving (Edmonds): every stored entry, the
+    objective row included, is the true tableau entry times the previous
+    pivot, the determinant of the current basis. A pivot leaves its own row
+    unchanged and maps every other row, including one whose entering entry is
+    0, to (pivot*row - f*pivot_row) // prev_pivot, a division that is exact.
+    Artificials never re-enter, so their columns are not stored.
     """
     if any(b < 0 for b in b_le) or any(b < 0 for b in b_eq):
         raise ValueError("right-hand sides must be non-negative")
-    n = len(a_le[0]) if a_le else (len(a_eq[0]) if a_eq else 0)
-    n_le, n_eq = len(a_le), len(a_eq)
-    n_rows = n_le + n_eq
-    if n_rows == 0:
-        return True
-    width = n + n_le + n_eq  # structural + slack + artificial
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
+    if not a_eq:
+        return True  # x = 0 satisfies a_le x <= b_le
+    n = len(a_eq[0])
+    n_le = len(a_le)
+    n_rows = n_le + len(a_eq)
+    width = n + n_le  # structural + slack columns; the rhs is column `width`
+    tableau = [
+        [index(v) for v in coeffs] + [0] * n_le + [index(b)]
+        for coeffs, b in zip([*a_le, *a_eq], [*b_le, *b_eq])
+    ]
     for i in range(n_le):
-        row = [Fraction(v) for v in a_le[i]] + [Fraction(0)] * (n_le + n_eq)
-        row[n + i] = Fraction(1)
-        row.append(Fraction(b_le[i]))
-        tableau.append(row)
-        basis.append(n + i)
-    for i in range(n_eq):
-        row = [Fraction(v) for v in a_eq[i]] + [Fraction(0)] * (n_le + n_eq)
-        row[n + n_le + i] = Fraction(1)
-        row.append(Fraction(b_eq[i]))
-        tableau.append(row)
-        basis.append(n + n_le + i)
-    # objective: minimize sum of artificials, expressed over the current basis
-    obj = [Fraction(0)] * (width + 1)
-    for i in range(n_le, n_rows):
-        for j in range(width + 1):
-            obj[j] += tableau[i][j]
-    artificial_start = n + n_le
+        tableau[i][n + i] = 1
+    basis = list(range(n, n + n_rows))  # slack i is n + i, artificial i is n + n_le + i
+    # objective row last: the artificial sum over the current basis
+    tableau.append([sum(col) for col in zip(*tableau[n_le:])])
+    prev_pivot = 1
     while True:
-        entering = next(
-            (j for j in range(width) if j < artificial_start and obj[j] > 0), None
-        )
+        obj = tableau[-1]
+        entering = next((j for j in range(width) if obj[j] > 0), None)
         if entering is None:
             break
-        ratios = [
-            (tableau[i][width] / tableau[i][entering], basis[i], i)
-            for i in range(n_rows)
-            if tableau[i][entering] > 0
-        ]
-        if not ratios:
-            break  # unbounded direction cannot occur in phase one; defensive
-        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-        pivot = tableau[leave][entering]
-        tableau[leave] = [v / pivot for v in tableau[leave]]
+        leave = None
         for i in range(n_rows):
-            if i != leave and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
+            t = tableau[i][entering]
+            if t > 0 and (
+                leave is None
+                or (tableau[i][width] * best_t, basis[i])
+                < (tableau[leave][width] * t, basis[leave])
+            ):
+                leave, best_t = i, t
+        if leave is None:
+            break  # unbounded direction cannot occur in phase one; defensive
+        pivot_row = tableau[leave]
+        pivot = pivot_row[entering]
+        for i, row in enumerate(tableau):
+            if i != leave:
+                f = row[entering]
                 tableau[i] = [
-                    v - factor * w for v, w in zip(tableau[i], tableau[leave])
+                    (pivot * v - f * w) // prev_pivot for v, w in zip(row, pivot_row)
                 ]
-        if obj[entering] != 0:
-            factor = obj[entering]
-            obj = [v - factor * w for v, w in zip(obj, tableau[leave])]
+        prev_pivot = pivot
         basis[leave] = entering
     return obj[width] == 0

@@ -330,6 +330,33 @@ class TestCli:
         assert proc.stderr == "error: max power must be >= 1\n"
         assert proc.stdout == ""
 
+    def test_battery_refuses_empty_graph_sets(self, tmp_path):
+        # no corpus graph on one vertex and no samples: neither the colon
+        # identity nor persistence would be checked, yet every check passes
+        proc = run_cli(
+            "property-battery", "--max-vertices", "1", "--samples", "0",
+            tmp_path=tmp_path, files={},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: no graphs to sweep: max vertices must be >= 2 or samples >= 1\n"
+        )
+        assert proc.stdout == ""
+
+    def test_closure_cap_must_be_positive(self, tmp_path):
+        # a malformed cap is a usage error, not a budget refusal (exit 3)
+        for cap in ("-5", "0"):
+            proc = run_cli(
+                "analyze", "c4.graph", "--closure-cap", cap, "--max-power", "2",
+                tmp_path=tmp_path, files={"c4.graph": C4_GRAPH},
+            )
+            assert proc.returncode == 2
+            assert (
+                f"argument --closure-cap: must be a positive integer, got {cap}"
+                in proc.stderr
+            )
+            assert proc.stdout == ""
+
     def test_analyze_refuses_negative_budget(self, tmp_path):
         proc = run_cli(
             "analyze", "c4.graph", "--budget-seconds", "-1", "--max-power", "3",

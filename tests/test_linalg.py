@@ -1,10 +1,12 @@
 """Exact rank and LP feasibility, cross-checked against independent routes."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+from edge_ideal_lab import linalg
 from edge_ideal_lab.linalg import feasible_nonneg, integer_rank
 
 
@@ -87,3 +89,49 @@ class TestFeasibility:
                 method="highs",
             )
             assert mine == (res.status == 0)
+
+    def test_mixed_sign_and_degenerate_against_scipy(self):
+        # negative coefficients and many zero right-hand sides (ratio ties);
+        # scaling each row by its own large factor must not change the answer
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            m_le = rng.randint(0, 5)
+            m_eq = rng.randint(1, 3)
+            a_le = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(m_le)]
+            b_le = [rng.choice((0, 0, rng.randint(1, 6))) for _ in range(m_le)]
+            a_eq = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(m_eq)]
+            b_eq = [rng.choice((0, rng.randint(1, 6))) for _ in range(m_eq)]
+            mine = feasible_nonneg(a_le, b_le, a_eq, b_eq)
+            res = scipy_opt.linprog(
+                [0] * n,
+                A_ub=a_le or None,
+                b_ub=b_le or None,
+                A_eq=a_eq,
+                b_eq=b_eq,
+                bounds=[(0, None)] * n,
+                method="highs",
+            )
+            assert res.status in (0, 2)
+            assert mine == (res.status == 0), (a_le, b_le, a_eq, b_eq)
+            scale = [3**40 + 7 * i for i in range(m_le + m_eq)]
+            scaled = feasible_nonneg(
+                [[c * v for v in row] for c, row in zip(scale, a_le)],
+                [c * b for c, b in zip(scale, b_le)],
+                [[c * v for v in row] for c, row in zip(scale[m_le:], a_eq)],
+                [c * b for c, b in zip(scale[m_le:], b_eq)],
+            )
+            assert scaled == mine, (a_le, b_le, a_eq, b_eq)
+
+    def test_coefficients_beyond_float_precision(self):
+        # 10^17 > 2^53: a float LP cannot tell (10^17 + 1) / 10^17 from 1
+        big = 10**17
+        # x1 = 1, x2 = 0
+        assert feasible_nonneg([[1, 0]], [1], [[big + 1, big]], [big + 1])
+        # x1 = 0 forces x2 = 1 + 10^-17 > 1
+        assert not feasible_nonneg([[1, 0], [0, 1]], [0, 1], [[big + 1, big]], [big + 1])
+
+    def test_no_fractions_in_linalg(self):
+        source = inspect.getsource(linalg)
+        assert "Fraction" not in source and "fractions" not in source

@@ -365,6 +365,8 @@ def run_battery(
 
     if max_power < 1:
         raise UsageError("max power must be >= 1")
+    if samples < 0:
+        raise UsageError("samples must be >= 0")
 
     named = {
         name: g

@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="measurement applied to the transformed graph",
     )
-    graph.add_argument("--berge-cap", type=int, default=16)
+    graph.add_argument("--berge-cap", type=positive_int, default=16)
     _common_flags(graph)
 
     verify = sub.add_parser("verify-paper", help="run the bundled reference claims")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceededError, UsageError
 from .linalg import integer_rank
 from .monomials import Monomial, MonomialIdeal, VariableSet
@@ -326,34 +328,61 @@ def has_perfect_matching(graph: Graph) -> bool:
     return deficiency(graph) == 0
 
 
+# subsets per vectorized block of the Berge and Tutte sweeps: the kernel's
+# arrays are (n, block), so memory stays O(n * 4096) whatever n is
+_SUBSET_BLOCK = 1 << 12
+
+
+def _odd_component_counts(graph: Graph, lo: int, hi: int) -> np.ndarray:
+    """Odd components of graph minus S, for each vertex bitmask S in [lo, hi).
+
+    Vertex labels live in one (n, hi - lo) int16 array whose column j is
+    G - S for S = lo + j. Each surviving vertex starts with its own index and
+    every removed vertex with n; sweeps over the edges lower each end to the
+    other's label until nothing changes, so every component ends up labeled
+    by its smallest vertex. A removed vertex is penalized by n in both
+    directions: it neither takes nor passes a label.
+    """
+    n = graph.n
+    masks = np.arange(lo, hi, dtype=np.int64)
+    penalty = np.array([(masks >> v) & 1 for v in range(n)], dtype=np.int16)
+    penalty = penalty.reshape(n, len(masks)) * np.int16(n)
+    labels = np.maximum(penalty, np.arange(n, dtype=np.int16)[:, None])
+    scratch = np.empty(len(masks), dtype=np.int16)
+    sweep = list(graph.edges) + [(v, u) for u, v in reversed(graph.edges)]
+    while True:
+        before = labels.copy()
+        for u, v in sweep:
+            np.add(labels[v], penalty[u], out=scratch)
+            np.minimum(labels[u], scratch, out=labels[u])
+        if np.array_equal(before, labels):
+            break
+    odd = np.zeros(len(masks), dtype=np.int64)
+    for root in range(n):
+        odd += np.count_nonzero(labels == root, axis=0) & 1
+    return odd
+
+
 def _odd_component_count(graph: Graph, removed: int) -> int:
     """Number of odd components of graph minus the vertex bitmask `removed`."""
-    seen = 0
-    count = 0
-    for start in range(graph.n):
-        bit = 1 << start
-        if removed & bit or seen & bit:
-            continue
-        size = 0
-        stack = [start]
-        seen |= bit
-        while stack:
-            v = stack.pop()
-            size += 1
-            for w in graph.adjacency[v]:
-                wbit = 1 << w
-                if not (removed & wbit) and not (seen & wbit):
-                    seen |= wbit
-                    stack.append(w)
-        if size % 2 == 1:
-            count += 1
-    return count
+    return int(_odd_component_counts(graph, removed, removed + 1)[0])
+
+
+def _surplus_blocks(graph: Graph) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, odd(G - S) - |S| for S in [lo, lo + block)) over all vertex subsets."""
+    total = 1 << graph.n
+    for lo in range(0, total, _SUBSET_BLOCK):
+        hi = min(lo + _SUBSET_BLOCK, total)
+        masks = np.arange(lo, hi, dtype=np.int64)
+        sizes = sum((masks >> v) & 1 for v in range(graph.n))
+        yield lo, _odd_component_counts(graph, lo, hi) - sizes
 
 
 def berge_deficiency(graph: Graph, cap: int = 16) -> tuple[int, frozenset[str]]:
     """max over S of (odd components of G minus S) - |S|, with an argmax witness.
 
-    Exhaustive over all vertex subsets, so refuses above `cap` vertices.
+    Exhaustive over all vertex subsets, in vectorized blocks, so refuses above
+    `cap` vertices. The witness is the first maximizing subset in mask order.
     """
     if graph.n > cap:
         raise BudgetExceededError(
@@ -362,11 +391,11 @@ def berge_deficiency(graph: Graph, cap: int = 16) -> tuple[int, frozenset[str]]:
         )
     best = None
     best_mask = 0
-    for mask in range(1 << graph.n):
-        value = _odd_component_count(graph, mask) - bin(mask).count("1")
-        if best is None or value > best:
-            best = value
-            best_mask = mask
+    for lo, values in _surplus_blocks(graph):
+        j = int(np.argmax(values))
+        if best is None or values[j] > best:
+            best = int(values[j])
+            best_mask = lo + j
     witness = frozenset(
         graph.labels[v] for v in range(graph.n) if best_mask & (1 << v)
     )
@@ -378,10 +407,7 @@ def tutte_condition_holds(graph: Graph, cap: int = 16) -> bool:
     """Whether every vertex subset S leaves at most |S| odd components."""
     if graph.n > cap:
         raise BudgetExceededError(f"exhaustive Tutte check capped at {cap} vertices")
-    return all(
-        _odd_component_count(graph, mask) <= bin(mask).count("1")
-        for mask in range(1 << graph.n)
-    )
+    return not any((values > 0).any() for _, values in _surplus_blocks(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +629,14 @@ def sample_graphs(
     """Seeded random graphs with isolated vertices repaired by pendant edges."""
     import random
 
+    lo, hi = vertex_range
+    # one vertex leaves the isolated-vertex repair nothing to join
+    if not 2 <= lo <= hi:
+        raise UsageError(f"vertex range must satisfy 2 <= lo <= hi, got {vertex_range}")
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = rng.randint(*vertex_range)
+        n = rng.randint(lo, hi)
         labels = tuple(f"x{i}" for i in range(1, n + 1))
         edges = [
             (i, j)

@@ -281,7 +281,7 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         _check_same(self.vset, m.vset)
-        return any(g.divides(m) for g in self.gens)
+        return bool((self.exponent_array <= m.exps).all(axis=1).any())
 
     def is_subset_of(self, other: MonomialIdeal) -> bool:
         _check_same(self.vset, other.vset)

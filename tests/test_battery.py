@@ -1,7 +1,10 @@
 """The assembled property battery at reduced caps (the full-cap run is the
 acceptance suite's job)."""
 
+import pytest
+
 from edge_ideal_lab.battery import colon_identity_holds, corpus_graphs, run_battery
+from edge_ideal_lab.errors import UsageError
 from edge_ideal_lab.graphs import Graph, edge_ideal
 from edge_ideal_lab.monomials import membership_mask
 
@@ -58,3 +61,9 @@ def test_run_battery_small_caps():
     results = run_battery(max_vertices=4, max_power=2, samples=4)
     failures = [(n, d) for n, p, d in results if not p]
     assert not failures, failures[:5]
+
+
+def test_run_battery_refuses_negative_samples():
+    # library callers get the same refusal as the command line
+    with pytest.raises(UsageError, match="samples must be >= 0"):
+        run_battery(max_vertices=3, max_power=1, samples=-3)

@@ -343,6 +343,31 @@ class TestCli:
         )
         assert proc.stdout == ""
 
+    def test_battery_refuses_negative_samples(self, tmp_path):
+        # a negative count must not silently run no seeded check
+        proc = run_cli(
+            "property-battery", "--samples", "-3", "--max-vertices", "3",
+            "--max-power", "1",
+            tmp_path=tmp_path, files={},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: samples must be >= 0\n"
+        assert proc.stdout == ""
+
+    def test_berge_cap_must_be_positive(self, tmp_path):
+        # a malformed cap is a usage error, not a budget refusal (exit 3)
+        for cap in ("-1", "0"):
+            proc = run_cli(
+                "graph", "c3.graph", "berge", "--berge-cap", cap,
+                tmp_path=tmp_path, files={"c3.graph": "x1 x2\nx2 x3\nx1 x3\n"},
+            )
+            assert proc.returncode == 2
+            assert (
+                f"argument --berge-cap: must be a positive integer, got {cap}"
+                in proc.stderr
+            )
+            assert proc.stdout == ""
+
     def test_closure_cap_must_be_positive(self, tmp_path):
         # a malformed cap is a usage error, not a budget refusal (exit 3)
         for cap in ("-5", "0"):

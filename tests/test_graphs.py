@@ -1,14 +1,17 @@
 """Graphs, matchings, parallelizations, and the graph-ideal bridge."""
 
+import tracemalloc
 from itertools import combinations, product as iter_product
 
 import pytest
 
 from edge_ideal_lab.errors import BudgetExceededError, UsageError
-from edge_ideal_lab.fixtures import fig7, fig9, k33, star_3_1
+from edge_ideal_lab.fixtures import fig7, fig9, graph_catalog, k33, star_3_1
 from edge_ideal_lab.graphs import (
+    _SUBSET_BLOCK,
     Graph,
     _odd_component_count,
+    _odd_component_counts,
     berge_deficiency,
     connected_graphs,
     deficiency,
@@ -120,6 +123,97 @@ class TestDeficiencyAndBerge:
             assert tutte_condition_holds(g) == has_perfect_matching(g)
 
 
+def reference_odd_counts(g: Graph) -> list[int]:
+    """Independent oracle: a set-based flood fill of G - S for every mask S."""
+    counts = []
+    for mask in range(1 << g.n):
+        left = {v for v in range(g.n) if not mask >> v & 1}
+        odd = 0
+        while left:
+            component = {left.pop()}
+            frontier = list(component)
+            while frontier:
+                v = frontier.pop()
+                for w in g.adjacency[v]:
+                    if w in left:
+                        left.remove(w)
+                        component.add(w)
+                        frontier.append(w)
+            odd += len(component) % 2
+        counts.append(odd)
+    return counts
+
+
+def reference_berge(g: Graph) -> tuple[int, frozenset[str]]:
+    """(max of odd - |S|, the first maximizing S in mask order)."""
+    values = [
+        odd - bin(mask).count("1") for mask, odd in enumerate(reference_odd_counts(g))
+    ]
+    best = max(values)
+    mask = values.index(best)
+    return best, frozenset(g.labels[v] for v in range(g.n) if mask >> v & 1)
+
+
+def kernel_graphs() -> list[Graph]:
+    """Every connected graph on 2..5 vertices, the catalog graphs up to six
+    vertices, and seeded graphs up to twelve."""
+    small = [g for g in graph_catalog().values() if g.n <= 6]
+    return list(connected_graphs(2, 5)) + small + sample_graphs(6, (7, 12), seed=11)
+
+
+class TestOddComponentKernel:
+    def test_counts_match_reference_flood_fill(self):
+        for g in kernel_graphs():
+            got = _odd_component_counts(g, 0, 1 << g.n).tolist()
+            assert got == reference_odd_counts(g), str(g)
+
+    def test_one_mask_read_and_subranges(self):
+        g = sample_graphs(1, (9, 9), seed=5)[0]
+        expected = reference_odd_counts(g)
+        assert _odd_component_counts(g, 100, 173).tolist() == expected[100:173]
+        assert [_odd_component_count(g, s) for s in (0, 7, 300, 511)] == [
+            expected[s] for s in (0, 7, 300, 511)
+        ]
+
+    def test_berge_value_and_first_witness_match_reference(self):
+        for g in kernel_graphs():
+            assert berge_deficiency(g) == reference_berge(g), str(g)
+
+    def test_tutte_iff_zero_berge_deficiency(self):
+        for g in kernel_graphs():
+            assert tutte_condition_holds(g) == (berge_deficiency(g)[0] == 0), str(g)
+
+    def test_several_blocks(self):
+        # 2^13 subsets span two blocks; the star's only maximizer {x13} lies
+        # in the second, and the seeded graph is checked against the oracle
+        assert 1 << 13 > _SUBSET_BLOCK
+        star = Graph.from_edges(
+            [f"x{i}" for i in range(1, 14)], [(i, 12) for i in range(12)]
+        )
+        assert berge_deficiency(star) == (11, frozenset({"x13"}))
+        assert not tutte_condition_holds(star)
+        # x1 - x13 - x2 beside ten isolated vertices ties S = {} (block one)
+        # with S = {x13} (block two) at 11: the first maximizer is kept
+        tie = Graph.from_edges([f"x{i}" for i in range(1, 14)], [(0, 12), (1, 12)])
+        assert berge_deficiency(tie) == (11, frozenset()) == reference_berge(tie)
+        for g in (star, sample_graphs(1, (13, 13), seed=3)[0]):
+            assert g.n == 13
+            assert berge_deficiency(g) == reference_berge(g), str(g)
+            assert tutte_condition_holds(g) == has_perfect_matching(g)
+
+    def test_memory_stays_per_block(self):
+        flat = parallelize(fig9(), (2, 2, 2, 2, 2, 2, 2, 1, 1)).flat
+        assert flat.n == 16
+        tracemalloc.start()
+        try:
+            value, _ = berge_deficiency(flat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == deficiency(flat)
+        assert peak < 4 * 2**20, peak
+
+
 class TestParallelize:
     def test_single_edge_3_3_is_k33(self):
         pg = parallelize(Graph.single_edge(), (3, 3)).flat
@@ -199,6 +293,17 @@ class TestStructure:
         comps = g.components()
         assert len(comps) == 2
         assert [c.is_bipartite() for c in comps] == [False, True]
+
+
+class TestSampleGraphs:
+    def test_refuses_vertex_ranges_without_an_edge(self):
+        # one vertex has no partner for the isolated-vertex repair
+        for bad in ((1, 1), (0, 3), (5, 4)):
+            with pytest.raises(UsageError, match="vertex range"):
+                sample_graphs(1, bad, 0)
+
+    def test_smallest_range_gives_an_edge(self):
+        assert sample_graphs(3, (2, 2), 0) == [Graph.single_edge()] * 3
 
 
 class TestIncidenceRank:

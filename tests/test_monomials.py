@@ -1,10 +1,12 @@
 """Monomial and ideal arithmetic."""
 
+from itertools import product as iter_product
+
 import numpy as np
 import pytest
 
 from edge_ideal_lab.errors import MismatchedVariablesError, UsageError
-from edge_ideal_lab.fixtures import assce
+from edge_ideal_lab.fixtures import assce, fig9
 from edge_ideal_lab.graphs import Graph, edge_ideal
 from edge_ideal_lab.monomials import (
     Monomial,
@@ -171,6 +173,31 @@ class TestMembershipContainment:
     def test_unit_membership(self):
         assert MonomialIdeal.unit(V3).contains(m(0, 0, 0))
         assert MonomialIdeal.unit(V3).contains(m(5, 0, 2))
+
+    def test_contains_equals_generator_scan_on_fig9_powers(self):
+        # every a in {0,1,2}^9 against I(FIG9)^k for k = 1..4; the expected
+        # member set is the union, generator by generator, of its multiples
+        i = edge_ideal(fig9())
+        box = list(iter_product(range(3), repeat=i.vset.n))
+        power = i
+        for _ in range(4):
+            expected = set()
+            for g in power.gens:
+                expected.update(iter_product(*(range(e, 3) for e in g.exps)))
+            got = {a for a in box if power.contains(Monomial(i.vset, a))}
+            assert got == expected
+            power = power.product(i)
+
+    def test_zero_ideal_contains_nothing(self):
+        zero = MonomialIdeal.zero(V3)
+        assert not zero.contains(m(0, 0, 0))
+        assert not zero.contains(m(4, 4, 4))
+
+    def test_contains_refuses_foreign_variables(self):
+        i = edge_ideal(Graph.cycle(3))
+        foreign = Monomial(VariableSet(("y1", "y2", "y3")), (1, 1, 0))
+        with pytest.raises(MismatchedVariablesError):
+            i.contains(foreign)
 
     def test_subset_reflexive_and_powers(self):
         i = edge_ideal(Graph.cycle(3))

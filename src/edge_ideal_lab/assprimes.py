@@ -259,7 +259,7 @@ def disjoint_union_ass(
     same_vset = all(p.vset.names == parts[0].vset.names for p in parts)
     if same_vset and len(parts) > 1:
         supports = [
-            set(i for g in p.gens for i in g.support) for p in parts
+            set(np.flatnonzero(p.exponent_array.any(axis=0)).tolist()) for p in parts
         ]
         for a, b in combinations(range(len(parts)), 2):
             if supports[a] & supports[b]:

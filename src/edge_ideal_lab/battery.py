@@ -65,10 +65,8 @@ def colon_identity_holds(ideal: MonomialIdeal, k: int) -> bool:
     extended = tuple(b + s for b, s in zip(bounds, ideal.max_exponents()))
     high_mask = membership_mask(power_k1.exponent_array, extended)
     colon_mask: np.ndarray | None = None
-    for g in ideal.gens:
-        idx = tuple(
-            slice(e, e + b + 1) for e, b in zip(g.exps, bounds)
-        )
+    for row in ideal.exponent_array.tolist():
+        idx = tuple(slice(e, e + b + 1) for e, b in zip(row, bounds))
         window = high_mask[idx]
         colon_mask = window if colon_mask is None else colon_mask & window
     assert colon_mask is not None
@@ -313,18 +311,15 @@ def closure_battery(
             if not power.is_subset_of(closure):
                 ok = False
                 detail.append(f"power not inside closure at k={k}")
-            floor = 2 * k
-            if any(m.degree < floor for m in closure.gens):
+            rows = closure.exponent_array
+            if (rows.sum(axis=1) < 2 * k).any():
                 ok = False
                 detail.append(f"degree floor broken at k={k}")
-            bound = power.max_exponents()
-            if any(
-                any(e > b for e, b in zip(m.exps, bound)) for m in closure.gens
-            ):
+            if (rows > np.array(power.max_exponents())).any():
                 ok = False
                 detail.append(f"generator outside box at k={k}")
             poly = NewtonPolyhedron.of_power(ideal, k)
-            if not all(np_member(m, poly) for m in closure.gens):
+            if not all(np_member(row, poly) for row in rows.tolist()):
                 ok = False
                 detail.append(f"closure generator fails LP membership at k={k}")
         yield f"closure-sanity[{name}]", ok, "; ".join(detail)

@@ -63,28 +63,10 @@ class Claim:
 def _claim_parallelization_k33(graphs, ideals):
     pg = parallelize(graphs["E1"], (3, 3)).flat
     nu = matching_number(pg)
-    sides = {len(part) for part in _bipartition(pg)}
+    sides = {len(part) for part in pg.bipartition() or ()}
     return (
         pg.n == 6 and nu == 3 and sides == {3} and has_perfect_matching(pg),
         f"vertices {pg.n}, matching {nu}",
-    )
-
-
-def _bipartition(g: Graph) -> tuple[list[int], list[int]]:
-    from collections import deque
-
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                queue.append(w)
-    return (
-        [v for v in range(g.n) if color[v] == 0],
-        [v for v in range(g.n) if color[v] == 1],
     )
 
 

@@ -45,7 +45,7 @@ class NewtonPolyhedron:
     def of_power(cls, ideal: MonomialIdeal, k: int) -> NewtonPolyhedron:
         if ideal.is_zero:
             raise UsageError("the zero ideal has no Newton polyhedron")
-        return cls(tuple(g.exps for g in ideal.gens), k)
+        return cls(tuple(map(tuple, ideal.exponent_array.tolist())), k)
 
     @property
     def dimension(self) -> int:
@@ -87,8 +87,8 @@ def _minimal_cover_vectors(ideal: MonomialIdeal) -> np.ndarray:
     n = ideal.vset.n
     shape = (3,) * n
     valid = np.ones(shape, dtype=bool)
-    for g in ideal.gens:
-        u, v = g.support
+    # every generator is squarefree of degree 2: its row has two nonzeros
+    for u, v in np.nonzero(ideal.exponent_array)[1].reshape(-1, 2).tolist():
         for yu, yv in ((0, 0), (0, 1), (1, 0)):
             idx: list = [slice(None)] * n
             idx[u] = yu

@@ -99,8 +99,8 @@ def parse_ideal(text: str, allow_unused_vars: bool = False) -> MonomialIdeal:
         rows.append(tuple(exps))
     ideal = MonomialIdeal.from_exponents(vset, rows)
     if not allow_unused_vars:
-        used = {i for g in ideal.gens for i in g.support}
-        unused = [vset.names[i] for i in range(vset.n) if i not in used]
+        used = ideal.exponent_array.any(axis=0)
+        unused = [name for name, u in zip(vset.names, used) if not u]
         if unused and not ideal.is_unit:
             raise ParseError(
                 f"declared variables never used: {', '.join(unused)} "

@@ -43,11 +43,13 @@ class Graph:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise UsageError("vertex labels must be distinct")
-        if self.edges != _canonical_edges(self.edges):
-            raise UsageError("edges must be canonical (sorted index pairs)")
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise UsageError(f"edge ({u},{v}) out of range")
+        # one pass: each edge is a tuple (u, v), 0 <= u < v < n, after the last one
+        n, previous = self.n, ()
+        for edge in self.edges:
+            u, v = edge
+            if not (type(edge) is tuple and 0 <= u < v < n and previous < edge):
+                raise UsageError(f"edges must be sorted index pairs u < v < {n}")
+            previous = edge
 
     @classmethod
     def from_edges(
@@ -141,7 +143,9 @@ class Graph:
     def components(self) -> list[Graph]:
         return [self.subgraph(c) for c in self.component_indices()]
 
-    def is_bipartite(self) -> bool:
+    def bipartition(self) -> tuple[list[int], list[int]] | None:
+        """The two colour classes of a BFS 2-colouring (each component's first
+        vertex in the first class), or None when the graph has an odd cycle."""
         color = [-1] * self.n
         for start in range(self.n):
             if color[start] != -1:
@@ -155,8 +159,14 @@ class Graph:
                         color[w] = 1 - color[v]
                         queue.append(w)
                     elif color[w] == color[v]:
-                        return False
-        return True
+                        return None
+        return (
+            [v for v in range(self.n) if color[v] == 0],
+            [v for v in range(self.n) if color[v] == 1],
+        )
+
+    def is_bipartite(self) -> bool:
+        return self.bipartition() is not None
 
     def odd_girth(self) -> int | None:
         """Length of a shortest odd cycle; None when bipartite."""

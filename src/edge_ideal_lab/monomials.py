@@ -7,7 +7,7 @@ and serializations are byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -130,6 +130,24 @@ class Monomial:
         return f"Monomial({self})"
 
 
+def _exponent_rows(n: int, exps: np.ndarray | Iterable[Sequence[int]]) -> np.ndarray:
+    """Validated exponent rows as an (m, n) int64 matrix: an integer array or
+    any iterable of length-n rows, every entry in range."""
+    if not isinstance(exps, np.ndarray):
+        rows = [tuple(r) for r in exps]
+        if any(len(r) != n for r in rows):
+            raise UsageError("exponent vector length must equal variable count")
+        # checked on Python ints: the int64 cast must not see a huge value
+        flat = [v for r in rows for v in r]
+        _check_range(min(flat, default=0), max(flat, default=0))
+        return np.array(rows, dtype=np.int64).reshape(-1, n)
+    if exps.ndim != 2 or exps.shape[1] != n:
+        raise UsageError("exponent vector length must equal variable count")
+    if exps.size:
+        _check_range(exps.min(), exps.max())
+    return exps.astype(np.int64, copy=False)
+
+
 def minimalize_rows(rows: np.ndarray) -> np.ndarray:
     """Divisibility-minimal rows of an exponent matrix, sorted by (degree, lex).
 
@@ -187,19 +205,20 @@ def membership_mask(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
 class MonomialIdeal:
     """A monomial ideal, held as its canonical minimal generating set.
 
-    The canonical form is the read-only int64 ``exponent_array`` of the
-    divisibility-minimal generators sorted by (degree, exponents); ``gens``
-    holds the same rows as :class:`Monomial` objects. The empty generating set
-    is the zero ideal; the single generator 1 is the unit ideal. Construct
-    through :meth:`from_exponents` (the one constructor that validates and
-    canonicalizes), :meth:`from_monomials` or the arithmetic methods. A direct
-    ``MonomialIdeal(vset, gens)`` only checks that ``gens`` is canonical.
+    The one stored form is the read-only int64 ``exponent_array`` of the
+    divisibility-minimal generators sorted by (degree, exponents); equality,
+    hashing and every query read it. ``gens`` gives the same rows as
+    :class:`Monomial` objects, built on first use. The empty array is the zero
+    ideal; the single row 0 is the unit ideal. Construct through
+    :meth:`from_exponents` (the one constructor that canonicalizes),
+    :meth:`from_monomials` or the arithmetic methods. A direct
+    ``MonomialIdeal(vset, rows)`` validates the rows and requires them to be
+    canonical already.
     """
 
     vset: VariableSet
-    gens: tuple[Monomial, ...]
     # the read-only (num_gens, n) int64 matrix of the generators' exponents
-    exponent_array: np.ndarray = field(init=False, repr=False, compare=False)
+    exponent_array: np.ndarray
 
     @classmethod
     def from_monomials(cls, vset: VariableSet, gens: Iterable[Monomial]) -> MonomialIdeal:
@@ -215,28 +234,14 @@ class MonomialIdeal:
         """The ideal generated by the given exponent rows: an integer (m, n)
         array or any iterable of length-n rows. Rows are validated here, once,
         and minimalized once."""
-        n = vset.n
-        if not isinstance(exps, np.ndarray):
-            rows = [tuple(r) for r in exps]
-            if any(len(r) != n for r in rows):
-                raise UsageError("exponent vector length must equal variable count")
-            # checked on Python ints: the int64 cast must not see a huge value
-            flat = [v for r in rows for v in r]
-            _check_range(min(flat, default=0), max(flat, default=0))
-            exps = np.array(rows, dtype=np.int64).reshape(-1, n)
-        elif exps.ndim != 2 or exps.shape[1] != n:
-            raise UsageError("exponent vector length must equal variable count")
-        elif exps.size:
-            _check_range(exps.min(), exps.max())
-        return cls._canonical(vset, minimalize_rows(exps.astype(np.int64, copy=False)))
+        return cls._canonical(vset, minimalize_rows(_exponent_rows(vset.n, exps)))
 
     @classmethod
     def _canonical(cls, vset: VariableSet, rows: np.ndarray) -> MonomialIdeal:
         """Wrap rows that are already minimal and sorted, without re-checking."""
         rows = rows.view()
         rows.setflags(write=False)
-        gens = tuple(_trusted(Monomial, vset=vset, exps=tuple(r)) for r in rows.tolist())
-        return _trusted(cls, vset=vset, gens=gens, exponent_array=rows)
+        return _trusted(cls, vset=vset, exponent_array=rows)
 
     @classmethod
     def zero(cls, vset: VariableSet) -> MonomialIdeal:
@@ -247,35 +252,42 @@ class MonomialIdeal:
         return cls._canonical(vset, np.zeros((1, vset.n), dtype=np.int64))
 
     def __post_init__(self):
-        exps = tuple(g.exps for g in self.gens)
-        if exps != tuple(sorted(set(exps), key=lambda e: (sum(e), e))):
-            raise UsageError("generators are not in canonical sorted form")
-        rows = np.array(exps, dtype=np.int64).reshape(-1, self.vset.n)
-        if len(minimalize_rows(rows)) != len(exps):
-            raise UsageError("generating set is not divisibility-minimal")
-        rows.setflags(write=False)
-        object.__setattr__(self, "exponent_array", rows)
+        rows = _exponent_rows(self.vset.n, self.exponent_array)
+        canonical = minimalize_rows(rows).view()
+        if not np.array_equal(rows, canonical):
+            raise UsageError("generators are not the sorted divisibility-minimal set")
+        canonical.setflags(write=False)
+        object.__setattr__(self, "exponent_array", canonical)
+
+    @cached_property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The generators as :class:`Monomial` objects, in canonical order."""
+        return tuple(
+            _trusted(Monomial, vset=self.vset, exps=tuple(r))
+            for r in self.exponent_array.tolist()
+        )
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return len(self.exponent_array) == 0
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_one
+        return len(self.exponent_array) == 1 and not self.exponent_array.any()
 
     @property
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree for g in self.gens)
+        return bool((self.exponent_array <= 1).all())
 
     def generated_degree(self) -> int | None:
         """The common generator degree, or None for mixed degrees / zero ideal."""
-        degs = {g.degree for g in self.gens}
-        return degs.pop() if len(degs) == 1 else None
+        # rows are sorted by degree, so the first and last bound all of them
+        degs = self.exponent_array.sum(axis=1)
+        return int(degs[0]) if len(degs) and degs[0] == degs[-1] else None
 
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max of the generators (the exponent vector of their lcm)."""
-        if not self.gens:
+        if self.is_zero:
             return (0,) * self.vset.n
         return tuple(int(v) for v in self.exponent_array.max(axis=0))
 
@@ -285,7 +297,8 @@ class MonomialIdeal:
 
     def is_subset_of(self, other: MonomialIdeal) -> bool:
         _check_same(self.vset, other.vset)
-        return all(other.contains(g) for g in self.gens)
+        a, b = self.exponent_array, other.exponent_array
+        return bool((b[None, :, :] <= a[:, None, :]).all(axis=2).any(axis=1).all())
 
     def sum(self, other: MonomialIdeal) -> MonomialIdeal:
         _check_same(self.vset, other.vset)
@@ -344,8 +357,9 @@ class MonomialIdeal:
         if other.is_zero:
             raise UsageError("colon by the zero ideal is undefined")
         result: MonomialIdeal | None = None
-        for g in other.gens:
-            piece = self.colon_monomial(g)
+        for row in other.exponent_array:
+            quotients = np.maximum(self.exponent_array - row, 0)
+            piece = MonomialIdeal.from_exponents(self.vset, quotients)
             result = piece if result is None else result.intersect(piece)
         assert result is not None
         return result
@@ -353,18 +367,18 @@ class MonomialIdeal:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.vset.names == other.vset.names and [g.exps for g in self.gens] == [
-            g.exps for g in other.gens
-        ]
+        return self.vset.names == other.vset.names and np.array_equal(
+            self.exponent_array, other.exponent_array
+        )
 
     def __hash__(self) -> int:
-        return hash((self.vset.names, tuple(g.exps for g in self.gens)))
+        return hash((self.vset.names, self.exponent_array.tobytes()))
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)
 
     def __len__(self) -> int:
-        return len(self.gens)
+        return len(self.exponent_array)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -328,9 +328,7 @@ def analytic_spread(ideal: MonomialIdeal) -> int:
         raise UsageError("analytic spread of the zero ideal is undefined")
     if ideal.generated_degree() is None:
         raise UsageError("analytic spread formula needs a single generator degree")
-    columns = [list(g.exps) for g in ideal.gens]
-    rows = [[col[i] for col in columns] for i in range(ideal.vset.n)]
-    return integer_rank(rows)
+    return integer_rank(ideal.exponent_array.T.tolist())
 
 
 # ---------------------------------------------------------------------------

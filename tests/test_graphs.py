@@ -5,8 +5,9 @@ from itertools import combinations, product as iter_product
 
 import pytest
 
+from edge_ideal_lab import graphs
 from edge_ideal_lab.errors import BudgetExceededError, UsageError
-from edge_ideal_lab.fixtures import fig7, fig9, graph_catalog, k33, star_3_1
+from edge_ideal_lab.fixtures import c4, c5, fig7, fig9, graph_catalog, k33, p4, star_3_1
 from edge_ideal_lab.graphs import (
     _SUBSET_BLOCK,
     Graph,
@@ -294,6 +295,33 @@ class TestStructure:
         assert len(comps) == 2
         assert [c.is_bipartite() for c in comps] == [False, True]
 
+    def test_bipartition(self):
+        two_parts = Graph.from_edges("abcde", [(0, 1), (1, 2), (3, 4)])
+        cases = ((k33(), [3, 3]), (c4(), [2, 2]), (p4(), [2, 2]), (two_parts, [3, 2]))
+        for g, sizes in cases:
+            first, second = g.bipartition()
+            assert sorted(first + second) == list(range(g.n))
+            assert [len(first), len(second)] == sizes
+            assert all((u in first) != (v in first) for u, v in g.edges)
+            assert g.is_bipartite()
+        assert c5().bipartition() is None and not c5().is_bipartite()
+
+    def test_direct_constructor_requires_canonical_edges(self):
+        labels = ("a", "b", "c")
+        canonical = Graph.from_edges(labels, [(2, 1), (1, 0)])
+        assert Graph(labels, ((0, 1), (1, 2))) == canonical
+        for edges in (
+            ((1, 0),),  # reversed pair
+            ((1, 2), (0, 1)),  # unsorted pairs
+            ((0, 1), (0, 1)),  # duplicate
+            ((1, 1),),  # loop
+            ((0, 3),),  # out of range
+            ((-1, 0),),
+            ([0, 1],),  # not a tuple
+        ):
+            with pytest.raises(UsageError):
+                Graph(labels, edges)
+
 
 class TestSampleGraphs:
     def test_refuses_vertex_ranges_without_an_edge(self):
@@ -354,6 +382,18 @@ class TestPowerIndexAndFactorization:
 
     def test_fig9_closure_witness_power(self):
         assert power_index(fig9(), (1, 1, 1, 0, 1, 1, 1, 1, 1)) == 3
+
+    def test_power_index_canonicalizes_edges_once(self, monkeypatch):
+        g, calls = fig9(), []
+        canonical_edges = graphs._canonical_edges
+
+        def counting(edges):
+            calls.append(1)
+            return canonical_edges(edges)
+
+        monkeypatch.setattr(graphs, "_canonical_edges", counting)
+        assert power_index(g, (2, 1, 1, 0, 1, 1, 1, 1, 1)) == 4
+        assert len(calls) == 1
 
     def test_factorization_triangle(self):
         cert = factor_by_matching(Graph.cycle(3), (1, 1, 1))

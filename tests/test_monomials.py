@@ -1,13 +1,19 @@
 """Monomial and ideal arithmetic."""
 
+import inspect
+import re
+from dataclasses import fields
 from itertools import product as iter_product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edge_ideal_lab
+from edge_ideal_lab import formats
 from edge_ideal_lab.errors import MismatchedVariablesError, UsageError
 from edge_ideal_lab.fixtures import assce, fig9
-from edge_ideal_lab.graphs import Graph, edge_ideal
+from edge_ideal_lab.graphs import Graph, connected_graphs, edge_ideal
 from edge_ideal_lab.monomials import (
     Monomial,
     MonomialIdeal,
@@ -59,9 +65,20 @@ class TestMinimalize:
         assert zero.is_zero and len(zero) == 0
 
     def test_constructor_rejects_non_minimal(self):
-        gens = (Monomial(V3, (1, 1, 0)), Monomial(V3, (2, 1, 0)))
         with pytest.raises(UsageError):
-            MonomialIdeal(V3, gens)
+            MonomialIdeal(V3, np.array([(1, 1, 0), (2, 1, 0)]))
+
+    def test_constructor_rejects_unsorted_rows(self):
+        for rows in ([(2, 0, 1), (1, 1, 0)], [(1, 1, 0), (0, 1, 1)]):
+            with pytest.raises(UsageError):
+                MonomialIdeal(V3, np.array(rows))
+
+    def test_constructor_casts_int32_rows(self):
+        rows = np.array([(1, 1, 0), (0, 0, 3)], dtype=np.int32)
+        direct = MonomialIdeal(V3, rows)
+        expected = MonomialIdeal.from_exponents(V3, rows)
+        assert direct.exponent_array.dtype == np.int64
+        assert direct == expected and hash(direct) == hash(expected)
 
 
 class TestFromExponents:
@@ -204,6 +221,61 @@ class TestMembershipContainment:
         assert i.is_subset_of(i)
         assert i.power(2).is_subset_of(i)
         assert not i.is_subset_of(i.power(2))
+
+
+def reference_subset(a: MonomialIdeal, b: MonomialIdeal) -> bool:
+    return all(any(h.divides(g) for h in b.gens) for g in a.gens)
+
+
+class TestArrayForm:
+    def test_queries_match_generator_reference_on_corpus(self):
+        # every corpus ideal on <= 5 vertices and its powers k <= 3, with each
+        # query recomputed generator by generator from ``gens``
+        for g in connected_graphs(2, 5):
+            chain = list(edge_ideal(g).powers(3))
+            for power in chain:
+                gens = power.gens
+                exps = [m.exps for m in gens]
+                assert len(power) == len(gens)
+                assert power.is_unit == (len(gens) == 1 and gens[0].is_one)
+                assert power.is_squarefree == all(m.is_squarefree for m in gens)
+                degrees = {m.degree for m in gens}
+                common = degrees.pop() if len(degrees) == 1 else None
+                assert power.generated_degree() == common
+                # the same ideal from shuffled rows padded with multiples
+                rows = exps[::-1] + [tuple(e + 1 for e in row) for row in exps]
+                again = MonomialIdeal.from_exponents(power.vset, rows)
+                assert again == power and hash(again) == hash(power)
+            for a, b in iter_product(chain, repeat=2):
+                same = [m.exps for m in a.gens] == [m.exps for m in b.gens]
+                assert (a == b) == same
+            # both directions between consecutive powers: I^(k+1) is inside I^k only
+            for a, b in zip(chain + chain[1:], chain[1:] + chain):
+                assert a.is_subset_of(b) == reference_subset(a, b)
+
+    def test_zero_unit_and_mixed_degrees(self):
+        mixed = ideal((1, 1, 0), (0, 0, 3))
+        assert mixed.generated_degree() is None and not mixed.is_squarefree
+        assert ideal((1, 1, 0)) != ideal((0, 1, 1))
+        zero, unit = MonomialIdeal.zero(V3), MonomialIdeal.unit(V3)
+        assert zero.is_zero and not zero.is_unit and zero.generated_degree() is None
+        assert unit.is_unit and unit.generated_degree() == 0
+        assert zero.is_subset_of(unit) and not unit.is_subset_of(zero)
+        assert zero != unit and zero == MonomialIdeal.from_exponents(V3, [])
+        assert zero != MonomialIdeal.zero(VariableSet.standard(3, prefix="y"))
+
+    def test_exponent_array_is_the_only_field(self):
+        assert [f.name for f in fields(MonomialIdeal)] == ["vset", "exponent_array"]
+
+    def test_only_monomials_and_serialize_ideal_read_gens(self):
+        # the generator objects are a derived view; engines read exponent_array
+        package = Path(edge_ideal_lab.__file__).parent
+        serializer = inspect.getsource(formats.serialize_ideal)
+        for path in sorted(package.glob("*.py")):
+            if path.name == "monomials.py":
+                continue
+            source = path.read_text().replace(serializer, "")
+            assert not re.search(r"\.gens\b", source), path.name
 
 
 class TestCanonicalForm:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from edge_ideal_lab.closure import DEFAULT_BOX_CAP, integral_closure_power
 from edge_ideal_lab.errors import BudgetExceededError, UsageError
 from edge_ideal_lab.fixtures import c3_disjoint_c3, c3_disjoint_c4, fig9
 from edge_ideal_lab.graphs import Graph, edge_ideal
@@ -158,6 +159,28 @@ class TestChainProducts:
         with pytest.raises(BudgetExceededError):
             both_chains(edge_ideal(Graph.cycle(5)), 3, closure_cap=100)
         assert len(product_count) == 1
+
+    def test_both_chains_on_fig9_build_no_generator_objects(self, monkeypatch):
+        # relabeled, so the closures are computed here and not taken from the
+        # memo of another test that may have printed them
+        g = fig9()
+        ideal = edge_ideal(Graph(tuple(f"fig{v}" for v in g.labels), g.edges))
+        created = []
+        canonical = MonomialIdeal._canonical.__func__
+
+        def recording(cls, vset, rows):
+            created.append(canonical(cls, vset, rows))
+            return created[-1]
+
+        monkeypatch.setattr(MonomialIdeal, "_canonical", classmethod(recording))
+        both_chains(ideal, 4)
+        built = list(created)
+        closures = [
+            integral_closure_power(ideal, k, cap=DEFAULT_BOX_CAP) for k in range(1, 5)
+        ]
+        assert all(any(c is i for i in built) for c in closures)
+        assert all(power in built for power in list(ideal.powers(4))[1:])
+        assert all("gens" not in vars(i) for i in [ideal, *built])
 
 
 class TestMaximalIdealCriteria:

@@ -12,7 +12,9 @@ of variables that occur in some generator are swept.
 
 A witness oracle re-derives the associated primes from the definition (the
 colon by a monomial outside the ideal equals a prime) by lookups in one
-membership mask, and is used as an independent cross-check.
+membership mask, and is used as an independent cross-check. Both build that
+mask with monomials.membership_mask, a prefix scan of in-place slice ORs
+along each axis that allocates nothing beyond the mask.
 """
 
 from __future__ import annotations

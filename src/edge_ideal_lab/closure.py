@@ -1,14 +1,22 @@
 """Integral closures of powers of equigenerated monomial ideals.
 
 Membership in the closure of the k-th power is membership of the exponent
-vector in k times the Newton polyhedron of the base ideal, decided by exact
-rational LP feasibility. The closure's minimal generators lie in the box
-[0, k*u] spanned by the power's generators. For degree-two squarefree ideals
-(edge ideals) membership is min_y a.y >= 2k over the minimal half-integral
-vertex covers y (the duals of the matching LP), so one boolean mask over the
-box is the AND of one broadcast inequality per cover, and the generators are
-the minimal cells of that mask. Other ideals walk the box in degree order
-with one LP call per undominated lattice point.
+vector in k times the Newton polyhedron of the base ideal, an exact rational
+LP. A general ideal walks the box [0, k*u] of the power's generators in
+degree order, one LP call per undominated lattice point; that sweep is also
+the oracle of the edge-ideal path. For I = I(G), membership is min_y a.y >= 2k
+over the minimal half-integral vertex covers y (the duals of the matching
+LP), and the minimal generators are the members of the slice |a| = 2k:
+- a member has |a| >= a.y' >= 2k for the minimal cover y' under all-ones, so
+  every member of the slice is minimal;
+- none lies above 2k. R[It] is the edge subring of the cone G' = G + apex z
+  (Villarreal, Comm. Algebra 23, 1995): x^a z^c becomes x^a t^b, |a| = 2b+c.
+  The normalization of an edge subring is generated by edges and bowties
+  x_C1*x_C2 of odd cycles (Simis-Vasconcelos-Villarreal, J. Algebra 199,
+  1998). A cycle through z is z times a matching of a path of G; an odd cycle
+  of G is a matching times one vertex; so each generator with c > 0 has a
+  cone edge x_i*z as a factor. When |a| > 2b, x^a / x_i is in the closure of
+  I^b, and x^a is not minimal.
 """
 
 from __future__ import annotations
@@ -64,29 +72,12 @@ def np_member(exponents: Sequence[int] | Monomial, poly: NewtonPolyhedron) -> bo
     return feasible_nonneg(a_le, a, [[1] * q], [poly.scale])
 
 
-def _minimal_cells(mask: np.ndarray) -> np.ndarray:
-    """Indices of the cells of an upward-closed boolean box mask that have no
-    marked cell one step below them along any axis: its minimal elements."""
-    minimal = mask.copy()
-    for axis in range(mask.ndim):
-        below = [slice(None)] * mask.ndim
-        above = [slice(None)] * mask.ndim
-        below[axis] = slice(0, -1)
-        above[axis] = slice(1, None)
-        minimal[tuple(above)] &= ~mask[tuple(below)]
-    return np.argwhere(minimal)
-
-
 def _minimal_cover_vectors(ideal: MonomialIdeal) -> np.ndarray:
-    """Componentwise-minimal y in {0,1,2}^n with y_u + y_v >= 2 on every edge.
-
-    These are (twice) the vertices of the fractional vertex-cover polytope, the
-    dual feasible points of the matching LP; membership of a in the scaled
-    Newton polyhedron is min_y a.y >= 2*scale.
-    """
+    """Componentwise-minimal y in {0,1,2}^n with y_u + y_v >= 2 on every edge:
+    (twice) the vertices of the fractional vertex-cover polytope, the dual
+    feasible points of the matching LP."""
     n = ideal.vset.n
-    shape = (3,) * n
-    valid = np.ones(shape, dtype=bool)
+    valid = np.ones((3,) * n, dtype=bool)
     # every generator is squarefree of degree 2: its row has two nonzeros
     for u, v in np.nonzero(ideal.exponent_array)[1].reshape(-1, 2).tolist():
         for yu, yv in ((0, 0), (0, 1), (1, 0)):
@@ -94,24 +85,33 @@ def _minimal_cover_vectors(ideal: MonomialIdeal) -> np.ndarray:
             idx[u] = yu
             idx[v] = yv
             valid[tuple(idx)] = False
-    return _minimal_cells(valid)
+    # minimal cells of the upward-closed valid set: none valid one step below
+    minimal = valid.copy()
+    for axis in range(n):
+        lead = (slice(None),) * axis
+        minimal[lead + (slice(1, None),)] &= ~valid[lead + (slice(0, -1),)]
+    return np.argwhere(minimal)
 
 
 def _closure_fast_path(
     ideal: MonomialIdeal, k: int, bounds: tuple[int, ...]
 ) -> np.ndarray:
-    n = len(bounds)
-    # multiples[j][y_j] is y_j * (0..b_j) shaped to broadcast along axis j,
-    # built once because small boxes spend their time on per-cover overhead
-    multiples = []
-    for j, b in enumerate(bounds):
-        a = np.arange(b + 1, dtype=np.int64).reshape((-1,) + (1,) * (n - j - 1))
-        multiples.append((None, a, 2 * a))
-    member = np.ones(tuple(b + 1 for b in bounds), dtype=bool)
-    for y in _minimal_cover_vectors(ideal).tolist():
-        terms = [multiples[j][yj] for j, yj in enumerate(y) if yj]
-        member &= sum(terms[1:], terms[0]) >= 2 * k
-    return _minimal_cells(member)
+    # the slice {a in [0, bounds] : |a| = 2k} in C order, built axis by axis
+    # from the prefixes whose partial sum the later axes can still lift to 2k
+    room = np.cumsum((0,) + bounds[:0:-1])[::-1]  # room[j] = sum(bounds[j+1:])
+    cols, sums = np.zeros((0, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for j, (b, later) in enumerate(zip(bounds, room.tolist())):
+        table = sums[:, None] + np.arange(b + 1)
+        rows, vals = np.nonzero((table <= 2 * k) & (table + later >= 2 * k))
+        grown = np.empty((j + 1, len(rows)), dtype=np.int64)
+        # "clip" writes into out directly, where "raise" would buffer a copy
+        np.take(cols, rows, axis=1, out=grown[:j], mode="clip")
+        grown[j] = vals
+        cols, sums = grown, table[rows, vals]
+    keep = np.ones(len(sums), dtype=bool)
+    for y in _minimal_cover_vectors(ideal):
+        keep &= y @ cols >= 2 * k
+    return cols.T[keep]
 
 
 def _closure_lp_path(
@@ -144,10 +144,9 @@ def integral_closure_power(
     Requires the ideal to be generated in a single degree, so the closure's
     minimal generators stay inside the componentwise-maximum box of the power's
     generators (k times the base maxima). ``cap`` bounds the lattice points
-    of that box. Edge ideals on at most FAST_PATH_MAX_VARS variables build
-    the closure's membership mask over the whole box, one broadcast cover
-    inequality at a time, and read off its minimal cells; any other ideal
-    takes the exact LP sweep, refused above 500 000 box points.
+    of that box. Edge ideals on at most FAST_PATH_MAX_VARS variables test the
+    cover inequalities on the box's degree-2k slice only (module docstring);
+    other ideals take the exact LP sweep, refused above 500 000 box points.
     """
     if k < 1:
         raise UsageError("power must be >= 1")

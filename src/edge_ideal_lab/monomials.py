@@ -189,15 +189,18 @@ def minimalize_rows(rows: np.ndarray) -> np.ndarray:
 def membership_mask(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     """Boolean array over the box [0, bounds] marking the multiples of any row.
 
-    Each in-box row marks its own cell, and a logical-or prefix scan along
-    every axis spreads the marks to all multiples: O(n * box) work. A row that
-    exceeds the box somewhere marks nothing.
+    Each in-box row marks its own cell, and a prefix scan along every axis
+    spreads the marks to all multiples: slice i of the axis is ORed in place
+    with slice i - 1, so the work is O(n * box) with no box-sized temporary.
+    A row that exceeds the box somewhere marks nothing.
     """
     upper, arr = np.asarray(bounds), np.asarray(rows)
     mask = np.zeros(tuple(upper + 1), dtype=bool)
     mask[tuple(arr[(arr <= upper).all(axis=1)].T)] = True
-    for axis in range(mask.ndim):
-        np.logical_or.accumulate(mask, axis=axis, out=mask)
+    for axis, length in enumerate(mask.shape):
+        lead = (slice(None),) * axis
+        for i in range(1, length):
+            mask[lead + (i,)] |= mask[lead + (i - 1,)]
     return mask
 
 

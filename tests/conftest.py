@@ -36,6 +36,20 @@ def build_lab(ideal: MonomialIdeal, max_power: int, cap: int = 10**7) -> PowerLa
     return PowerLab(ideal, powers, closures, ass, closure_ass)
 
 
+@pytest.fixture
+def product_count(monkeypatch):
+    """Counts MonomialIdeal.product calls made while the test runs."""
+    calls = []
+    original = MonomialIdeal.product
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, "product", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def fig9_graph() -> Graph:
     return fig9()

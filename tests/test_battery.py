@@ -1,10 +1,18 @@
 """The assembled property battery at reduced caps (the full-cap run is the
 acceptance suite's job)."""
 
+import tracemalloc
+
 import pytest
 
-from edge_ideal_lab.battery import colon_identity_holds, corpus_graphs, run_battery
+from edge_ideal_lab.battery import (
+    colon_identity_holds,
+    colon_identity_sweep,
+    corpus_graphs,
+    run_battery,
+)
 from edge_ideal_lab.errors import UsageError
+from edge_ideal_lab.fixtures import fig9
 from edge_ideal_lab.graphs import Graph, edge_ideal
 from edge_ideal_lab.monomials import membership_mask
 
@@ -24,8 +32,16 @@ def test_membership_mask_matches_contains():
         assert mask[a] == ideal.contains(Monomial(ideal.vset, a))
     # a row past the box marks nothing
     assert not membership_mask([(4, 0, 0)], bounds).any()
-    # seeded random rows against the definition: each row marks the slice of
-    # its multiples, and a slice that starts past the box is empty
+
+    def marked_multiples(rows, bounds):
+        # each row marks the slice of its multiples, and a slice that starts
+        # past the box is empty
+        expected = np.zeros(tuple(np.asarray(bounds) + 1), dtype=bool)
+        for row in np.asarray(rows).tolist():
+            expected[tuple(slice(e, None) for e in row)] = True
+        return expected
+
+    # seeded random rows against the per-row slice reference
     rng = random.Random(2014)
     for _ in range(200):
         n = rng.randint(1, 4)
@@ -39,17 +55,52 @@ def test_membership_mask_matches_contains():
             axis = rng.randrange(n)
             past[axis] = bounds[axis] + 1
             inputs = np.vstack([rows, past])
-            expected = np.zeros(tuple(bounds + 1), dtype=bool)
-            for row in inputs.tolist():
-                expected[tuple(slice(e, None) for e in row)] = True
             got = membership_mask(inputs, bounds)
+            expected = marked_multiples(inputs, bounds)
             assert (got == expected).all(), (inputs.tolist(), bounds.tolist())
+    edge_shapes = [
+        ([(1, 0, 2), (0, 1, 1), (2, 0, 0)], (2, 0, 3)),  # a length-1 axis
+        ([(3,), (5,)], (6,)),  # a 1-D box
+        (np.zeros((0, 3), dtype=np.int64), (2, 1, 2)),  # no rows
+        ([(3, 0), (1, 5), (0, 2)], (2, 4)),  # rows past the box on one axis
+    ]
+    for rows, bounds in edge_shapes:
+        got = membership_mask(np.asarray(rows, dtype=np.int64), bounds)
+        assert got.shape == tuple(b + 1 for b in bounds)
+        assert (got == marked_multiples(rows, bounds)).all(), (rows, bounds)
+
+
+def test_membership_mask_allocates_only_the_mask():
+    # in-place slice ORs make no box-sized temporary
+    power = edge_ideal(fig9()).power(4)
+    tracemalloc.start()
+    try:
+        mask = membership_mask(power.exponent_array, power.max_exponents())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.size == 5**9
+    assert peak <= 1.1 * mask.nbytes
 
 
 def test_colon_identity_from_power_zero():
     # (I : I) is the unit ideal I^0, and (I^3 : I) = I^2 on the triangle
     i = edge_ideal(Graph.cycle(3))
     assert all(colon_identity_holds(i, k) for k in (0, 1, 2))
+
+
+class TestColonChain:
+    """The colon sweep walks one power chain per graph."""
+
+    def test_sweep_builds_each_power_once(self, product_count):
+        checks = list(colon_identity_sweep([Graph.cycle(5)], powers=(1, 2, 3)))
+        assert [ok for _, ok, _ in checks] == [True]
+        # I^2, I^3, I^4: three products, not 1 + 2 + 3 from one chain per k
+        assert len(product_count) == 3
+
+    def test_single_identity_builds_its_chain(self, product_count):
+        assert colon_identity_holds(edge_ideal(Graph.cycle(5)), 3)
+        assert len(product_count) == 3
 
 
 def test_corpus_counts():

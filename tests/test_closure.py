@@ -1,11 +1,14 @@
 """Newton-polyhedron membership and integral closure sweeps."""
 
 import tracemalloc
+from math import prod
 
 import pytest
 
 from edge_ideal_lab.closure import (
+    DEFAULT_BOX_CAP,
     NewtonPolyhedron,
+    _closure_fast_path,
     _closure_lp_path,
     closure_member_matching_oracle,
     integral_closure_power,
@@ -14,7 +17,7 @@ from edge_ideal_lab.closure import (
 )
 from edge_ideal_lab.errors import BudgetExceededError, UsageError
 from edge_ideal_lab.fixtures import assce, c3_disjoint_c3, fig7, fig9
-from edge_ideal_lab.graphs import Graph, edge_ideal
+from edge_ideal_lab.graphs import Graph, connected_graphs, edge_ideal, sample_graphs
 from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
 
 
@@ -96,17 +99,25 @@ class TestClosurePower:
         i = edge_ideal(c3_disjoint_c3())
         assert integral_closure_power(i, 3) != i.power(3)
 
-    def test_fig9_closure_memory(self):
-        # the box of the fourth power has 5^9 cells; one bool mask over it and
-        # its int64 cover sums stay far below a box-by-covers matrix
+    @staticmethod
+    def _closure_peak(k: int, cap: int) -> int:
         ideal = edge_ideal(fig9())
         tracemalloc.start()
         try:
-            integral_closure_power.__wrapped__(ideal, 4)
-            peak = tracemalloc.get_traced_memory()[1]
+            integral_closure_power.__wrapped__(ideal, k, cap=cap)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+
+    def test_fig9_closure_memory(self):
+        # the fourth power's box has 5^9 cells, its degree-8 slice 11 385
+        # points; the slice sweep peaks near 2.3 MB
+        assert self._closure_peak(4, DEFAULT_BOX_CAP) < 3 * 2**20
+
+    def test_fig9_sixth_closure_memory(self):
+        # the sixth power's box has 7^9 cells (int64 cover sums over it alone
+        # take 323 MB); its degree-12 slice has 114 387 points, about 24 MB
+        assert self._closure_peak(6, 5 * 10**7) < 32 * 2**20
 
     def test_closure_generators_pass_lp(self):
         i = edge_ideal(fig7())
@@ -134,6 +145,55 @@ class TestClosurePower:
     def test_cap_refusal(self):
         with pytest.raises(BudgetExceededError):
             integral_closure_power(edge_ideal(fig9()), 5, cap=10**6)
+
+
+def _slice_and_lp(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, MonomialIdeal]:
+    bounds = tuple(k * e for e in ideal.max_exponents())
+    fast = _closure_fast_path(ideal, k, bounds)
+    slow = _closure_lp_path(ideal, k, bounds, 2 * k)
+    return (
+        MonomialIdeal.from_exponents(ideal.vset, fast),
+        MonomialIdeal.from_exponents(ideal.vset, slow),
+    )
+
+
+class TestSliceMatchesLp:
+    """The degree-2k slice against the exact LP sweep, which walks every
+    degree of the box and so needs no claim about generator degrees."""
+
+    def test_corpus(self):
+        for g in connected_graphs(2, 5):
+            for k in (1, 2):
+                fast, slow = _slice_and_lp(edge_ideal(g), k)
+                assert fast == slow, f"{g} k={k}"
+
+    def test_seeded_graphs(self):
+        checked = 0
+        for g in sample_graphs(20, (6, 8), 2026):
+            ideal = edge_ideal(g)
+            for k in (1, 2):
+                if prod(k * e + 1 for e in ideal.max_exponents()) > 500_000:
+                    continue
+                fast, slow = _slice_and_lp(ideal, k)
+                assert fast == slow, f"{g} k={k}"
+                checked += 1
+        assert checked == 40
+
+    def test_fig9_sizes(self):
+        # the closure equals the power up to k = 3; I^4 gains the witness and
+        # I^5 eight of its edge multiples, each certified by the LP
+        ideal = edge_ideal(fig9())
+        powers = list(ideal.powers(5))
+        for k, (power, size) in enumerate(zip(powers, (10, 55, 220, 716, 2010)), 1):
+            closure = MonomialIdeal.from_exponents(
+                ideal.vset, _closure_fast_path(ideal, k, (k,) * 9)
+            )
+            assert len(closure) == size
+            assert power.is_subset_of(closure)
+            poly = NewtonPolyhedron.of_power(ideal, k)
+            extra = [g for g in closure.gens if not power.contains(g)]
+            assert len(extra) == size - len(power)
+            assert all(g.degree == 2 * k and np_member(g, poly) for g in extra)
 
 
 class TestMatchingOracle:

@@ -124,20 +124,6 @@ class TestChainReports:
         assert "constant within computed range" in uncertified
 
 
-@pytest.fixture
-def product_count(monkeypatch):
-    """Counts MonomialIdeal.product calls made while the test runs."""
-    calls = []
-    original = MonomialIdeal.product
-
-    def counting(self, other):
-        calls.append(1)
-        return original(self, other)
-
-    monkeypatch.setattr(MonomialIdeal, "product", counting)
-    return calls
-
-
 class TestChainProducts:
     """The chains walk one power chain, built only where the Ass side needs it."""
 

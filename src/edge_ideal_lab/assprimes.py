@@ -6,9 +6,10 @@ components off the socle of the localized ideal: c is a corner iff c is outside
 the ideal but every c*x_i is inside, and then the component has exponents c+1.
 Membership over the box [0, u] under the generator maximum u is one boolean
 array per ideal. Localizing at a support raises the other coordinates to u,
-where membership saturates, so each localization is a view of that one array
-and the scan is a handful of slice operations per support. Only supports made
-of variables that occur in some generator are swept.
+where membership saturates, so the localizations partition that box (a cell
+belongs to the support of its coordinates below u) and one pass of shifted
+slice ANDs over it finds the corners of every support at once. Only variables
+that occur in some generator span the box.
 
 A witness oracle re-derives the associated primes from the definition (the
 colon by a monomial outside the ideal equals a prime) by lookups in one
@@ -38,6 +39,7 @@ from .monomials import (
 )
 
 CORNER_CELL_CAP = 40_000_000  # cells of the one membership mask per ideal
+_CORNER_BLOCK = 1 << 21  # cells per block of the corner pass
 
 
 @dataclass(frozen=True)
@@ -89,13 +91,8 @@ def _require_decomposable(ideal: MonomialIdeal) -> None:
 def _corner_components(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     exps = ideal.exponent_array
     # a support holding a variable that occurs in no generator localizes to a
-    # box with a zero side and has no corners, so only occurring ones are swept
+    # box with a zero side and has no corners, so only occurring ones count
     occurring = [i for i in range(ideal.vset.n) if exps[:, i].any()]
-    m = len(occurring)
-    if m > 20:
-        raise BudgetExceededError(
-            f"corner decomposition sweeps 2^{m} supports of the occurring variables"
-        )
     rows = exps[:, occurring]
     u = rows.max(axis=0).tolist()
     cells = prod(v + 1 for v in u)
@@ -104,27 +101,30 @@ def _corner_components(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]
             f"corner membership mask needs {cells} cells (cap {CORNER_CELL_CAP})"
         )
     member = membership_mask(rows, u)
-    support_masks = [
-        sum(1 << j for j in range(m) if row[j] > 0) for row in rows.tolist()
-    ]
-    out: list[tuple[tuple[int, int], ...]] = []
-    for mask in range(1, 1 << m):
-        # localization is proper only if every generator meets the support
-        if any(sup & mask == 0 for sup in support_masks):
-            continue
-        axes = [j for j in range(m) if mask & (1 << j)]
-        # the localization is a view: other coordinates sit at u, where
-        # membership saturates; past the localized maximum it is constant along
-        # an axis, so the wider box adds no corner
-        inner = [slice(0, u[j]) if mask & (1 << j) else u[j] for j in range(m)]
-        corners = ~member[tuple(inner)]
-        for j in axes:
-            shifted = list(inner)
-            shifted[j] = slice(1, u[j] + 1)
-            corners &= member[tuple(shifted)]
-        for witness in np.argwhere(corners):
+    # every cell c lies in the localization at exactly one support, S(c) =
+    # {j : c_j < u_j} (the other coordinates sit at u, where membership
+    # saturates; past the localized maximum it is constant along an axis, so
+    # the wider box adds no corner). c is a corner of it when c is outside
+    # the ideal and c + e_j is inside for every j in S(c): one pass over the
+    # box tests every support at once. An improper localization (some
+    # generator misses S) holds every cell of its region, so it has none.
+    # The pass runs over blocks of leading-axis slices, so the corner array
+    # beside the mask stays near _CORNER_BLOCK cells.
+    out = []
+    step = max(1, _CORNER_BLOCK * (u[0] + 1) // cells)
+    for lo in range(0, u[0] + 1, step):
+        window = member[lo : lo + step]
+        corners = ~window
+        # the leading axis reads the slice after each one, past the window
+        below = min(lo + step, u[0]) - lo
+        corners[:below] &= member[lo + 1 : lo + 1 + below]
+        for j in range(1, len(u)):
+            lead = (slice(None),) * j
+            corners[lead + (slice(0, u[j]),)] &= window[lead + (slice(1, None),)]
+        for cell in np.argwhere(corners).tolist():
+            cell[0] += lo
             out.append(
-                tuple((occurring[j], int(c) + 1) for j, c in zip(axes, witness))
+                tuple((occurring[j], c + 1) for j, c in enumerate(cell) if c < u[j])
             )
     return tuple(IrreducibleComponent(c) for c in sorted(out))
 

@@ -22,7 +22,7 @@ LP), and the minimal generators are the members of the slice |a| = 2k:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Sequence
 
@@ -59,6 +59,11 @@ class NewtonPolyhedron:
     def dimension(self) -> int:
         return len(self.generators_matrix[0])
 
+    @cached_property
+    def transposed(self) -> tuple[tuple[int, ...], ...]:
+        """The generators as columns: one row per coordinate."""
+        return tuple(zip(*self.generators_matrix))
+
 
 def np_member(exponents: Sequence[int] | Monomial, poly: NewtonPolyhedron) -> bool:
     """Exact LP feasibility of lambda >= 0, sum lambda = scale, V lambda <= a."""
@@ -68,8 +73,7 @@ def np_member(exponents: Sequence[int] | Monomial, poly: NewtonPolyhedron) -> bo
     if len(a) != poly.dimension:
         raise UsageError("exponent vector dimension mismatch")
     q = len(poly.generators_matrix)
-    a_le = [[poly.generators_matrix[j][i] for j in range(q)] for i in range(len(a))]
-    return feasible_nonneg(a_le, a, [[1] * q], [poly.scale])
+    return feasible_nonneg(poly.transposed, a, [[1] * q], [poly.scale])
 
 
 def _minimal_cover_vectors(ideal: MonomialIdeal) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -148,42 +149,59 @@ def _exponent_rows(n: int, exps: np.ndarray | Iterable[Sequence[int]]) -> np.nda
     return exps.astype(np.int64, copy=False)
 
 
-def minimalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Divisibility-minimal rows of an exponent matrix, sorted by (degree, lex).
+def _distinct_sorted(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-empty int64 matrix in (degree, lex) order,
+    with their degrees.
 
-    Rows are deduplicated, then filtered by degree blocks: a vector can only be
-    divided by a kept vector of strictly smaller degree, so each block needs one
-    vectorized comparison against the kept set.
+    One int64 key per row, the degree and then the exponents in mixed radix
+    (radix max + 1 per column, column 0 most significant), orders the rows
+    exactly as (degree, lex) does, and equal keys are equal rows: one argsort
+    and one first-of-run mask. Rows whose key would not fit in int64 take a
+    row-wise unique and lexsort instead.
     """
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.shape[0] == 0:
-        return arr
+    degs = arr.sum(axis=1)
+    radix = [v + 1 for v in arr.max(axis=0).tolist()]
+    span = prod(radix)
+    # checked on Python ints: the largest key is (max degree + 1) * span - 1
+    if span * (int(degs.max()) + 1) <= 2**63:
+        weights = [prod(radix[c + 1 :]) for c in range(len(radix))]
+        keys = arr @ np.array(weights, dtype=np.int64) + degs * span
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        order = order[first]
+        return arr[order], degs[order]
     arr = np.unique(arr, axis=0)
     degs = arr.sum(axis=1)
     order = np.lexsort(
         tuple(arr[:, c] for c in range(arr.shape[1] - 1, -1, -1)) + (degs,)
     )
-    arr = arr[order]
-    degs = degs[order]
-    kept_blocks: list[np.ndarray] = []
-    start = 0
-    m = len(arr)
-    while start < m:
-        stop = start
-        while stop < m and degs[stop] == degs[start]:
-            stop += 1
+    return arr[order], degs[order]
+
+
+def minimalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Divisibility-minimal rows of an exponent matrix, sorted by (degree, lex).
+
+    Rows are deduplicated and sorted on one packed int64 key per row (degree,
+    then mixed-radix exponents; a row-wise unique and lexsort when the key
+    would overflow), then filtered by degree blocks: a vector can only be
+    divided by a kept vector of strictly smaller degree, so each block needs
+    one vectorized comparison against the kept set.
+    """
+    arr = np.asarray(rows, dtype=np.int64)
+    if arr.shape[0] == 0:
+        return arr
+    arr, degs = _distinct_sorted(arr)
+    cuts = [0, *(np.flatnonzero(degs[1:] != degs[:-1]) + 1).tolist(), len(arr)]
+    kept = arr[: cuts[1]]  # the lowest degree block is minimal
+    for start, stop in zip(cuts[1:], cuts[2:]):
         block = arr[start:stop]
-        if kept_blocks:
-            kept = kept_blocks[0] if len(kept_blocks) == 1 else np.vstack(kept_blocks)
-            kept_blocks = [kept]
-            divisible = (kept[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
-            block = block[~divisible]
-        if len(block):
-            kept_blocks.append(block)
-        start = stop
-    if not kept_blocks:
-        return arr[:0]
-    return kept_blocks[0] if len(kept_blocks) == 1 else np.vstack(kept_blocks)
+        divisible = (kept[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
+        if not divisible.all():
+            kept = np.vstack((kept, block[~divisible]))
+    return kept
 
 
 def membership_mask(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
@@ -194,7 +212,8 @@ def membership_mask(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     with slice i - 1, so the work is O(n * box) with no box-sized temporary.
     A row that exceeds the box somewhere marks nothing.
     """
-    upper, arr = np.asarray(bounds), np.asarray(rows)
+    upper = np.asarray(bounds)
+    arr = np.asarray(rows, dtype=np.int64).reshape(-1, len(upper))
     mask = np.zeros(tuple(upper + 1), dtype=bool)
     mask[tuple(arr[(arr <= upper).all(axis=1)].T)] = True
     for axis, length in enumerate(mask.shape):
@@ -211,7 +230,9 @@ class MonomialIdeal:
     The one stored form is the read-only int64 ``exponent_array`` of the
     divisibility-minimal generators sorted by (degree, exponents); equality,
     hashing and every query read it. ``gens`` gives the same rows as
-    :class:`Monomial` objects, built on first use. The empty array is the zero
+    :class:`Monomial` objects, built on first use; the power chain of
+    :meth:`powers` is cached the same way. Neither is a field, so neither
+    takes part in equality or hashing. The empty array is the zero
     ideal; the single row 0 is the unit ideal. Construct through
     :meth:`from_exponents` (the one constructor that canonicalizes),
     :meth:`from_monomials` or the arithmetic methods. A direct
@@ -318,20 +339,27 @@ class MonomialIdeal:
         prods = (a[:, None, :] + b[None, :, :]).reshape(-1, self.vset.n)
         return MonomialIdeal.from_exponents(self.vset, prods)
 
+    @cached_property
+    def _chain(self) -> list[MonomialIdeal]:
+        """I, I^2, ... as far as any walk of :meth:`powers` has built them."""
+        return [self]
+
     def powers(self, max_power: int) -> Iterator[MonomialIdeal]:
         """I, I^2, ..., I^max_power, each one the previous one times I.
 
-        Lazy: a consumer that stops early builds no further product. Nothing
-        is memoized, so a chain costs max_power - 1 products per walk.
+        The chain is memoized on this instance, like ``gens``: a walk builds
+        only the powers no earlier walk reached, one product each, and yields
+        the same objects every time. Lazy: a consumer that stops early builds
+        no further product.
         """
-        power = self
-        for k in range(1, max_power + 1):
-            if k > 1:
-                power = power.product(self)
-            yield power
+        chain = self._chain
+        for k in range(max_power):
+            if k == len(chain):
+                chain.append(chain[-1].product(self))
+            yield chain[k]
 
     def power(self, k: int) -> MonomialIdeal:
-        """The k-fold product; k = 0 gives the unit ideal by convention."""
+        """The k-th element of the power chain; k = 0 gives the unit ideal."""
         if k < 0:
             raise UsageError("power must be non-negative")
         result = MonomialIdeal.unit(self.vset)

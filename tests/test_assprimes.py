@@ -128,6 +128,27 @@ class TestDecomposition:
             for w in witnesses:
                 assert target.colon_monomial(w.witness) == w.prime.as_ideal(vset)
 
+    def test_many_occurring_variables_fit_the_cell_cap(self):
+        # the star K_{1,21}: 22 occurring variables but a box of 2^22 cells,
+        # decomposed into its two minimal vertex covers
+        target = edge_ideal(Graph.complete_bipartite(1, 21))
+        comps = irreducible_decomposition(target)
+        assert {c.entries for c in comps} == {
+            ((0, 1),),
+            tuple((i, 1) for i in range(1, 22)),
+        }
+        assert_irredundant_decomposition(target, comps)
+
+    def test_corner_blocks_do_not_change_the_components(self, monkeypatch):
+        # the corner pass over blocks of leading-axis slices, down to one
+        # cell per block, reads the next slice across each block boundary
+        targets = [assce().power(2), edge_ideal(Graph.cycle(5)).power(3)]
+        targets += [ideal((3, 0, 0), (1, 1, 1), (0, 2, 1)), ideal((2,), (3,))]
+        want = [irreducible_decomposition(t) for t in targets]
+        for block in (1, 7, 50):
+            monkeypatch.setattr(assprimes, "_CORNER_BLOCK", block)
+            assert [assprimes._corner_components(t) for t in targets] == want
+
     def test_corner_cell_cap_boundary(self, monkeypatch):
         # the cap bounds the one mask over [0, u]: ASSCE^2 fits a cap of
         # exactly its box and is refused one cell below it

@@ -3,6 +3,7 @@ acceptance suite's job)."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from edge_ideal_lab.battery import (
@@ -68,6 +69,16 @@ def test_membership_mask_matches_contains():
         got = membership_mask(np.asarray(rows, dtype=np.int64), bounds)
         assert got.shape == tuple(b + 1 for b in bounds)
         assert (got == marked_multiples(rows, bounds)).all(), (rows, bounds)
+
+
+def test_membership_mask_takes_plain_lists():
+    # an empty list is no rows, not a float array of shape (0,)
+    assert not membership_mask([], (2, 2)).any()
+    assert membership_mask([], (2, 2)).shape == (3, 3)
+    rows = [(1, 0), (0, 2)]
+    mask = membership_mask(rows, (2, 2))
+    assert (mask == membership_mask(np.array(rows, dtype=np.int64), (2, 2))).all()
+    assert mask.sum() == 6 + 3 - 2  # multiples of x1, of x2^2, of both
 
 
 def test_membership_mask_allocates_only_the_mask():

@@ -1,7 +1,10 @@
 """Monomial and ideal arithmetic."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from itertools import product as iter_product
 from pathlib import Path
@@ -10,15 +13,18 @@ import numpy as np
 import pytest
 
 import edge_ideal_lab
-from edge_ideal_lab import formats
+from edge_ideal_lab import formats, monomials
+from edge_ideal_lab.battery import colon_identity_holds
 from edge_ideal_lab.errors import MismatchedVariablesError, UsageError
 from edge_ideal_lab.fixtures import assce, fig9
 from edge_ideal_lab.graphs import Graph, connected_graphs, edge_ideal
 from edge_ideal_lab.monomials import (
+    MAX_EXPONENT,
     Monomial,
     MonomialIdeal,
     MonomialPrime,
     VariableSet,
+    minimalize_rows,
 )
 
 V3 = VariableSet.standard(3)
@@ -114,6 +120,187 @@ class TestFromExponents:
         assert arr.tolist() == [list(g.exps) for g in i.gens]
         with pytest.raises(ValueError):
             arr[0, 0] = 7
+
+
+def reference_minimalize(rows: np.ndarray) -> np.ndarray:
+    """The row-wise unique, lexsort and degree-block scan that the packed-key
+    canonicalizer replaced, kept as its reference."""
+    arr = np.asarray(rows, dtype=np.int64)
+    if arr.shape[0] == 0:
+        return arr
+    arr = np.unique(arr, axis=0)
+    degs = arr.sum(axis=1)
+    order = np.lexsort(
+        tuple(arr[:, c] for c in range(arr.shape[1] - 1, -1, -1)) + (degs,)
+    )
+    arr = arr[order]
+    degs = degs[order]
+    kept_blocks: list[np.ndarray] = []
+    start = 0
+    m = len(arr)
+    while start < m:
+        stop = start
+        while stop < m and degs[stop] == degs[start]:
+            stop += 1
+        block = arr[start:stop]
+        if kept_blocks:
+            kept = kept_blocks[0] if len(kept_blocks) == 1 else np.vstack(kept_blocks)
+            kept_blocks = [kept]
+            divisible = (kept[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
+            block = block[~divisible]
+        if len(block):
+            kept_blocks.append(block)
+        start = stop
+    return kept_blocks[0] if len(kept_blocks) == 1 else np.vstack(kept_blocks)
+
+
+class TestCanonicalizer:
+    """minimalize_rows against the reference, in dtype, shape and row order."""
+
+    @pytest.fixture
+    def unique_calls(self, monkeypatch):
+        calls = []
+        original = np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(monomials.np, "unique", counting)
+        return calls
+
+    @pytest.fixture
+    def assert_same(self, unique_calls):
+        """Compares one row set and returns the np.unique calls that
+        minimalize_rows made for it."""
+
+        def check(rows) -> int:
+            before = len(unique_calls)
+            got = minimalize_rows(rows)
+            made = len(unique_calls) - before
+            want = reference_minimalize(rows)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), np.asarray(rows).tolist()
+            return made
+
+        return check
+
+    @staticmethod
+    def product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
+
+    def test_seeded_random_rows(self, assert_same):
+        made = 0
+        rng = np.random.default_rng(2009)
+        for _ in range(400):
+            width = int(rng.integers(1, 11))
+            rows = rng.integers(0, 5, size=(int(rng.integers(1, 30)), width))
+            # duplicates and zero rows at random places
+            extra = rows[rng.integers(0, len(rows), size=int(rng.integers(0, 8)))]
+            zeros = np.zeros((int(rng.integers(0, 2)), width), dtype=rows.dtype)
+            mixed = np.vstack((rows, extra, zeros))
+            made += assert_same(mixed[rng.permutation(len(mixed))])
+        made += assert_same(np.zeros((0, 4), dtype=np.int64))
+        assert made == 0  # every key fitted
+
+    def test_corpus_powers(self, assert_same):
+        made = 0
+        for g in connected_graphs(2, 5):
+            base = edge_ideal(g).exponent_array
+            made += assert_same(base[::-1])
+            power = base
+            for _ in (2, 3):
+                rows = self.product_rows(power, base)
+                made += assert_same(rows)
+                power = minimalize_rows(rows)
+        assert made == 0
+
+    def test_fig9_powers(self, assert_same):
+        base = edge_ideal(fig9()).exponent_array
+        power = base
+        for _ in range(2, 6):
+            rows = self.product_rows(power, base)
+            assert assert_same(rows) == 0
+            power = minimalize_rows(rows)
+
+    def test_key_overflow_takes_the_fallback(self, assert_same):
+        top = MAX_EXPONENT
+        rows = np.array(
+            [[top, 0, 1], [top - 1, 1, 0], [top, 0, 1], [0, top, top], [1, 0, 1]],
+            dtype=np.int64,
+        )
+        assert assert_same(rows) == 1  # the row-wise unique of the fallback
+        assert minimalize_rows(rows).tolist() == [
+            [1, 0, 1], [top - 1, 1, 0], [0, top, top]
+        ]
+
+
+class TestPowerChain:
+    """powers() is memoized on the base instance."""
+
+    def test_second_walk_builds_nothing(self, product_count):
+        i = edge_ideal(Graph.cycle(5))
+        first = list(i.powers(4))
+        assert len(product_count) == 3
+        second = list(i.powers(4))
+        assert len(product_count) == 3
+        assert all(a is b for a, b in zip(first, second))
+        assert first[0] is i
+
+    def test_longer_walk_extends_the_chain(self, product_count):
+        i = assce()
+        list(i.powers(3))
+        assert len(product_count) == 2
+        list(i.powers(5))
+        assert len(product_count) == 4
+
+    def test_power_reads_the_walked_chain(self, product_count):
+        i = edge_ideal(Graph.cycle(4))
+        chain = list(i.powers(4))
+        before = len(product_count)
+        assert [i.power(k) for k in range(1, 5)] == chain
+        assert i.power(3) is chain[2]
+        assert len(product_count) == before
+
+    def test_colon_identities_share_one_chain(self, product_count):
+        # I^2, I^3, I^4 once each; 1 + 2 + 3 = 6 when every call rebuilt them
+        i = edge_ideal(Graph.cycle(5))
+        assert all(colon_identity_holds(i, k) for k in (1, 2, 3))
+        assert len(product_count) == 3
+
+    def test_chain_is_not_part_of_the_value(self):
+        walked, fresh = edge_ideal(Graph.cycle(5)), edge_ideal(Graph.cycle(5))
+        list(walked.powers(3))
+        assert walked == fresh and hash(walked) == hash(fresh)
+        assert [f.name for f in fields(MonomialIdeal)] == ["vset", "exponent_array"]
+
+
+def test_chain_work_never_imports_numpy_ma():
+    # np.unique imports numpy.ma on first use, at a cost of tens of ms; the
+    # chain, colon and closure paths call none of it
+    script = (
+        "import sys\n"
+        "from edge_ideal_lab.battery import colon_identity_holds\n"
+        "from edge_ideal_lab.closure import integral_closure_power\n"
+        "from edge_ideal_lab.fixtures import fig9\n"
+        "from edge_ideal_lab.graphs import Graph, edge_ideal\n"
+        "from edge_ideal_lab.stability import both_chains\n"
+        "both_chains(edge_ideal(fig9()), 3)\n"
+        "c5 = edge_ideal(Graph.cycle(5))\n"
+        "assert colon_identity_holds(c5, 2)\n"
+        "integral_closure_power(c5, 2)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    package_root = Path(edge_ideal_lab.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSumPowerProduct:

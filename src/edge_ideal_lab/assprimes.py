@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 from typing import Sequence
 
@@ -273,35 +273,15 @@ def disjoint_union_ass(
         if len(set(all_names)) != len(all_names):
             raise UsageError("parts must use pairwise disjoint variable names")
 
-    ass_cache: dict[tuple[int, int], tuple[MonomialPrime, ...]] = {}
-
-    def part_ass(i: int, ki: int) -> tuple[MonomialPrime, ...]:
-        if (i, ki) not in ass_cache:
-            ass_cache[(i, ki)] = associated_primes(parts[i].power(ki))
-        return ass_cache[(i, ki)]
-
     s = len(parts)
     results: set[MonomialPrime] = set()
-
-    def compositions(remaining: int, slots: int):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(1, remaining - slots + 2):
-            for rest in compositions(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    for combo in compositions(k + s - 1, s):
-        choices = [part_ass(i, combo[i]) for i in range(s)]
-
-        def expand(i: int, names: tuple[str, ...]):
-            if i == s:
-                results.add(MonomialPrime(tuple(sorted(names))))
-                return
-            for p in choices[i]:
-                expand(i + 1, names + p.names)
-
-        expand(0, ())
+    for ks in product(range(1, k + 1), repeat=s):
+        if sum(ks) != k + s - 1:
+            continue
+        per_part = [associated_primes(p.power(ki)) for p, ki in zip(parts, ks)]
+        for choice in product(*per_part):
+            names = sorted(name for p in choice for name in p.names)
+            results.add(MonomialPrime(tuple(names)))
     return tuple(sorted(results))
 
 

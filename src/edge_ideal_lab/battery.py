@@ -20,12 +20,7 @@ from .assprimes import (
     minimal_primes,
     minimal_vertex_covers,
 )
-from .closure import (
-    NewtonPolyhedron,
-    closure_member_matching_oracle,
-    integral_closure_power,
-    np_member,
-)
+from .closure import NewtonPolyhedron, closure_member_matching_oracle, np_member
 from .errors import UsageError
 from .graphs import (
     Graph,
@@ -46,6 +41,7 @@ from .graphs import (
     tutte_condition_holds,
 )
 from .monomials import Monomial, MonomialIdeal, maximal_prime, membership_mask
+from .stability import power_chain
 
 Check = tuple[str, bool, str]
 
@@ -97,7 +93,7 @@ def persistence_sweep(graphs: Iterable[Graph], max_power: int = 4) -> Iterator[C
     """Ascending-chain checks of the associated primes of the powers."""
     for idx, g in enumerate(graphs):
         ideal = edge_ideal(g)
-        sets = [set(associated_primes(power)) for power in ideal.powers(max_power)]
+        sets = [set(step.ass) for step in power_chain(ideal, max_power)]
         ok = all(a <= b for a, b in zip(sets, sets[1:]))
         yield f"persistence[{idx}:{g}]", ok, f"sizes {[len(s) for s in sets]}"
 
@@ -111,8 +107,8 @@ def maximal_step_sweep(
         m = maximal_prime(ideal.vset)
         seen = False
         ok = True
-        for power in ideal.powers(max_power):
-            present = m in associated_primes(power)
+        for step in power_chain(ideal, max_power):
+            present = m in step.ass
             if seen and not present:
                 ok = False
             seen = seen or present
@@ -308,8 +304,8 @@ def closure_battery(
         ideal = edge_ideal(g)
         ok = True
         detail = []
-        for k, power in enumerate(ideal.powers(max_power), 1):
-            closure = integral_closure_power(ideal, k)
+        for step in power_chain(ideal, max_power):
+            k, power, closure = step.k, step.power, step.closure
             if not power.is_subset_of(closure):
                 ok = False
                 detail.append(f"power not inside closure at k={k}")

@@ -31,7 +31,13 @@ from .fixtures import (
     ideal_catalog,
 )
 from .monomials import Monomial, MonomialIdeal, maximal_prime
-from .stability import analytic_spread, both_chains, stability_bound
+from .stability import (
+    analytic_spread,
+    both_chains,
+    is_normal_up_to,
+    power_chain,
+    stability_bound,
+)
 
 FIG9_CLOSURE_CAP = 2 * 10**7  # the fifth-power closure box has ~10^7 lattice points
 
@@ -129,9 +135,7 @@ def _claim_bipartite_constant(graphs, ideals):
     for name in ("C4", "P4", "K23"):
         ideal = edge_ideal(graphs[name])
         base = set(associated_primes(ideal))
-        constant = all(
-            set(associated_primes(ideal.power(k))) == base for k in (2, 3)
-        )
+        constant = all(set(step.ass) == base for step in power_chain(ideal, 3))
         results.append(constant and stability_bound(graphs[name]) == 1)
     return (all(results), "prime sets constant through the cube, bound 1")
 
@@ -158,12 +162,8 @@ def _fig9_chain(graphs):
 
 
 def _claim_fig9_normal_through_cube(graphs, ideals):
-    ideal = edge_ideal(graphs["FIG9"])
-    oks = [
-        integral_closure_power(ideal, k, cap=FIG9_CLOSURE_CAP) == power
-        for k, power in enumerate(ideal.powers(3), 1)
-    ]
-    return (all(oks), "closure equals power at k=1,2,3")
+    report = is_normal_up_to(edge_ideal(graphs["FIG9"]), 3, cap=FIG9_CLOSURE_CAP)
+    return (report.normal_up_to_checked, "closure equals power at k=1,2,3")
 
 
 def _claim_fig9_closure4(graphs, ideals):
@@ -216,15 +216,14 @@ def _claim_fig9_matching_oracle(graphs, ideals):
 
 def _claim_assce(graphs, ideals):
     ideal = ideals["ASSCE"]
-    powers = list(ideal.powers(4))
-    _, p2, p3, _ = powers
+    steps = list(power_chain(ideal, 4))
+    p2, p3 = steps[1].power, steps[2].power
     colon_ok = p2.colon(ideal) == ideal and p3.colon(ideal) != p2
-    sets = [set(associated_primes(p)) for p in powers]
+    sets = [set(step.ass) for step in steps]
     ascending = all(a <= b for a, b in zip(sets, sets[1:]))
     stabilized = sets[2] == sets[3] and sets[1] != sets[2]
-    non_normal = any(
-        integral_closure_power(ideal, k) != p for k, p in enumerate(powers, 1)
-    )
+    # stops at the first non-normal power (k=2): later closures are not built
+    non_normal = any(step.closure != step.power for step in steps)
     return (
         colon_ok and ascending and stabilized and non_normal,
         f"sizes {[len(s) for s in sets]}",

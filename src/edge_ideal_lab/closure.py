@@ -193,28 +193,3 @@ def closure_member_matching_oracle(
         if matching_number(parallelize(graph, scaled).flat) >= k * m:
             return True
     return None
-
-
-@dataclass(frozen=True)
-class NormalityReport:
-    ideal_label: str
-    checked: tuple[tuple[int, bool], ...]  # (k, closure equals power)
-    first_failure: int | None
-
-    @property
-    def normal_up_to_checked(self) -> bool:
-        return self.first_failure is None
-
-
-def is_normal_up_to(
-    ideal: MonomialIdeal, max_power: int, cap: int = DEFAULT_BOX_CAP, label: str = "I"
-) -> NormalityReport:
-    """Compare each power with its integral closure for k = 1..max_power."""
-    checked = []
-    first_failure = None
-    for k, power in enumerate(ideal.powers(max_power), 1):
-        equal = integral_closure_power(ideal, k, cap=cap) == power
-        checked.append((k, equal))
-        if not equal and first_failure is None:
-            first_failure = k
-    return NormalityReport(label, tuple(checked), first_failure)

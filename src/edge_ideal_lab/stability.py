@@ -1,9 +1,11 @@
 """Chains of associated primes across powers and their closures.
 
-Builds per-power reports (is the chain ascending, where does it become
-constant, how does that compare to the theoretical bound), the analytic
-spread as an exponent-matrix rank, and the four-way equivalence battery for
-the maximal ideal.
+One walk, :func:`power_chain`, yields a lazy :class:`PowerStep` per power;
+every power-by-power consumer reads it. On it sit the per-power reports (is
+the chain ascending, where does it become constant, how does that compare to
+the theoretical bound), the normality check, the analytic spread as an
+exponent-matrix rank, and the four-way equivalence battery for the maximal
+ideal.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .assprimes import associated_primes
 from .closure import DEFAULT_BOX_CAP, integral_closure_power
@@ -62,17 +64,15 @@ class ChainReport:
     def _ascending(sets: Sequence[PrimeSet]) -> list[bool]:
         return [set(a) <= set(b) for a, b in zip(sets, sets[1:])]
 
-    @staticmethod
-    def _strict(sets: Sequence[PrimeSet]) -> list[bool]:
-        return [set(a) < set(b) for a, b in zip(sets, sets[1:])]
-
     @property
     def ass_ascending_steps(self) -> list[bool] | None:
         return None if self.ass_sets is None else self._ascending(self.ass_sets)
 
     @property
     def ass_strict_steps(self) -> list[bool] | None:
-        return None if self.ass_sets is None else self._strict(self.ass_sets)
+        if self.ass_sets is None:
+            return None
+        return [set(a) < set(b) for a, b in zip(self.ass_sets, self.ass_sets[1:])]
 
     @property
     def closure_ascending_steps(self) -> list[bool] | None:
@@ -80,14 +80,6 @@ class ChainReport:
             None
             if self.closure_ass_sets is None
             else self._ascending(self.closure_ass_sets)
-        )
-
-    @property
-    def closure_strict_steps(self) -> list[bool] | None:
-        return (
-            None
-            if self.closure_ass_sets is None
-            else self._strict(self.closure_ass_sets)
         )
 
     @property
@@ -218,6 +210,57 @@ class ChainReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class PowerStep:
+    """The k-th power of ``ideal`` and what the chains ask of it.
+
+    Each field is computed when a consumer first reads it, so a walk pays
+    only for what its consumer reads: a closure-only chain builds no power,
+    and a check that stops on the Ass side asks for no closure.
+    """
+
+    ideal: MonomialIdeal
+    k: int
+    closure_cap: int
+
+    @cached_property
+    def power(self) -> MonomialIdeal:
+        return self.ideal.power(self.k)
+
+    @cached_property
+    def ass(self) -> PrimeSet:
+        return associated_primes(self.power)
+
+    @cached_property
+    def closure(self) -> MonomialIdeal:
+        return integral_closure_power(self.ideal, self.k, cap=self.closure_cap)
+
+    @cached_property
+    def closure_ass(self) -> PrimeSet:
+        return associated_primes(self.closure)
+
+
+def power_chain(
+    ideal: MonomialIdeal,
+    max_power: int,
+    closure_cap: int = DEFAULT_BOX_CAP,
+    budget_seconds: float | None = None,
+) -> Iterator[PowerStep]:
+    """The steps k = 1..max_power of ``ideal``, one at a time.
+
+    The budget's clock starts with the walk and is read only between
+    powers: once it is spent, the walk ends before the next step, so a
+    consumer that read fewer than ``max_power`` steps was stopped by it.
+    """
+    if budget_seconds is not None and not budget_seconds >= 0:  # NaN included
+        raise UsageError("budget seconds must be >= 0")
+    start = time.monotonic()
+    for k in range(1, max_power + 1):
+        yield PowerStep(ideal, k, closure_cap)
+        if budget_seconds is not None and time.monotonic() - start > budget_seconds:
+            return
+
+
 def ass_chain(
     ideal: MonomialIdeal,
     max_power: int,
@@ -226,7 +269,7 @@ def ass_chain(
     budget_seconds: float | None = None,
 ) -> ChainReport:
     """Associated primes of each power 1..max_power."""
-    return _chain_report(ideal, max_power, label, n1_bound, budget_seconds, True, None)
+    return _chain_report(ideal, max_power, label, n1_bound, budget_seconds, True, False)
 
 
 def closure_ass_chain(
@@ -237,7 +280,7 @@ def closure_ass_chain(
     closure_cap: int = DEFAULT_BOX_CAP,
 ) -> ChainReport:
     """Associated primes of the closure of each power 1..max_power."""
-    return _chain_report(ideal, max_power, label, None, budget_seconds, False, closure_cap)
+    return _chain_report(ideal, max_power, label, None, budget_seconds, False, True, closure_cap)
 
 
 def both_chains(
@@ -248,7 +291,7 @@ def both_chains(
     budget_seconds: float | None = None,
     closure_cap: int = DEFAULT_BOX_CAP,
 ) -> ChainReport:
-    return _chain_report(ideal, max_power, label, n1_bound, budget_seconds, True, closure_cap)
+    return _chain_report(ideal, max_power, label, n1_bound, budget_seconds, True, True, closure_cap)
 
 
 def _chain_report(
@@ -258,41 +301,49 @@ def _chain_report(
     n1_bound: int | None,
     budget: float | None,
     ass: bool,
-    closure_cap: int | None,
+    closure: bool,
+    closure_cap: int = DEFAULT_BOX_CAP,
 ) -> ChainReport:
-    """One walk over k = 1..max_power: the Ass side when ``ass``, the closure
-    side unless ``closure_cap`` is None.
-
-    The clock starts once and powers are built only for the Ass side. A
-    refusal on either side at power k ends the walk there; so does a spent
-    budget, leaving an incomplete report.
-    """
+    """The Ass side when ``ass`` and the closure side when ``closure``, read
+    off one walk. A refusal on either side at power k ends the walk there; a
+    spent budget ends it between powers, leaving an incomplete report."""
     if max_power < 1:
         raise UsageError("max power must be >= 1")
-    if budget is not None and not budget >= 0:  # NaN included
-        raise UsageError("budget seconds must be >= 0")
-    start = time.monotonic()
-    ass_sets: list[PrimeSet] = []
-    closure_sets: list[PrimeSet] = []
-    complete = True
-    powers = ideal.powers(max_power) if ass else repeat(None, max_power)
-    for k, power in enumerate(powers, 1):
-        if ass:
-            ass_sets.append(associated_primes(power))
-        if closure_cap is not None:
-            closure = integral_closure_power(ideal, k, cap=closure_cap)
-            closure_sets.append(associated_primes(closure))
-        if budget is not None and time.monotonic() - start > budget and k < max_power:
-            complete = False
-            break
+    sides = [
+        (step.ass if ass else None, step.closure_ass if closure else None)
+        for step in power_chain(ideal, max_power, closure_cap, budget)
+    ]
     return ChainReport(
         label,
         max_power,
-        tuple(ass_sets) if ass else None,
-        tuple(closure_sets) if closure_cap is not None else None,
+        tuple(a for a, _ in sides) if ass else None,
+        tuple(c for _, c in sides) if closure else None,
         n1_bound,
-        complete,
+        complete=len(sides) == max_power,
     )
+
+
+@dataclass(frozen=True)
+class NormalityReport:
+    ideal_label: str
+    checked: tuple[tuple[int, bool], ...]  # (k, closure equals power)
+    first_failure: int | None
+
+    @property
+    def normal_up_to_checked(self) -> bool:
+        return self.first_failure is None
+
+
+def is_normal_up_to(
+    ideal: MonomialIdeal, max_power: int, cap: int = DEFAULT_BOX_CAP, label: str = "I"
+) -> NormalityReport:
+    """Compare each power with its integral closure for k = 1..max_power."""
+    checked = tuple(
+        (step.k, step.closure == step.power)
+        for step in power_chain(ideal, max_power, cap)
+    )
+    first_failure = next((k for k, equal in checked if not equal), None)
+    return NormalityReport(label, checked, first_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +416,11 @@ def maximal_ideal_criteria(graph: Graph, max_power: int) -> MaximalIdealReport:
     m = maximal_prime(ideal.vset)
     in_ass = None
     in_closure = None
-    for k, power in enumerate(ideal.powers(max_power), 1):
-        if in_ass is None and m in associated_primes(power):
-            in_ass = k
-        if in_closure is None and m in associated_primes(
-            integral_closure_power(ideal, k)
-        ):
-            in_closure = k
+    for step in power_chain(ideal, max_power):
+        if in_ass is None and m in step.ass:
+            in_ass = step.k
+        if in_closure is None and m in step.closure_ass:
+            in_closure = step.k
         if in_ass is not None and in_closure is not None:
             break
     nonbip = all(not c.is_bipartite() for c in graph.components())
@@ -397,10 +446,7 @@ def ntf_check(graph: Graph, max_power: int) -> TorsionFreeReport:
     """Whether Ass stays equal to Ass(R/I) for powers and closures up to K."""
     ideal = edge_ideal(graph)
     base = set(associated_primes(ideal))
-    for k, power in enumerate(ideal.powers(max_power), 1):
-        if set(associated_primes(power)) != base:
-            return TorsionFreeReport(max_power, False, k)
-        closure = integral_closure_power(ideal, k)
-        if set(associated_primes(closure)) != base:
-            return TorsionFreeReport(max_power, False, k)
+    for step in power_chain(ideal, max_power):
+        if set(step.ass) != base or set(step.closure_ass) != base:
+            return TorsionFreeReport(max_power, False, step.k)
     return TorsionFreeReport(max_power, True, None)

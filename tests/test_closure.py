@@ -12,13 +12,13 @@ from edge_ideal_lab.closure import (
     _closure_lp_path,
     closure_member_matching_oracle,
     integral_closure_power,
-    is_normal_up_to,
     np_member,
 )
 from edge_ideal_lab.errors import BudgetExceededError, UsageError
 from edge_ideal_lab.fixtures import assce, c3_disjoint_c3, fig7, fig9
 from edge_ideal_lab.graphs import Graph, connected_graphs, edge_ideal, sample_graphs
 from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
+from edge_ideal_lab.stability import is_normal_up_to
 
 
 class TestNpMember:

@@ -1,10 +1,24 @@
 """Chain reports, stability bounds, analytic spread, and the criteria batteries."""
 
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
+import edge_ideal_lab
+from edge_ideal_lab.assprimes import associated_primes
+from edge_ideal_lab.battery import corpus_graphs, maximal_step_sweep, persistence_sweep
+from edge_ideal_lab.claims import _claim_assce
 from edge_ideal_lab.closure import DEFAULT_BOX_CAP, integral_closure_power
 from edge_ideal_lab.errors import BudgetExceededError, UsageError
-from edge_ideal_lab.fixtures import c3_disjoint_c3, c3_disjoint_c4, fig9
+from edge_ideal_lab.fixtures import (
+    c3_disjoint_c3,
+    c3_disjoint_c4,
+    fig9,
+    graph_catalog,
+    ideal_catalog,
+)
 from edge_ideal_lab.graphs import Graph, edge_ideal
 from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
 from edge_ideal_lab.stability import (
@@ -14,10 +28,33 @@ from edge_ideal_lab.stability import (
     ass_chain,
     both_chains,
     closure_ass_chain,
+    is_normal_up_to,
     maximal_ideal_criteria,
     ntf_check,
     stability_bound,
 )
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(fn) wraps fn in every package module that binds it and returns
+    the list of positional arguments of each call made while the test runs."""
+
+    def install(fn):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "edge_ideal_lab" or name.startswith("edge_ideal_lab."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, recording)
+        return calls
+
+    return install
 
 
 class TestFirstConstantIndex:
@@ -210,3 +247,61 @@ class TestNtf:
     def test_disjoint_triangles_fail(self):
         report = ntf_check(c3_disjoint_c3(), 3)
         assert not report.holds
+
+
+class TestWalkLaziness:
+    """Each consumer of the power walk asks only for what it reads."""
+
+    def test_ntf_stops_before_the_closure_of_the_square(self, spy):
+        closures = spy(integral_closure_power)
+        assert ntf_check(Graph.cycle(3), 2).first_failure == 2
+        # Ass(I^2) already differs from Ass(I), so closure(I^2) is not needed
+        assert [args[1] for args in closures] == [1]
+
+    def test_sweeps_over_ass_ask_for_no_closure(self, spy):
+        closures = spy(integral_closure_power)
+        graphs = corpus_graphs(4)
+        assert all(ok for _, ok, _ in persistence_sweep(graphs, max_power=3))
+        assert all(ok for _, ok, _ in maximal_step_sweep(graphs, max_power=3))
+        assert closures == []
+
+    def test_normality_asks_for_no_associated_primes(self, spy):
+        ass = spy(associated_primes)
+        assert is_normal_up_to(edge_ideal(Graph.cycle(5)), 3).normal_up_to_checked
+        assert ass == []
+
+    def test_maximal_criteria_stop_once_both_sides_are_found(self, product_count):
+        report = maximal_ideal_criteria(Graph.cycle(3), 5)
+        assert report.in_ass_at == report.in_closure_ass_at == 2
+        assert len(product_count) == 1  # I^2 only
+
+    def test_assce_claim_stops_at_the_first_non_normal_power(self, spy):
+        closures = spy(integral_closure_power)
+        ok, _ = _claim_assce(graph_catalog(), ideal_catalog())
+        assert ok
+        assert [args[1] for args in closures] == [1, 2]
+
+
+def _names(node: ast.AST, name: str) -> bool:
+    return any(
+        (isinstance(n, ast.Name) and n.id == name)
+        or (isinstance(n, ast.Attribute) and n.attr == name)
+        for n in ast.walk(node)
+    )
+
+
+def test_only_the_walk_and_the_closure_pins_name_integral_closure_power():
+    # power-by-power consumers read closures off stability.power_chain's steps;
+    # claims may pin a single closure, and __init__ re-exports the function
+    allowed = {
+        "stability.py": {"PowerStep"},
+        "claims.py": {"_claim_fig9_closure4", "_claim_fig9_closure5"},
+    }
+    package = Path(edge_ideal_lab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "closure.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if _names(node, "integral_closure_power"):
+                where = getattr(node, "name", f"line {node.lineno}")
+                assert where in allowed.get(path.name, ()), (path.name, where)

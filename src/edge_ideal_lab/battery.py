@@ -134,13 +134,14 @@ def matching_battery(named_graphs: dict[str, Graph]) -> Iterator[Check]:
 
         # duplicating any edge keeps a perfect matching exactly when one exists
         if g.edges:
-            dup_pms = [has_perfect_matching(duplicate_edge(g, f).flat) for f in g.edges]
+            mults = [duplicate_edge(g, f).multiplicity for f in g.edges]
+            dup_nus = [power_index(g, a) for a in mults]
+            dup_defs = [sum(a) - 2 * v for a, v in zip(mults, dup_nus)]
+            dup_pms = [d == 0 for d in dup_defs]
             yield f"edge-duplication-pm[{name}]", all(dup_pms) == pm, (
                 f"pm={pm}, duplicated {sum(dup_pms)}/{len(dup_pms)}"
             )
-            dup_defs = [deficiency(duplicate_edge(g, f).flat) for f in g.edges]
             nu = matching_number(g)
-            dup_nus = [matching_number(duplicate_edge(g, f).flat) for f in g.edges]
             lhs = len(set(dup_defs)) == 1
             rhs = len(set(dup_defs)) == 1 and dup_defs[0] == direct and all(
                 v == nu + 1 for v in dup_nus

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, UsageError
-from .graphs import Graph, parallelize, matching_number
+from .graphs import Graph, power_index
 from .monomials import Monomial, MonomialIdeal
 
 FAST_PATH_MAX_VARS = 12  # cover-vector grid is 3^n
@@ -190,6 +190,6 @@ def closure_member_matching_oracle(
     a = tuple(int(v) for v in a)
     for m in range(1, graph.n + 1):
         scaled = tuple(m * v for v in a)
-        if matching_number(parallelize(graph, scaled).flat) >= k * m:
+        if power_index(graph, scaled) >= k * m:
             return True
     return None

@@ -9,9 +9,11 @@ stay exact.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -52,9 +54,7 @@ class Graph:
             previous = edge
 
     @classmethod
-    def from_edges(
-        cls, labels: Sequence[str], edges: Iterable[Sequence[int]]
-    ) -> Graph:
+    def from_edges(cls, labels: Sequence[str], edges: Iterable[Sequence[int]]) -> Graph:
         return cls(tuple(labels), _canonical_edges(edges))
 
     @classmethod
@@ -108,9 +108,6 @@ class Graph:
 
     def has_isolated_vertices(self) -> bool:
         return any(d == 0 for d in self.degrees)
-
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
 
     def component_indices(self) -> list[list[int]]:
         """Vertex index lists of the connected components, in discovery order."""
@@ -302,31 +299,30 @@ class MatchingCertificate:
     def size(self) -> int:
         return len(self.pairs)
 
-    @property
-    def covered(self) -> frozenset[str]:
-        return frozenset(v for pair in self.pairs for v in pair)
-
     def validate(self) -> None:
-        if len(self.covered) != 2 * len(self.pairs):
+        if len({v for pair in self.pairs for v in pair}) != 2 * len(self.pairs):
             raise AssertionError("matching edges are not pairwise disjoint")
 
 
 def maximum_matching(graph: Graph) -> MatchingCertificate:
-    match = _blossom_matching(graph.n, graph.adjacency)
-    pairs = tuple(
-        sorted(
-            (graph.labels[v], graph.labels[match[v]])
-            for v in range(graph.n)
-            if match[v] > v
-        )
+    match, labels = _blossom_matching(graph.n, graph.adjacency), graph.labels
+    cert = MatchingCertificate(
+        tuple(sorted((labels[v], labels[w]) for v, w in enumerate(match) if w > v))
     )
-    cert = MatchingCertificate(pairs)
     cert.validate()
     return cert
 
 
+def _matching_size(n: int, adj: Sequence[Sequence[int]]) -> int:
+    """Blossom matching size; its partner array must be an involution."""
+    match = _blossom_matching(n, adj)
+    if any(w != -1 and match[w] != v for v, w in enumerate(match)):
+        raise AssertionError("matching edges are not pairwise disjoint")
+    return sum(w > v for v, w in enumerate(match))
+
+
 def matching_number(graph: Graph) -> int:
-    return maximum_matching(graph).size
+    return _matching_size(graph.n, graph.adjacency)
 
 
 def deficiency(graph: Graph) -> int:
@@ -554,9 +550,17 @@ def incidence_rank(graph: Graph) -> int:
 
 
 def power_index(graph: Graph, multiplicity: Sequence[int]) -> int:
-    """The matching number of the parallelization; x^a lies in exactly the
-    powers I(G)^k with k at most this value."""
-    return matching_number(parallelize(graph, multiplicity).flat)
+    """nu(G^a): x^a lies in exactly the powers I(G)^k with k at most this value.
+
+    Copy c of vertex i is start[i] + c - 1 and all copies of i share the blocks of
+    i's neighbours: G^a.flat's adjacency, tuple for tuple, with no labeled G^a."""
+    a = parallelize(graph, multiplicity).multiplicity
+    start = list(accumulate(a, initial=0))
+    adj = []
+    for i, neighbours in enumerate(graph.adjacency):
+        row = tuple(v for j in neighbours for v in range(start[j], start[j + 1]))
+        adj += [row] * a[i]
+    return _matching_size(start[-1], adj)
 
 
 @dataclass(frozen=True)
@@ -579,7 +583,7 @@ def factor_by_matching(graph: Graph, multiplicity: Sequence[int]) -> Factorizati
     match_pairs = maximum_matching(pg.flat).pairs
     label_to_copy = {pg.copy_label(v): v for v in pg.vertices}
     counts = [0] * len(graph.edges)
-    index = graph.edge_index()
+    index = {e: i for i, e in enumerate(graph.edges)}
     used = [0] * graph.n
     for la, lb in match_pairs:
         (i, _), (j, _) = label_to_copy[la], label_to_copy[lb]
@@ -617,8 +621,6 @@ def edge_subring_member(graph: Graph, multiplicity: Sequence[int]) -> bool:
 
 def connected_graphs(min_vertices: int = 2, max_vertices: int = 5) -> Iterator[Graph]:
     """All labeled connected graphs on min..max vertices (no isolated vertices)."""
-    from itertools import combinations
-
     for n in range(min_vertices, max_vertices + 1):
         labels = tuple(f"x{i}" for i in range(1, n + 1))
         all_edges = list(combinations(range(n), 2))
@@ -637,8 +639,6 @@ def sample_graphs(
     count: int, vertex_range: tuple[int, int], seed: int, edge_prob: float = 0.4
 ) -> list[Graph]:
     """Seeded random graphs with isolated vertices repaired by pendant edges."""
-    import random
-
     lo, hi = vertex_range
     # one vertex leaves the isolated-vertex repair nothing to join
     if not 2 <= lo <= hi:

@@ -57,7 +57,8 @@ def feasible_nonneg(
     objective row included, is the true tableau entry times the previous
     pivot, the determinant of the current basis. A pivot leaves its own row
     unchanged and maps every other row, including one whose entering entry is
-    0, to (pivot*row - f*pivot_row) // prev_pivot, a division that is exact.
+    0, to (pivot*row - f*pivot_row) // prev_pivot, a division that is exact
+    (see _pivot for the shortcuts that store the same integers).
     Artificials never re-enter, so their columns are not stored.
     """
     if any(b < 0 for b in b_le) or any(b < 0 for b in b_eq):
@@ -94,14 +95,31 @@ def feasible_nonneg(
                 leave, best_t = i, t
         if leave is None:
             break  # unbounded direction cannot occur in phase one; defensive
-        pivot_row = tableau[leave]
-        pivot = pivot_row[entering]
-        for i, row in enumerate(tableau):
-            if i != leave:
-                f = row[entering]
-                tableau[i] = [
-                    (pivot * v - f * w) // prev_pivot for v, w in zip(row, pivot_row)
-                ]
+        pivot = tableau[leave][entering]
+        _pivot(tableau, leave, entering, prev_pivot)
         prev_pivot = pivot
         basis[leave] = entering
     return obj[width] == 0
+
+
+def _pivot(
+    tableau: list[list[int]], leave: int, entering: int, prev_pivot: int
+) -> None:
+    """Map every row but `leave` to (pivot*row - f*pivot_row) // prev_pivot, in
+    place, with f the row's entering entry. A row with f == 0 is just rescaled
+    by pivot/prev_pivot, and kept when that is 1; with prev_pivot == 1 there is
+    nothing to divide. Every stored entry is the same integer either way."""
+    pivot_row = tableau[leave]
+    pivot = pivot_row[entering]
+    for i, row in enumerate(tableau):
+        f = row[entering]
+        if i == leave or (f == 0 and pivot == prev_pivot):
+            continue
+        if f == 0:
+            tableau[i] = [pivot * v // prev_pivot for v in row]
+        elif prev_pivot == 1:
+            tableau[i] = [pivot * v - f * w for v, w in zip(row, pivot_row)]
+        else:
+            tableau[i] = [
+                (pivot * v - f * w) // prev_pivot for v, w in zip(row, pivot_row)
+            ]

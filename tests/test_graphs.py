@@ -1,5 +1,6 @@
 """Graphs, matchings, parallelizations, and the graph-ideal bridge."""
 
+import random
 import tracemalloc
 from itertools import combinations, product as iter_product
 
@@ -369,6 +370,72 @@ class TestEdgeIdeal:
             edge_ideal(g)
 
 
+def labeled_power_index(g: Graph, a) -> int:
+    """Reference: the matching number of the labeled parallelization."""
+    return matching_number(parallelize(g, a).flat)
+
+
+class TestPowerIndexFromBlocks:
+    """power_index reads G^a from block offsets; the labeled G^a is the reference."""
+
+    def test_small_corpus_exhaustive(self):
+        for g in connected_graphs(2, 4):
+            for a in iter_product(range(3), repeat=g.n):
+                assert power_index(g, a) == labeled_power_index(g, a), (str(g), a)
+
+    def test_seeded_fig9_vectors(self):
+        g, rng = fig9(), random.Random(14)
+        for _ in range(300):
+            a = tuple(rng.randint(0, 3) for _ in range(9))
+            assert power_index(g, a) == labeled_power_index(g, a), a
+
+    def test_zero_entries(self):
+        g = fig9()
+        assert power_index(g, (0,) * 9) == 0 == labeled_power_index(g, (0,) * 9)
+        vectors = [
+            (0, 1, 1, 0, 0, 0, 0, 0, 0),
+            (3, 0, 0, 2, 0, 0, 0, 0, 0),
+            (0, 2, 2, 2, 0, 1, 1, 1, 0),
+            (2, 2, 0, 2, 2, 0, 2, 2, 0),
+        ]
+        for a in vectors:
+            assert power_index(g, a) == labeled_power_index(g, a), a
+        assert power_index(Graph.cycle(3), (0, 0, 2)) == 0
+        assert power_index(Graph.cycle(3), (0, 1, 3)) == 1
+
+    def test_same_adjacency_and_partners_as_labeled_graph(self, monkeypatch):
+        g, rng, runs = fig9(), random.Random(41), []
+        blossom = graphs._blossom_matching
+
+        def recording(n, adj):
+            match = blossom(n, adj)
+            runs.append((n, tuple(adj), match))
+            return match
+
+        monkeypatch.setattr(graphs, "_blossom_matching", recording)
+        for _ in range(50):
+            a = tuple(rng.randint(0, 3) for _ in range(9))
+            flat = parallelize(g, a).flat
+            runs.clear()
+            power_index(g, a)
+            [(n, adj, match)] = runs
+            assert (n, adj) == (flat.n, flat.adjacency), a
+            assert match == blossom(flat.n, flat.adjacency), a
+
+    def test_partner_array_must_be_an_involution(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_blossom_matching", lambda n, adj: [1, -1])
+        with pytest.raises(AssertionError, match="disjoint"):
+            power_index(Graph.single_edge(), (1, 1))
+        with pytest.raises(AssertionError, match="disjoint"):
+            matching_number(Graph.single_edge())
+
+    def test_input_checks(self):
+        with pytest.raises(UsageError, match="length"):
+            power_index(fig9(), (1,) * 8)
+        with pytest.raises(UsageError, match="non-negative"):
+            power_index(fig9(), (1, 1, 1, 1, -1, 1, 1, 1, 1))
+
+
 class TestPowerIndexAndFactorization:
     def test_single_edge_cubed(self):
         assert power_index(Graph.single_edge(), (3, 3)) == 3
@@ -383,17 +450,23 @@ class TestPowerIndexAndFactorization:
     def test_fig9_closure_witness_power(self):
         assert power_index(fig9(), (1, 1, 1, 0, 1, 1, 1, 1, 1)) == 3
 
-    def test_power_index_canonicalizes_edges_once(self, monkeypatch):
-        g, calls = fig9(), []
+    def test_power_index_builds_no_graph(self, monkeypatch):
+        g, canonicalized, built = fig9(), [], []
         canonical_edges = graphs._canonical_edges
+        post_init = Graph.__post_init__
 
-        def counting(edges):
-            calls.append(1)
+        def counting_edges(edges):
+            canonicalized.append(1)
             return canonical_edges(edges)
 
-        monkeypatch.setattr(graphs, "_canonical_edges", counting)
+        def counting_graphs(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(graphs, "_canonical_edges", counting_edges)
+        monkeypatch.setattr(Graph, "__post_init__", counting_graphs)
         assert power_index(g, (2, 1, 1, 0, 1, 1, 1, 1, 1)) == 4
-        assert len(calls) == 1
+        assert canonicalized == [] and built == []
 
     def test_factorization_triangle(self):
         cert = factor_by_matching(Graph.cycle(3), (1, 1, 1))

@@ -32,6 +32,32 @@ def fraction_gauss_rank(rows):
     return rank
 
 
+def mixed_sign_systems():
+    """300 seeded systems with negative coefficients and many zero right-hand
+    sides (ratio ties): (a_le, b_le, a_eq, b_eq) with at least one equality."""
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m_le = rng.randint(0, 5)
+        m_eq = rng.randint(1, 3)
+        a_le = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(m_le)]
+        b_le = [rng.choice((0, 0, rng.randint(1, 6))) for _ in range(m_le)]
+        a_eq = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(m_eq)]
+        b_eq = [rng.choice((0, rng.randint(1, 6))) for _ in range(m_eq)]
+        yield a_le, b_le, a_eq, b_eq
+
+
+def row_scaled(a_le, b_le, a_eq, b_eq):
+    """The same system with each row scaled by its own factor near 3^40."""
+    scale = [3**40 + 7 * i for i in range(len(a_le) + len(a_eq))]
+    return (
+        [[c * v for v in row] for c, row in zip(scale, a_le)],
+        [c * b for c, b in zip(scale, b_le)],
+        [[c * v for v in row] for c, row in zip(scale[len(a_le) :], a_eq)],
+        [c * b for c, b in zip(scale[len(a_le) :], b_eq)],
+    )
+
+
 class TestIntegerRank:
     def test_known_matrices(self):
         assert integer_rank([[1, 0], [0, 1]]) == 2
@@ -94,15 +120,8 @@ class TestFeasibility:
         # negative coefficients and many zero right-hand sides (ratio ties);
         # scaling each row by its own large factor must not change the answer
         scipy_opt = pytest.importorskip("scipy.optimize")
-        rng = random.Random(23)
-        for _ in range(300):
-            n = rng.randint(1, 6)
-            m_le = rng.randint(0, 5)
-            m_eq = rng.randint(1, 3)
-            a_le = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(m_le)]
-            b_le = [rng.choice((0, 0, rng.randint(1, 6))) for _ in range(m_le)]
-            a_eq = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(m_eq)]
-            b_eq = [rng.choice((0, rng.randint(1, 6))) for _ in range(m_eq)]
+        for a_le, b_le, a_eq, b_eq in mixed_sign_systems():
+            n = len(a_eq[0])
             mine = feasible_nonneg(a_le, b_le, a_eq, b_eq)
             res = scipy_opt.linprog(
                 [0] * n,
@@ -115,14 +134,40 @@ class TestFeasibility:
             )
             assert res.status in (0, 2)
             assert mine == (res.status == 0), (a_le, b_le, a_eq, b_eq)
-            scale = [3**40 + 7 * i for i in range(m_le + m_eq)]
-            scaled = feasible_nonneg(
-                [[c * v for v in row] for c, row in zip(scale, a_le)],
-                [c * b for c, b in zip(scale, b_le)],
-                [[c * v for v in row] for c, row in zip(scale[m_le:], a_eq)],
-                [c * b for c, b in zip(scale[m_le:], b_eq)],
-            )
+            scaled = feasible_nonneg(*row_scaled(a_le, b_le, a_eq, b_eq))
             assert scaled == mine, (a_le, b_le, a_eq, b_eq)
+
+    def test_row_update_shortcuts_store_the_same_tableau(self, monkeypatch):
+        # reference: the plain Edmonds update of every other row, no shortcut
+        def full_update(tableau, leave, entering, prev_pivot):
+            pivot_row = tableau[leave]
+            pivot = pivot_row[entering]
+            for i, row in enumerate(tableau):
+                if i != leave:
+                    f = row[entering]
+                    tableau[i] = [
+                        (pivot * v - f * w) // prev_pivot
+                        for v, w in zip(row, pivot_row)
+                    ]
+
+        pivot, kinds = linalg._pivot, set()
+
+        def both(tableau, leave, entering, prev_pivot):
+            expected = [row[:] for row in tableau]
+            full_update(expected, leave, entering, prev_pivot)
+            same = tableau[leave][entering] == prev_pivot
+            for i, row in enumerate(tableau):
+                if i != leave:
+                    kinds.add((row[entering] == 0, same, prev_pivot == 1))
+            pivot(tableau, leave, entering, prev_pivot)
+            assert tableau == expected
+
+        monkeypatch.setattr(linalg, "_pivot", both)
+        for system in mixed_sign_systems():
+            assert feasible_nonneg(*system) == feasible_nonneg(*row_scaled(*system))
+        # every shortcut ran: kept rows, rescaled rows, undivided and divided updates
+        assert {(True, True, False), (True, False, False)} <= kinds
+        assert {(False, False, True), (False, False, False)} <= kinds
 
     def test_coefficients_beyond_float_precision(self):
         # 10^17 > 2^53: a float LP cannot tell (10^17 + 1) / 10^17 from 1

@@ -34,7 +34,6 @@ from .graphs import (
     factor_by_matching,
     has_perfect_matching,
     matching_number,
-    parallel_edge_set_canonical,
     parallelize,
     power_index,
     sample_graphs,
@@ -244,7 +243,7 @@ def commutation_sweep(
                 bumped[x[0]] += 1
                 bumped[y[0]] += 1
                 direct = duplicate_copy_edge(pg, copy_edge)
-                one_step = parallel_edge_set_canonical(parallelize(g, bumped))
+                one_step = parallelize(g, bumped).edge_set
                 if direct != one_step:
                     ok = False
                     bad = f"a={a} f={copy_edge}"
@@ -331,15 +330,15 @@ def closure_oracle_soundness(
     by exact LP membership."""
     for name, g in named_graphs.items():
         ideal = edge_ideal(g)
+        polys = {k: NewtonPolyhedron.of_power(ideal, k) for k in range(1, max_power + 1)}
         ok = True
         bad = ""
         for a in iter_product(range(max_entry + 1), repeat=g.n):
-            for k in range(1, max_power + 1):
+            for k, poly in polys.items():
                 cert = closure_member_matching_oracle(g, a, k)
-                if cert is True:
-                    if not np_member(a, NewtonPolyhedron.of_power(ideal, k)):
-                        ok = False
-                        bad = f"a={a} k={k}"
+                if cert is True and not np_member(a, poly):
+                    ok = False
+                    bad = f"a={a} k={k}"
         yield f"closure-oracle-soundness[{name}]", ok, bad
 
 

@@ -29,7 +29,7 @@ from .graphs import (
     maximum_matching,
     parallelize,
 )
-from .stability import SCHEMA_VERSION, both_chains, closure_ass_chain, ass_chain, stability_bound
+from .stability import SCHEMA_VERSION, both_chains, stability_bound
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -118,27 +118,15 @@ def _cmd_analyze(args) -> int:
         label = args.input.name
     if ideal.is_zero or ideal.is_unit:
         raise ParseError("analyze needs a proper nonzero ideal")
-    if args.mode == "ass":
-        report = ass_chain(
-            ideal, args.max_power, label, bound, budget_seconds=args.budget_seconds
-        )
-    elif args.mode == "closure":
-        report = closure_ass_chain(
-            ideal,
-            args.max_power,
-            label,
-            budget_seconds=args.budget_seconds,
-            closure_cap=args.closure_cap,
-        )
-    else:
-        report = both_chains(
-            ideal,
-            args.max_power,
-            label,
-            bound,
-            budget_seconds=args.budget_seconds,
-            closure_cap=args.closure_cap,
-        )
+    report = both_chains(
+        ideal,
+        args.max_power,
+        label,
+        bound,
+        budget_seconds=args.budget_seconds,
+        closure_cap=args.closure_cap,
+        mode=args.mode,
+    )
     print(report.to_json() if args.format == "json" else report.to_text())
     return EXIT_OK
 

@@ -139,7 +139,6 @@ def _closure_lp_path(
     return np.array(found, dtype=np.int64).reshape(-1, len(bounds))
 
 
-@lru_cache(maxsize=256)
 def integral_closure_power(
     ideal: MonomialIdeal, k: int, cap: int = DEFAULT_BOX_CAP
 ) -> MonomialIdeal:
@@ -151,24 +150,32 @@ def integral_closure_power(
     of that box. Edge ideals on at most FAST_PATH_MAX_VARS variables test the
     cover inequalities on the box's degree-2k slice only (module docstring);
     other ideals take the exact LP sweep, refused above 500 000 box points.
+    The checks run on every call; the sweep is memoized on (ideal, k) alone,
+    so a call that passes the cap shares it with one that does not.
     """
     if k < 1:
         raise UsageError("power must be >= 1")
     if ideal.is_zero:
         return ideal
-    degree = ideal.generated_degree()
-    if degree is None:
+    if ideal.generated_degree() is None:
         raise UsageError("integral closure sweep requires a single generator degree")
-    bounds = tuple(k * e for e in ideal.max_exponents())
-    total = prod(b + 1 for b in bounds)
+    total = prod(k * e + 1 for e in ideal.max_exponents())
     if total > cap:
         raise BudgetExceededError(
             f"closure search space has {total} lattice points (cap {cap}); "
             "raise the cap to proceed"
         )
+    return _closure_sweep(ideal, k)
+
+
+@lru_cache(maxsize=256)
+def _closure_sweep(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
+    degree = ideal.generated_degree()
+    bounds = tuple(k * e for e in ideal.max_exponents())
     if degree == 2 and ideal.is_squarefree and ideal.vset.n <= FAST_PATH_MAX_VARS:
         members = _closure_fast_path(ideal, k, bounds)
     else:
+        total = prod(b + 1 for b in bounds)
         if total > 500_000:
             raise BudgetExceededError(
                 f"LP closure sweep over {total} lattice points is impractical; "
@@ -176,6 +183,10 @@ def integral_closure_power(
             )
         members = _closure_lp_path(ideal, k, bounds, degree * k)
     return MonomialIdeal.from_exponents(ideal.vset, members)
+
+
+# the sweep's hit and miss counts, read through the public entry point
+integral_closure_power.cache_info = _closure_sweep.cache_info  # type: ignore[attr-defined]
 
 
 def closure_member_matching_oracle(

@@ -313,12 +313,16 @@ def maximum_matching(graph: Graph) -> MatchingCertificate:
     return cert
 
 
-def _matching_size(n: int, adj: Sequence[Sequence[int]]) -> int:
-    """Blossom matching size; its partner array must be an involution."""
+def _checked_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
+    """Blossom partner array, checked to be an involution."""
     match = _blossom_matching(n, adj)
     if any(w != -1 and match[w] != v for v, w in enumerate(match)):
         raise AssertionError("matching edges are not pairwise disjoint")
-    return sum(w > v for v, w in enumerate(match))
+    return match
+
+
+def _matching_size(n: int, adj: Sequence[Sequence[int]]) -> int:
+    return sum(w > v for v, w in enumerate(_checked_matching(n, adj)))
 
 
 def matching_number(graph: Graph) -> int:
@@ -511,10 +515,6 @@ def duplicate_copy_edge(
     return frozenset(tuple(sorted(e)) for e in edges)
 
 
-def parallel_edge_set_canonical(pg: ParallelGraph) -> frozenset:
-    return frozenset(tuple(sorted(e)) for e in pg.edge_set)
-
-
 # ---------------------------------------------------------------------------
 # graph <-> ideal bridge
 # ---------------------------------------------------------------------------
@@ -549,17 +549,25 @@ def incidence_rank(graph: Graph) -> int:
     return integer_rank(matrix)
 
 
-def power_index(graph: Graph, multiplicity: Sequence[int]) -> int:
-    """nu(G^a): x^a lies in exactly the powers I(G)^k with k at most this value.
+def _parallel_layout(
+    graph: Graph, multiplicity: Sequence[int]
+) -> tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]:
+    """G^a without labels: the multiplicities, block offsets and adjacency.
 
-    Copy c of vertex i is start[i] + c - 1 and all copies of i share the blocks of
-    i's neighbours: G^a.flat's adjacency, tuple for tuple, with no labeled G^a."""
+    Copy c of vertex i is start[i] + c - 1 and all copies of i share the blocks
+    of i's neighbours: G^a.flat's adjacency, tuple for tuple."""
     a = parallelize(graph, multiplicity).multiplicity
     start = list(accumulate(a, initial=0))
     adj = []
     for i, neighbours in enumerate(graph.adjacency):
         row = tuple(v for j in neighbours for v in range(start[j], start[j + 1]))
         adj += [row] * a[i]
+    return a, start, adj
+
+
+def power_index(graph: Graph, multiplicity: Sequence[int]) -> int:
+    """nu(G^a): x^a lies in exactly the powers I(G)^k with k at most this value."""
+    _, start, adj = _parallel_layout(graph, multiplicity)
     return _matching_size(start[-1], adj)
 
 
@@ -578,18 +586,17 @@ class FactorizationCertificate:
 def factor_by_matching(graph: Graph, multiplicity: Sequence[int]) -> FactorizationCertificate:
     """Factor x^a into edges along a maximum matching of the parallelization,
     leaving a deficiency-degree remainder."""
-    a = tuple(int(m) for m in multiplicity)
-    pg = parallelize(graph, a)
-    match_pairs = maximum_matching(pg.flat).pairs
-    label_to_copy = {pg.copy_label(v): v for v in pg.vertices}
+    a, start, adj = _parallel_layout(graph, multiplicity)
+    base = [i for i, m in enumerate(a) for _ in range(m)]  # copy -> base vertex
     counts = [0] * len(graph.edges)
     index = {e: i for i, e in enumerate(graph.edges)}
     used = [0] * graph.n
-    for la, lb in match_pairs:
-        (i, _), (j, _) = label_to_copy[la], label_to_copy[lb]
-        counts[index[(min(i, j), max(i, j))]] += 1
-        used[i] += 1
-        used[j] += 1
+    for v, w in enumerate(_checked_matching(start[-1], adj)):
+        if w > v:  # blocks ascend, so i <= j
+            i, j = base[v], base[w]
+            counts[index[i, j]] += 1
+            used[i] += 1
+            used[j] += 1
     delta = tuple(a[i] - used[i] for i in range(graph.n))
     if any(d < 0 for d in delta):
         raise AssertionError("matching used a vertex beyond its multiplicity")

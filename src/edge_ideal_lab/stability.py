@@ -60,36 +60,14 @@ class ChainReport:
         side = self.ass_sets if self.ass_sets is not None else self.closure_ass_sets
         return len(side) if side is not None else 0
 
-    @staticmethod
-    def _ascending(sets: Sequence[PrimeSet]) -> list[bool]:
-        return [set(a) <= set(b) for a, b in zip(sets, sets[1:])]
-
-    @property
-    def ass_ascending_steps(self) -> list[bool] | None:
-        return None if self.ass_sets is None else self._ascending(self.ass_sets)
-
-    @property
-    def ass_strict_steps(self) -> list[bool] | None:
-        if self.ass_sets is None:
-            return None
-        return [set(a) < set(b) for a, b in zip(self.ass_sets, self.ass_sets[1:])]
-
-    @property
-    def closure_ascending_steps(self) -> list[bool] | None:
-        return (
-            None
-            if self.closure_ass_sets is None
-            else self._ascending(self.closure_ass_sets)
-        )
-
     @property
     def ascending(self) -> bool:
-        flags: list[bool] = []
-        if self.ass_ascending_steps is not None:
-            flags.extend(self.ass_ascending_steps)
-        if self.closure_ascending_steps is not None:
-            flags.extend(self.closure_ascending_steps)
-        return all(flags)
+        return all(
+            set(a) <= set(b)
+            for side in (self.ass_sets, self.closure_ass_sets)
+            if side is not None
+            for a, b in zip(side, side[1:])
+        )
 
     @property
     def n1_observed(self) -> int | None:
@@ -126,16 +104,11 @@ class ChainReport:
 
     def to_json_dict(self) -> dict:
         chains = []
+        sides = {"ass": self.ass_sets, "closure_ass": self.closure_ass_sets}
         for i in range(self.computed_powers):
             entry: dict = {"k": i + 1}
-            entry["ass"] = (
-                primes_to_lists(self.ass_sets[i]) if self.ass_sets else None
-            )
-            entry["closure_ass"] = (
-                primes_to_lists(self.closure_ass_sets[i])
-                if self.closure_ass_sets
-                else None
-            )
+            for key, side in sides.items():
+                entry[key] = primes_to_lists(side[i]) if side else None
             chains.append(entry)
         return {
             "schema": SCHEMA_VERSION,
@@ -156,23 +129,20 @@ class ChainReport:
         if doc.get("schema") != SCHEMA_VERSION:
             raise UsageError(f"unsupported schema: {doc.get('schema')!r}")
         chains = doc["chains"]
-        ass_sets = None
-        closure_sets = None
-        if chains and chains[0].get("ass") is not None:
-            ass_sets = tuple(
-                tuple(MonomialPrime(tuple(names)) for names in entry["ass"])
+
+        def side(key: str) -> tuple[PrimeSet, ...] | None:
+            if not chains or chains[0].get(key) is None:
+                return None
+            return tuple(
+                tuple(MonomialPrime(tuple(names)) for names in entry[key])
                 for entry in chains
             )
-        if chains and chains[0].get("closure_ass") is not None:
-            closure_sets = tuple(
-                tuple(MonomialPrime(tuple(names)) for names in entry["closure_ass"])
-                for entry in chains
-            )
+
         return cls(
             ideal_label=doc["ideal"],
             max_power=doc["K"],
-            ass_sets=ass_sets,
-            closure_ass_sets=closure_sets,
+            ass_sets=side("ass"),
+            closure_ass_sets=side("closure_ass"),
             n1_bound=doc["verdicts"].get("n1_bound"),
             complete=len(chains) == doc["K"],
         )
@@ -261,28 +231,6 @@ def power_chain(
             return
 
 
-def ass_chain(
-    ideal: MonomialIdeal,
-    max_power: int,
-    label: str = "I",
-    n1_bound: int | None = None,
-    budget_seconds: float | None = None,
-) -> ChainReport:
-    """Associated primes of each power 1..max_power."""
-    return _chain_report(ideal, max_power, label, n1_bound, budget_seconds, True, False)
-
-
-def closure_ass_chain(
-    ideal: MonomialIdeal,
-    max_power: int,
-    label: str = "I",
-    budget_seconds: float | None = None,
-    closure_cap: int = DEFAULT_BOX_CAP,
-) -> ChainReport:
-    """Associated primes of the closure of each power 1..max_power."""
-    return _chain_report(ideal, max_power, label, None, budget_seconds, False, True, closure_cap)
-
-
 def both_chains(
     ideal: MonomialIdeal,
     max_power: int,
@@ -290,42 +238,37 @@ def both_chains(
     n1_bound: int | None = None,
     budget_seconds: float | None = None,
     closure_cap: int = DEFAULT_BOX_CAP,
+    *,
+    mode: str = "both",
 ) -> ChainReport:
-    return _chain_report(ideal, max_power, label, n1_bound, budget_seconds, True, True, closure_cap)
+    """Associated primes of each power 1..max_power (``mode="ass"``), of the
+    closure of each power (``"closure"``) or both, read off one walk.
 
-
-def _chain_report(
-    ideal: MonomialIdeal,
-    max_power: int,
-    label: str,
-    n1_bound: int | None,
-    budget: float | None,
-    ass: bool,
-    closure: bool,
-    closure_cap: int = DEFAULT_BOX_CAP,
-) -> ChainReport:
-    """The Ass side when ``ass`` and the closure side when ``closure``, read
-    off one walk. A refusal on either side at power k ends the walk there; a
-    spent budget ends it between powers, leaving an incomplete report."""
+    A refusal on either side at power k ends the walk there; a spent budget
+    ends it between powers, leaving an incomplete report. A closure-only
+    report carries no stability bound: ``n1_bound`` bounds the Ass chain.
+    """
+    if mode not in ("ass", "closure", "both"):
+        raise UsageError(f"unknown chain mode {mode!r}: use ass, closure or both")
     if max_power < 1:
         raise UsageError("max power must be >= 1")
+    ass, closure = mode != "closure", mode != "ass"
     sides = [
         (step.ass if ass else None, step.closure_ass if closure else None)
-        for step in power_chain(ideal, max_power, closure_cap, budget)
+        for step in power_chain(ideal, max_power, closure_cap, budget_seconds)
     ]
     return ChainReport(
         label,
         max_power,
         tuple(a for a, _ in sides) if ass else None,
         tuple(c for _, c in sides) if closure else None,
-        n1_bound,
+        n1_bound if ass else None,
         complete=len(sides) == max_power,
     )
 
 
 @dataclass(frozen=True)
 class NormalityReport:
-    ideal_label: str
     checked: tuple[tuple[int, bool], ...]  # (k, closure equals power)
     first_failure: int | None
 
@@ -335,7 +278,7 @@ class NormalityReport:
 
 
 def is_normal_up_to(
-    ideal: MonomialIdeal, max_power: int, cap: int = DEFAULT_BOX_CAP, label: str = "I"
+    ideal: MonomialIdeal, max_power: int, cap: int = DEFAULT_BOX_CAP
 ) -> NormalityReport:
     """Compare each power with its integral closure for k = 1..max_power."""
     checked = tuple(
@@ -343,7 +286,7 @@ def is_normal_up_to(
         for step in power_chain(ideal, max_power, cap)
     )
     first_failure = next((k for k, equal in checked if not equal), None)
-    return NormalityReport(label, checked, first_failure)
+    return NormalityReport(checked, first_failure)
 
 
 # ---------------------------------------------------------------------------

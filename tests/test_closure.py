@@ -10,6 +10,7 @@ from edge_ideal_lab.closure import (
     NewtonPolyhedron,
     _closure_fast_path,
     _closure_lp_path,
+    _closure_sweep,
     closure_member_matching_oracle,
     integral_closure_power,
     np_member,
@@ -100,11 +101,11 @@ class TestClosurePower:
         assert integral_closure_power(i, 3) != i.power(3)
 
     @staticmethod
-    def _closure_peak(k: int, cap: int) -> int:
+    def _closure_peak(k: int) -> int:
         ideal = edge_ideal(fig9())
         tracemalloc.start()
         try:
-            integral_closure_power.__wrapped__(ideal, k, cap=cap)
+            _closure_sweep.__wrapped__(ideal, k)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -112,12 +113,12 @@ class TestClosurePower:
     def test_fig9_closure_memory(self):
         # the fourth power's box has 5^9 cells, its degree-8 slice 11 385
         # points; the slice sweep peaks near 2.3 MB
-        assert self._closure_peak(4, DEFAULT_BOX_CAP) < 3 * 2**20
+        assert self._closure_peak(4) < 3 * 2**20
 
     def test_fig9_sixth_closure_memory(self):
         # the sixth power's box has 7^9 cells (int64 cover sums over it alone
         # take 323 MB); its degree-12 slice has 114 387 points, about 24 MB
-        assert self._closure_peak(6, 5 * 10**7) < 32 * 2**20
+        assert self._closure_peak(6) < 32 * 2**20
 
     def test_closure_generators_pass_lp(self):
         i = edge_ideal(fig7())
@@ -128,7 +129,7 @@ class TestClosurePower:
 
     def test_assce_first_failure_at_two(self):
         i = assce()
-        report = is_normal_up_to(i, 4, label="ASSCE")
+        report = is_normal_up_to(i, 4)
         assert not report.normal_up_to_checked
         assert report.first_failure == 2
         closure2 = integral_closure_power(i, 2)
@@ -145,6 +146,24 @@ class TestClosurePower:
     def test_cap_refusal(self):
         with pytest.raises(BudgetExceededError):
             integral_closure_power(edge_ideal(fig9()), 5, cap=10**6)
+
+    def test_memo_ignores_call_form_and_cap(self):
+        # ASSCE at k=2 has a 3^6 = 729-point box
+        ideal = assce()
+        _closure_sweep.cache_clear()
+        results = [
+            integral_closure_power(ideal, 2),
+            integral_closure_power(ideal, 2, cap=DEFAULT_BOX_CAP),
+            integral_closure_power(ideal, 2, DEFAULT_BOX_CAP),
+            integral_closure_power(ideal, 2, cap=2 * 10**7),
+        ]
+        info = integral_closure_power.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert all(r is results[0] for r in results)
+        # the cap is checked before the lookup, so a cached closure still refuses
+        with pytest.raises(BudgetExceededError):
+            integral_closure_power(ideal, 2, cap=728)
+        assert integral_closure_power(ideal, 2, cap=729) is results[0]
 
 
 def _slice_and_lp(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, MonomialIdeal]:

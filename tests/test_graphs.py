@@ -27,7 +27,6 @@ from edge_ideal_lab.graphs import (
     incidence_rank,
     matching_number,
     maximum_matching,
-    parallel_edge_set_canonical,
     parallelize,
     power_index,
     sample_graphs,
@@ -267,8 +266,9 @@ class TestParallelize:
                 bumped = list(a)
                 bumped[x[0]] += 1
                 bumped[y[0]] += 1
-                assert duplicate_copy_edge(pg, copy_edge) == parallel_edge_set_canonical(
-                    parallelize(g, bumped)
+                assert (
+                    duplicate_copy_edge(pg, copy_edge)
+                    == parallelize(g, bumped).edge_set
                 )
 
 
@@ -428,6 +428,8 @@ class TestPowerIndexFromBlocks:
             power_index(Graph.single_edge(), (1, 1))
         with pytest.raises(AssertionError, match="disjoint"):
             matching_number(Graph.single_edge())
+        with pytest.raises(AssertionError, match="disjoint"):
+            factor_by_matching(Graph.single_edge(), (1, 1))
 
     def test_input_checks(self):
         with pytest.raises(UsageError, match="length"):
@@ -466,6 +468,7 @@ class TestPowerIndexAndFactorization:
         monkeypatch.setattr(graphs, "_canonical_edges", counting_edges)
         monkeypatch.setattr(Graph, "__post_init__", counting_graphs)
         assert power_index(g, (2, 1, 1, 0, 1, 1, 1, 1, 1)) == 4
+        assert factor_by_matching(g, (2, 1, 1, 0, 1, 1, 1, 1, 1)).matched_degree == 4
         assert canonicalized == [] and built == []
 
     def test_factorization_triangle(self):
@@ -480,6 +483,14 @@ class TestPowerIndexAndFactorization:
     def test_factorization_fig7(self):
         cert = factor_by_matching(fig7(), (1,) * 6)
         assert cert.matched_degree == 2 and cert.delta.degree == 2
+
+    def test_factorization_against_labeled_parallelization(self):
+        for g in connected_graphs(2, 4):
+            for a in iter_product(range(3), repeat=g.n):
+                cert = factor_by_matching(g, a)
+                nu = matching_number(parallelize(g, a).flat)
+                assert cert.matched_degree == nu, (g, a)
+                assert cert.delta.degree == sum(a) - 2 * nu, (g, a)
 
     def test_edge_subring_membership(self):
         assert edge_subring_member(Graph.single_edge(), (3, 3))

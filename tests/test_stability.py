@@ -1,6 +1,8 @@
 """Chain reports, stability bounds, analytic spread, and the criteria batteries."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import edge_ideal_lab
 from edge_ideal_lab.assprimes import associated_primes
 from edge_ideal_lab.battery import corpus_graphs, maximal_step_sweep, persistence_sweep
 from edge_ideal_lab.claims import _claim_assce
-from edge_ideal_lab.closure import DEFAULT_BOX_CAP, integral_closure_power
+from edge_ideal_lab.closure import integral_closure_power
 from edge_ideal_lab.errors import BudgetExceededError, UsageError
 from edge_ideal_lab.fixtures import (
     c3_disjoint_c3,
@@ -25,9 +27,7 @@ from edge_ideal_lab.stability import (
     ChainReport,
     _first_constant_index,
     analytic_spread,
-    ass_chain,
     both_chains,
-    closure_ass_chain,
     is_normal_up_to,
     maximal_ideal_criteria,
     ntf_check,
@@ -110,6 +110,10 @@ class TestAnalyticSpread:
             analytic_spread(mixed)
 
 
+def _strict_steps(sets):
+    return [set(a) < set(b) for a, b in zip(sets, sets[1:])]
+
+
 class TestChainReports:
     def test_bipartite_constant_chain(self):
         g = Graph.cycle(4)
@@ -118,11 +122,11 @@ class TestChainReports:
         assert report.n1_observed == 1 and report.n2_observed == 1
         assert report.n1_certified
         assert report.stable_sets_equal is True
-        assert report.ass_strict_steps == [False, False]
+        assert _strict_steps(report.ass_sets) == [False, False]
 
     def test_triangle_strict_step(self):
-        report = ass_chain(edge_ideal(Graph.cycle(3)), 3, "I(C3)", 2)
-        assert report.ass_strict_steps == [True, False]
+        report = both_chains(edge_ideal(Graph.cycle(3)), 3, "I(C3)", 2, mode="ass")
+        assert _strict_steps(report.ass_sets) == [True, False]
         assert report.n1_observed == 2
 
     def test_json_round_trip(self):
@@ -133,14 +137,14 @@ class TestChainReports:
         assert back.n1_observed == report.n1_observed
 
     def test_closure_only_chain(self):
-        report = closure_ass_chain(edge_ideal(Graph.cycle(3)), 2, "I(C3)")
+        report = both_chains(edge_ideal(Graph.cycle(3)), 2, "I(C3)", mode="closure")
         assert report.ass_sets is None
         assert report.n1_observed is None and report.n2_observed == 2
         assert report.stable_sets_equal is None
 
     def test_budget_truncation(self):
-        report = ass_chain(
-            edge_ideal(Graph.cycle(4)), 3, "I(C4)", budget_seconds=0.0
+        report = both_chains(
+            edge_ideal(Graph.cycle(4)), 3, "I(C4)", budget_seconds=0.0, mode="ass"
         )
         assert not report.complete
         assert report.computed_powers == 1
@@ -157,15 +161,26 @@ class TestChainReports:
         g = Graph.cycle(4)
         text = both_chains(edge_ideal(g), 3, "I(C4)", stability_bound(g)).to_text()
         assert "certified" in text
-        uncertified = ass_chain(edge_ideal(Graph.cycle(5)), 2, "I(C5)", 3).to_text()
+        uncertified = both_chains(
+            edge_ideal(Graph.cycle(5)), 2, "I(C5)", 3, mode="ass"
+        ).to_text()
         assert "constant within computed range" in uncertified
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(UsageError, match="mode"):
+            both_chains(edge_ideal(Graph.cycle(4)), 2, mode="closures")
+
+    def test_closure_mode_keeps_no_bound(self):
+        report = both_chains(edge_ideal(Graph.cycle(4)), 2, n1_bound=1, mode="closure")
+        assert report.n1_bound is None
+        assert report.to_json_dict()["verdicts"]["n1_bound"] is None
 
 
 class TestChainProducts:
     """The chains walk one power chain, built only where the Ass side needs it."""
 
     def test_closure_chain_builds_no_power(self, product_count):
-        closure_ass_chain(edge_ideal(Graph.cycle(5)), 3)
+        both_chains(edge_ideal(Graph.cycle(5)), 3, mode="closure")
         assert len(product_count) == 0
 
     def test_both_chains_build_each_power_once(self, product_count):
@@ -173,7 +188,7 @@ class TestChainProducts:
         assert len(product_count) == 2
 
     def test_ass_chain_builds_each_power_once(self, product_count):
-        ass_chain(edge_ideal(Graph.cycle(5)), 4)
+        both_chains(edge_ideal(Graph.cycle(5)), 4, mode="ass")
         assert len(product_count) == 3
 
     def test_refusal_stops_at_its_power(self, product_count):
@@ -198,9 +213,7 @@ class TestChainProducts:
         monkeypatch.setattr(MonomialIdeal, "_canonical", classmethod(recording))
         both_chains(ideal, 4)
         built = list(created)
-        closures = [
-            integral_closure_power(ideal, k, cap=DEFAULT_BOX_CAP) for k in range(1, 5)
-        ]
+        closures = [integral_closure_power(ideal, k) for k in range(1, 5)]
         assert all(any(c is i for i in built) for c in closures)
         assert all(power in built for power in list(ideal.powers(4))[1:])
         assert all("gens" not in vars(i) for i in [ideal, *built])
@@ -252,6 +265,12 @@ class TestNtf:
 class TestWalkLaziness:
     """Each consumer of the power walk asks only for what it reads."""
 
+    def test_ass_chain_asks_for_no_closure(self, spy):
+        closures = spy(integral_closure_power)
+        report = both_chains(edge_ideal(Graph.cycle(5)), 3, mode="ass")
+        assert report.closure_ass_sets is None and len(report.ass_sets) == 3
+        assert closures == []
+
     def test_ntf_stops_before_the_closure_of_the_square(self, spy):
         closures = spy(integral_closure_power)
         assert ntf_check(Graph.cycle(3), 2).first_failure == 2
@@ -288,6 +307,19 @@ def _names(node: ast.AST, name: str) -> bool:
         or (isinstance(n, ast.Attribute) and n.attr == name)
         for n in ast.walk(node)
     )
+
+
+def test_star_import_names_only_live_objects():
+    # a stale __all__ entry makes "from edge_ideal_lab import *" raise
+    package_root = Path(edge_ideal_lab.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "from edge_ideal_lab import *; print(both_chains.__name__)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "both_chains"
 
 
 def test_only_the_walk_and_the_closure_pins_name_integral_closure_power():

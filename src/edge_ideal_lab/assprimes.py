@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, UsageError
+from .errors import COVER_CAP, BudgetExceededError, UsageError, check_box, check_time
 from .graphs import Graph
 from .monomials import (
     Monomial,
@@ -38,7 +38,6 @@ from .monomials import (
     membership_mask,
 )
 
-CORNER_CELL_CAP = 40_000_000  # cells of the one membership mask per ideal
 _CORNER_BLOCK = 1 << 21  # cells per block of the corner pass
 
 
@@ -96,10 +95,7 @@ def _corner_components(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]
     rows = exps[:, occurring]
     u = rows.max(axis=0).tolist()
     cells = prod(v + 1 for v in u)
-    if cells > CORNER_CELL_CAP:
-        raise BudgetExceededError(
-            f"corner membership mask needs {cells} cells (cap {CORNER_CELL_CAP})"
-        )
+    check_box(cells, "corner membership mask")
     member = membership_mask(rows, u)
     # every cell c lies in the localization at exactly one support, S(c) =
     # {j : c_j < u_j} (the other coordinates sit at u, where membership
@@ -113,6 +109,7 @@ def _corner_components(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]
     out = []
     step = max(1, _CORNER_BLOCK * (u[0] + 1) // cells)
     for lo in range(0, u[0] + 1, step):
+        check_time("the corner scan")
         window = member[lo : lo + step]
         corners = ~window
         # the leading axis reads the slice after each one, past the window
@@ -165,8 +162,8 @@ def minimal_vertex_covers(graph: Graph) -> tuple[frozenset[str], ...]:
     """Inclusion-minimal vertex sets meeting every edge, by direct enumeration."""
     if graph.has_isolated_vertices():
         raise UsageError("vertex covers are for graphs without isolated vertices")
-    if graph.n > 20:
-        raise BudgetExceededError("cover enumeration capped at 20 vertices")
+    if graph.n > COVER_CAP:
+        raise BudgetExceededError(f"cover enumeration capped at {COVER_CAP} vertices")
     covers = []
     for r in range(graph.n + 1):
         for subset in combinations(range(graph.n), r):
@@ -192,9 +189,7 @@ class AssWitness:
     witness: Monomial
 
 
-def associated_primes_witness_oracle(
-    ideal: MonomialIdeal, cap: int = 10**7
-) -> tuple[AssWitness, ...]:
+def associated_primes_witness_oracle(ideal: MonomialIdeal) -> tuple[AssWitness, ...]:
     """Associated primes straight from the definition, each with its witness.
 
     Every associated prime is (I : x^c) for some c in the box [0, u] under the
@@ -213,16 +208,14 @@ def associated_primes_witness_oracle(
     u = rows.max(axis=0).tolist()
     shape = tuple(e + 1 for e in u)
     total = prod(shape)
-    if total > cap:
-        raise BudgetExceededError(
-            f"witness oracle box has {total} candidates (cap {cap})"
-        )
+    check_box(total, "witness oracle box")
     member = membership_mask(rows, u).ravel()
     outside = np.flatnonzero(~member)
     raised = np.full(len(outside), total - 1, dtype=np.int64)  # the corner u
     in_prime = np.empty((len(occurring), len(outside)), dtype=bool)
     stride = total
     for j, side in enumerate(shape):
+        check_time("the witness oracle")
         stride //= side  # C-order stride of axis j
         c = outside // stride % side
         # c + e_j, or c itself where c_j = u_j (membership saturates there)
@@ -283,25 +276,3 @@ def disjoint_union_ass(
             names = sorted(name for p in choice for name in p.names)
             results.add(MonomialPrime(tuple(names)))
     return tuple(sorted(results))
-
-
-def combined_ideal(parts: Sequence[MonomialIdeal]) -> MonomialIdeal:
-    """The sum of the parts inside the concatenated variable set (or their
-    shared one), for direct cross-checks of disjoint_union_ass."""
-    if all(p.vset.names == parts[0].vset.names for p in parts):
-        total = parts[0]
-        for p in parts[1:]:
-            total = total.sum(p)
-        return total
-    names: list[str] = []
-    for p in parts:
-        names.extend(p.vset.names)
-    joint = VariableSet(tuple(names))
-    blocks = []
-    offset = 0
-    for p in parts:
-        block = np.zeros((len(p), len(names)), dtype=np.int64)
-        block[:, offset : offset + p.vset.n] = p.exponent_array
-        blocks.append(block)
-        offset += p.vset.n
-    return MonomialIdeal.from_exponents(joint, np.vstack(blocks))

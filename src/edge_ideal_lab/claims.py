@@ -39,8 +39,6 @@ from .stability import (
     stability_bound,
 )
 
-FIG9_CLOSURE_CAP = 2 * 10**7  # the fifth-power closure box has ~10^7 lattice points
-
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -152,24 +150,18 @@ def _claim_fig9_stability_bound(graphs, ideals):
 
 def _fig9_chain(graphs):
     g = graphs["FIG9"]
-    return both_chains(
-        edge_ideal(g),
-        5,
-        label="I(FIG9)",
-        n1_bound=stability_bound(g),
-        closure_cap=FIG9_CLOSURE_CAP,
-    )
+    return both_chains(edge_ideal(g), 5, label="I(FIG9)", n1_bound=stability_bound(g))
 
 
 def _claim_fig9_normal_through_cube(graphs, ideals):
-    report = is_normal_up_to(edge_ideal(graphs["FIG9"]), 3, cap=FIG9_CLOSURE_CAP)
+    report = is_normal_up_to(edge_ideal(graphs["FIG9"]), 3)
     return (report.normal_up_to_checked, "closure equals power at k=1,2,3")
 
 
 def _claim_fig9_closure4(graphs, ideals):
     ideal = edge_ideal(graphs["FIG9"])
     witness = Monomial(ideal.vset, FIG9_CLOSURE_WITNESS)
-    closure = integral_closure_power(ideal, 4, cap=FIG9_CLOSURE_CAP)
+    closure = integral_closure_power(ideal, 4)
     expected = ideal.power(4).sum(MonomialIdeal.from_monomials(ideal.vset, [witness]))
     inside = power_index(graphs["FIG9"], FIG9_CLOSURE_WITNESS)
     return (
@@ -181,7 +173,7 @@ def _claim_fig9_closure4(graphs, ideals):
 def _claim_fig9_closure5(graphs, ideals):
     ideal = edge_ideal(graphs["FIG9"])
     witness = Monomial(ideal.vset, FIG9_CLOSURE_WITNESS)
-    closure = integral_closure_power(ideal, 5, cap=FIG9_CLOSURE_CAP)
+    closure = integral_closure_power(ideal, 5)
     expected = ideal.power(5).sum(
         ideal.product(MonomialIdeal.from_monomials(ideal.vset, [witness]))
     )

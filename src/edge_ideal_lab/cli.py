@@ -17,8 +17,9 @@ from pathlib import Path
 
 from .battery import run_battery
 from .claims import run_claims
-from .closure import DEFAULT_BOX_CAP
-from .errors import BudgetExceededError, ParseError, UsageError
+from .errors import (
+    BERGE_CAP, BOX_CELLS, BudgetExceededError, ParseError, UsageError, bounded
+)
 from .formats import looks_like_ideal, parse_graph, parse_ideal
 from .graphs import (
     Graph,
@@ -60,8 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--max-power", type=int, default=3)
     analyze.add_argument("--mode", choices=("ass", "closure", "both"), default="both")
     analyze.add_argument("--allow-unused-vars", action="store_true")
-    analyze.add_argument("--closure-cap", type=positive_int, default=DEFAULT_BOX_CAP)
-    analyze.add_argument("--budget-seconds", type=float, default=None)
+    analyze.add_argument(
+        "--closure-cap", type=positive_int, default=BOX_CELLS,
+        help="cells of the largest exponent box a power may scan (refused above)",
+    )
+    analyze.add_argument(
+        "--budget-seconds", type=float, default=None,
+        help="hard deadline for the whole walk; a spent budget refuses (exit 3)",
+    )
     _common_flags(analyze)
 
     graph = sub.add_parser("graph", help="matching invariants and parallelizations")
@@ -78,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="measurement applied to the transformed graph",
     )
-    graph.add_argument("--berge-cap", type=positive_int, default=16)
+    graph.add_argument("--berge-cap", type=positive_int, default=BERGE_CAP)
     _common_flags(graph)
 
     verify = sub.add_parser("verify-paper", help="run the bundled reference claims")
@@ -118,15 +125,8 @@ def _cmd_analyze(args) -> int:
         label = args.input.name
     if ideal.is_zero or ideal.is_unit:
         raise ParseError("analyze needs a proper nonzero ideal")
-    report = both_chains(
-        ideal,
-        args.max_power,
-        label,
-        bound,
-        budget_seconds=args.budget_seconds,
-        closure_cap=args.closure_cap,
-        mode=args.mode,
-    )
+    with bounded(args.closure_cap, args.budget_seconds):
+        report = both_chains(ideal, args.max_power, label, bound, mode=args.mode)
     print(report.to_json() if args.format == "json" else report.to_text())
     return EXIT_OK
 

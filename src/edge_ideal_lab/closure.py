@@ -28,12 +28,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, UsageError
+from .errors import LP_CAP, BudgetExceededError, UsageError, check_box, check_time
 from .graphs import Graph, power_index
 from .monomials import Monomial, MonomialIdeal
 
 FAST_PATH_MAX_VARS = 12  # cover-vector grid is 3^n
-DEFAULT_BOX_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -105,6 +104,7 @@ def _closure_fast_path(
     room = np.cumsum((0,) + bounds[:0:-1])[::-1]  # room[j] = sum(bounds[j+1:])
     cols, sums = np.zeros((0, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
     for j, (b, later) in enumerate(zip(bounds, room.tolist())):
+        check_time("the closure slice")
         table = sums[:, None] + np.arange(b + 1)
         rows, vals = np.nonzero((table <= 2 * k) & (table + later >= 2 * k))
         grown = np.empty((j + 1, len(rows)), dtype=np.int64)
@@ -134,24 +134,23 @@ def _closure_lp_path(
             dominated = (mins[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
             block = block[~dominated]
         for row in block:
+            check_time("the LP closure sweep")
             if np_member([int(v) for v in row], poly):
                 found.append(row)
     return np.array(found, dtype=np.int64).reshape(-1, len(bounds))
 
 
-def integral_closure_power(
-    ideal: MonomialIdeal, k: int, cap: int = DEFAULT_BOX_CAP
-) -> MonomialIdeal:
+def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of the integral closure of the k-th power.
 
     Requires the ideal to be generated in a single degree, so the closure's
     minimal generators stay inside the componentwise-maximum box of the power's
-    generators (k times the base maxima). ``cap`` bounds the lattice points
-    of that box. Edge ideals on at most FAST_PATH_MAX_VARS variables test the
-    cover inequalities on the box's degree-2k slice only (module docstring);
-    other ideals take the exact LP sweep, refused above 500 000 box points.
-    The checks run on every call; the sweep is memoized on (ideal, k) alone,
-    so a call that passes the cap shares it with one that does not.
+    generators (k times the base maxima), whose cells count against the box
+    cap. Edge ideals on at most FAST_PATH_MAX_VARS variables test the cover
+    inequalities on the box's degree-2k slice only (module docstring); other
+    ideals take the exact LP sweep, refused above LP_CAP box points. The
+    checks run on every call; the sweep is memoized on (ideal, k) alone, so
+    a cached closure still refuses under a cap below its box.
     """
     if k < 1:
         raise UsageError("power must be >= 1")
@@ -159,12 +158,7 @@ def integral_closure_power(
         return ideal
     if ideal.generated_degree() is None:
         raise UsageError("integral closure sweep requires a single generator degree")
-    total = prod(k * e + 1 for e in ideal.max_exponents())
-    if total > cap:
-        raise BudgetExceededError(
-            f"closure search space has {total} lattice points (cap {cap}); "
-            "raise the cap to proceed"
-        )
+    check_box(prod(k * e + 1 for e in ideal.max_exponents()), "closure box")
     return _closure_sweep(ideal, k)
 
 
@@ -176,7 +170,7 @@ def _closure_sweep(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         members = _closure_fast_path(ideal, k, bounds)
     else:
         total = prod(b + 1 for b in bounds)
-        if total > 500_000:
+        if total > LP_CAP:
             raise BudgetExceededError(
                 f"LP closure sweep over {total} lattice points is impractical; "
                 "only degree-2 squarefree ideals have a fast path"

@@ -1,4 +1,20 @@
-"""Shared exception types."""
+"""Shared exception types and the run limits: the default caps, and one box
+cap and deadline that :func:`bounded` sets for a block (like
+``decimal.localcontext``), so that memo keys stay the inputs alone."""
+
+from __future__ import annotations
+
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
+from math import inf
+
+# For I^k of an equigenerated ideal the corner mask, the witness oracle box
+# and the closure box are all [0, k*u], so one cap on cells bounds all three.
+BOX_CELLS = 40_000_000
+BERGE_CAP = 16  # vertices of a Berge/Tutte sweep over all 2^n subsets
+COVER_CAP = 20  # vertices of the 2^n vertex-cover enumeration
+LP_CAP = 500_000  # box points of the exact LP closure sweep
 
 
 class UsageError(ValueError):
@@ -10,7 +26,7 @@ class MismatchedVariablesError(UsageError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive search would exceed its configured cap."""
+    """A computation would exceed its cap, or its time budget is spent."""
 
 
 class ParseError(ValueError):
@@ -21,3 +37,35 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+_LIMITS = ContextVar("limits", default=(BOX_CELLS, inf))  # (cells, deadline)
+
+
+def check_box(cells: int, what: str) -> None:
+    """Refuse an exponent box of more cells than the current cap."""
+    cap = _LIMITS.get()[0]
+    if cells > cap:
+        raise BudgetExceededError(f"{what} needs {cells} cells (cap {cap})")
+
+
+def check_time(what: str) -> None:
+    """Refuse once the current deadline has been reached."""
+    if time.monotonic() >= _LIMITS.get()[1]:
+        raise BudgetExceededError(f"time budget spent in {what}")
+
+
+@contextmanager
+def bounded(box_cells: int | None = None, seconds: float | None = None):
+    """Run the body under a box cap and a deadline ``seconds`` from now (None
+    keeps the outer one; no deadline outlives it), restored on exit."""
+    cap, deadline = _LIMITS.get()
+    if seconds is not None:
+        if not seconds >= 0:  # NaN included
+            raise UsageError("budget seconds must be >= 0")
+        deadline = min(deadline, time.monotonic() + seconds)
+    token = _LIMITS.set((cap if box_cells is None else box_cells, deadline))
+    try:
+        yield
+    finally:
+        _LIMITS.reset(token)

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, UsageError
+from .errors import BERGE_CAP, BudgetExceededError, UsageError
 from .linalg import integer_rank
 from .monomials import Monomial, MonomialIdeal, VariableSet
 
@@ -388,7 +388,7 @@ def _surplus_blocks(graph: Graph) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, _odd_component_counts(graph, lo, hi) - sizes
 
 
-def berge_deficiency(graph: Graph, cap: int = 16) -> tuple[int, frozenset[str]]:
+def berge_deficiency(graph: Graph, cap: int = BERGE_CAP) -> tuple[int, frozenset[str]]:
     """max over S of (odd components of G minus S) - |S|, with an argmax witness.
 
     Exhaustive over all vertex subsets, in vectorized blocks, so refuses above
@@ -413,7 +413,7 @@ def berge_deficiency(graph: Graph, cap: int = 16) -> tuple[int, frozenset[str]]:
     return best, witness
 
 
-def tutte_condition_holds(graph: Graph, cap: int = 16) -> bool:
+def tutte_condition_holds(graph: Graph, cap: int = BERGE_CAP) -> bool:
     """Whether every vertex subset S leaves at most |S| odd components."""
     if graph.n > cap:
         raise BudgetExceededError(f"exhaustive Tutte check capped at {cap} vertices")

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import MismatchedVariablesError, UsageError
+from .errors import MismatchedVariablesError, UsageError, check_time
 
 MAX_EXPONENT = 2**31  # overflow guard; degrees in scope stay tiny
 
@@ -217,6 +217,7 @@ def membership_mask(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     mask = np.zeros(tuple(upper + 1), dtype=bool)
     mask[tuple(arr[(arr <= upper).all(axis=1)].T)] = True
     for axis, length in enumerate(mask.shape):
+        check_time("a membership mask")
         lead = (slice(None),) * axis
         for i in range(1, length):
             mask[lead + (i,)] |= mask[lead + (i - 1,)]

@@ -11,14 +11,13 @@ ideal.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 from .assprimes import associated_primes
-from .closure import DEFAULT_BOX_CAP, integral_closure_power
-from .errors import UsageError
+from .closure import integral_closure_power
+from .errors import UsageError, bounded, check_time
 from .graphs import Graph, edge_ideal, incidence_rank
 from .linalg import integer_rank
 from .monomials import (
@@ -53,12 +52,6 @@ class ChainReport:
     ass_sets: tuple[PrimeSet, ...] | None
     closure_ass_sets: tuple[PrimeSet, ...] | None
     n1_bound: int | None = None
-    complete: bool = True
-
-    @property
-    def computed_powers(self) -> int:
-        side = self.ass_sets if self.ass_sets is not None else self.closure_ass_sets
-        return len(side) if side is not None else 0
 
     @property
     def ascending(self) -> bool:
@@ -85,27 +78,19 @@ class ChainReport:
     def n1_certified(self) -> bool:
         """Constancy proven, not just observed: the computed range reaches the
         theoretical stability bound (the chain is ascending and bounded)."""
-        return (
-            self.n1_bound is not None
-            and self.complete
-            and self.computed_powers >= self.n1_bound
-        )
+        return self.n1_bound is not None and self.max_power >= self.n1_bound
 
     @property
     def stable_sets_equal(self) -> bool | None:
         if not self.ass_sets or not self.closure_ass_sets:
             return None
-        n1, n2 = self.n1_observed, self.n2_observed
-        assert n1 is not None and n2 is not None
-        k = max(n1, n2)
-        if k > min(len(self.ass_sets), len(self.closure_ass_sets)):
-            return None
-        return set(self.ass_sets[k - 1]) == set(self.closure_ass_sets[k - 1])
+        # each chain is constant from its observed index on, up to its end
+        return set(self.ass_sets[-1]) == set(self.closure_ass_sets[-1])
 
     def to_json_dict(self) -> dict:
         chains = []
         sides = {"ass": self.ass_sets, "closure_ass": self.closure_ass_sets}
-        for i in range(self.computed_powers):
+        for i in range(self.max_power):
             entry: dict = {"k": i + 1}
             for key, side in sides.items():
                 entry[key] = primes_to_lists(side[i]) if side else None
@@ -129,6 +114,8 @@ class ChainReport:
         if doc.get("schema") != SCHEMA_VERSION:
             raise UsageError(f"unsupported schema: {doc.get('schema')!r}")
         chains = doc["chains"]
+        if len(chains) != doc["K"]:
+            raise UsageError(f"{len(chains)} chain entries for K = {doc['K']}")
 
         def side(key: str) -> tuple[PrimeSet, ...] | None:
             if not chains or chains[0].get(key) is None:
@@ -144,7 +131,6 @@ class ChainReport:
             ass_sets=side("ass"),
             closure_ass_sets=side("closure_ass"),
             n1_bound=doc["verdicts"].get("n1_bound"),
-            complete=len(chains) == doc["K"],
         )
 
     def to_json(self) -> str:
@@ -152,11 +138,7 @@ class ChainReport:
 
     def to_text(self) -> str:
         lines = [f"ideal: {self.ideal_label}   (max power {self.max_power})"]
-        if not self.complete:
-            lines.append(
-                f"INCOMPLETE: budget stopped the chain after {self.computed_powers} powers"
-            )
-        for i in range(self.computed_powers):
+        for i in range(self.max_power):
             k = i + 1
             if self.ass_sets is not None:
                 names = ", ".join(str(p) for p in sorted(self.ass_sets[i]))
@@ -191,7 +173,6 @@ class PowerStep:
 
     ideal: MonomialIdeal
     k: int
-    closure_cap: int
 
     @cached_property
     def power(self) -> MonomialIdeal:
@@ -203,32 +184,19 @@ class PowerStep:
 
     @cached_property
     def closure(self) -> MonomialIdeal:
-        return integral_closure_power(self.ideal, self.k, cap=self.closure_cap)
+        return integral_closure_power(self.ideal, self.k)
 
     @cached_property
     def closure_ass(self) -> PrimeSet:
         return associated_primes(self.closure)
 
 
-def power_chain(
-    ideal: MonomialIdeal,
-    max_power: int,
-    closure_cap: int = DEFAULT_BOX_CAP,
-    budget_seconds: float | None = None,
-) -> Iterator[PowerStep]:
-    """The steps k = 1..max_power of ``ideal``, one at a time.
-
-    The budget's clock starts with the walk and is read only between
-    powers: once it is spent, the walk ends before the next step, so a
-    consumer that read fewer than ``max_power`` steps was stopped by it.
-    """
-    if budget_seconds is not None and not budget_seconds >= 0:  # NaN included
-        raise UsageError("budget seconds must be >= 0")
-    start = time.monotonic()
+def power_chain(ideal: MonomialIdeal, max_power: int) -> Iterator[PowerStep]:
+    """The steps k = 1..max_power of ``ideal``, one at a time, each under
+    the run limits of :mod:`errors` (a spent deadline refuses the next)."""
     for k in range(1, max_power + 1):
-        yield PowerStep(ideal, k, closure_cap)
-        if budget_seconds is not None and time.monotonic() - start > budget_seconds:
-            return
+        check_time("the power chain")
+        yield PowerStep(ideal, k)
 
 
 def both_chains(
@@ -237,33 +205,33 @@ def both_chains(
     label: str = "I",
     n1_bound: int | None = None,
     budget_seconds: float | None = None,
-    closure_cap: int = DEFAULT_BOX_CAP,
+    closure_cap: int | None = None,
     *,
     mode: str = "both",
 ) -> ChainReport:
     """Associated primes of each power 1..max_power (``mode="ass"``), of the
     closure of each power (``"closure"``) or both, read off one walk.
 
-    A refusal on either side at power k ends the walk there; a spent budget
-    ends it between powers, leaving an incomplete report. A closure-only
-    report carries no stability bound: ``n1_bound`` bounds the Ass chain.
+    The walk runs under ``bounded(closure_cap, budget_seconds)``: a refusal
+    or a spent budget raises, with no partial report. A closure-only report
+    carries no stability bound: ``n1_bound`` bounds the Ass chain.
     """
     if mode not in ("ass", "closure", "both"):
         raise UsageError(f"unknown chain mode {mode!r}: use ass, closure or both")
     if max_power < 1:
         raise UsageError("max power must be >= 1")
     ass, closure = mode != "closure", mode != "ass"
-    sides = [
-        (step.ass if ass else None, step.closure_ass if closure else None)
-        for step in power_chain(ideal, max_power, closure_cap, budget_seconds)
-    ]
+    with bounded(closure_cap, budget_seconds):
+        sides = [
+            (step.ass if ass else None, step.closure_ass if closure else None)
+            for step in power_chain(ideal, max_power)
+        ]
     return ChainReport(
         label,
         max_power,
         tuple(a for a, _ in sides) if ass else None,
         tuple(c for _, c in sides) if closure else None,
         n1_bound if ass else None,
-        complete=len(sides) == max_power,
     )
 
 
@@ -277,13 +245,10 @@ class NormalityReport:
         return self.first_failure is None
 
 
-def is_normal_up_to(
-    ideal: MonomialIdeal, max_power: int, cap: int = DEFAULT_BOX_CAP
-) -> NormalityReport:
+def is_normal_up_to(ideal: MonomialIdeal, max_power: int) -> NormalityReport:
     """Compare each power with its integral closure for k = 1..max_power."""
     checked = tuple(
-        (step.k, step.closure == step.power)
-        for step in power_chain(ideal, max_power, cap)
+        (step.k, step.closure == step.power) for step in power_chain(ideal, max_power)
     )
     first_failure = next((k for k, equal in checked if not equal), None)
     return NormalityReport(checked, first_failure)
@@ -326,7 +291,7 @@ def analytic_spread(ideal: MonomialIdeal) -> int:
 
 
 # ---------------------------------------------------------------------------
-# maximal ideal battery and torsion-freeness
+# maximal ideal battery
 # ---------------------------------------------------------------------------
 
 
@@ -377,19 +342,3 @@ def maximal_ideal_criteria(graph: Graph, max_power: int) -> MaximalIdealReport:
         inconclusive=nonbip and (in_ass is None or in_closure is None),
     )
 
-
-@dataclass(frozen=True)
-class TorsionFreeReport:
-    max_power: int
-    holds: bool
-    first_failure: int | None  # power where some prime set differs from Ass(R/I)
-
-
-def ntf_check(graph: Graph, max_power: int) -> TorsionFreeReport:
-    """Whether Ass stays equal to Ass(R/I) for powers and closures up to K."""
-    ideal = edge_ideal(graph)
-    base = set(associated_primes(ideal))
-    for step in power_chain(ideal, max_power):
-        if set(step.ass) != base or set(step.closure_ass) != base:
-            return TorsionFreeReport(max_power, False, step.k)
-    return TorsionFreeReport(max_power, True, None)

@@ -11,13 +11,13 @@ import random
 from itertools import product as iter_product
 
 import pytest
-from conftest import FIG9_CAP
 
 from edge_ideal_lab.assprimes import (
     associated_primes,
     associated_primes_witness_oracle,
 )
 from edge_ideal_lab.battery import colon_identity_holds
+from edge_ideal_lab.errors import bounded
 from edge_ideal_lab.closure import (
     NewtonPolyhedron,
     closure_member_matching_oracle,
@@ -271,11 +271,13 @@ class TestCriterion6Oracles:
         checked = 0
         for lab in (fig9_lab, assce_lab):
             for k, power in lab.powers.items():
-                oracle = associated_primes_witness_oracle(power, cap=FIG9_CAP)
+                with bounded(box_cells=2 * 10**7):
+                    oracle = associated_primes_witness_oracle(power)
                 assert {w.prime for w in oracle} == set(lab.ass[k]), f"power {k}"
                 checked += 1
             for k, closure in lab.closures.items():
-                oracle = associated_primes_witness_oracle(closure, cap=FIG9_CAP)
+                with bounded(box_cells=2 * 10**7):
+                    oracle = associated_primes_witness_oracle(closure)
                 assert {w.prime for w in oracle} == set(lab.closure_ass[k]), f"closure {k}"
                 checked += 1
         report("6.fixtures (oracle on nine-vertex and cubic fixture powers)", True, f"{checked} ideals")

@@ -3,20 +3,21 @@
 import random
 from itertools import permutations
 from math import prod
+from typing import Sequence
 
+import numpy as np
 import pytest
 
 from edge_ideal_lab import assprimes, monomials
 from edge_ideal_lab.assprimes import (
     associated_primes,
     associated_primes_witness_oracle,
-    combined_ideal,
     disjoint_union_ass,
     irreducible_decomposition,
     minimal_primes,
     minimal_vertex_covers,
 )
-from edge_ideal_lab.errors import BudgetExceededError, UsageError
+from edge_ideal_lab.errors import BudgetExceededError, UsageError, bounded
 from edge_ideal_lab.fixtures import assce
 from edge_ideal_lab.graphs import Graph, connected_graphs, disjoint_union, edge_ideal
 from edge_ideal_lab.monomials import (
@@ -149,15 +150,14 @@ class TestDecomposition:
             monkeypatch.setattr(assprimes, "_CORNER_BLOCK", block)
             assert [assprimes._corner_components(t) for t in targets] == want
 
-    def test_corner_cell_cap_boundary(self, monkeypatch):
-        # the cap bounds the one mask over [0, u]: ASSCE^2 fits a cap of
+    def test_corner_cell_cap_boundary(self):
+        # the box cap bounds the one mask over [0, u]: ASSCE^2 fits a cap of
         # exactly its box and is refused one cell below it
         target = assce().power(2)
         box = prod(e + 1 for e in target.max_exponents())
-        monkeypatch.setattr(assprimes, "CORNER_CELL_CAP", box)
-        assert_irredundant_decomposition(target, irreducible_decomposition(target))
-        monkeypatch.setattr(assprimes, "CORNER_CELL_CAP", box - 1)
-        with pytest.raises(BudgetExceededError):
+        with bounded(box_cells=box):
+            assert_irredundant_decomposition(target, irreducible_decomposition(target))
+        with bounded(box_cells=box - 1), pytest.raises(BudgetExceededError):
             irreducible_decomposition(target)
 
     def test_intersection_reconstructs_ideal(self):
@@ -270,8 +270,8 @@ class TestWitnessOracle:
         assert witnesses[0].witness.exps == (39999, 0)
 
     def test_cap_refusal(self):
-        with pytest.raises(BudgetExceededError):
-            associated_primes_witness_oracle(assce().power(2), cap=10)
+        with bounded(box_cells=10), pytest.raises(BudgetExceededError):
+            associated_primes_witness_oracle(assce().power(2))
 
     def test_independent_of_the_decomposition_engine(self, monkeypatch):
         # the oracle is a cross-check: it must not reach the corner scan or
@@ -287,6 +287,28 @@ class TestWitnessOracle:
         monkeypatch.setattr(monomials, "minimalize_rows", forbidden)
         witnesses = associated_primes_witness_oracle(target)
         assert {w.prime for w in witnesses} == expected
+
+
+def combined_ideal(parts: Sequence[MonomialIdeal]) -> MonomialIdeal:
+    """The sum of the parts inside the concatenated variable set (or their
+    shared one), for direct cross-checks of disjoint_union_ass."""
+    if all(p.vset.names == parts[0].vset.names for p in parts):
+        total = parts[0]
+        for p in parts[1:]:
+            total = total.sum(p)
+        return total
+    names: list[str] = []
+    for p in parts:
+        names.extend(p.vset.names)
+    joint = VariableSet(tuple(names))
+    blocks = []
+    offset = 0
+    for p in parts:
+        block = np.zeros((len(p), len(names)), dtype=np.int64)
+        block[:, offset : offset + p.vset.n] = p.exponent_array
+        blocks.append(block)
+        offset += p.vset.n
+    return MonomialIdeal.from_exponents(joint, np.vstack(blocks))
 
 
 class TestDisjointUnion:

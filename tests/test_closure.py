@@ -6,7 +6,6 @@ from math import prod
 import pytest
 
 from edge_ideal_lab.closure import (
-    DEFAULT_BOX_CAP,
     NewtonPolyhedron,
     _closure_fast_path,
     _closure_lp_path,
@@ -15,7 +14,13 @@ from edge_ideal_lab.closure import (
     integral_closure_power,
     np_member,
 )
-from edge_ideal_lab.errors import BudgetExceededError, UsageError
+from edge_ideal_lab.errors import (
+    BOX_CELLS,
+    LP_CAP,
+    BudgetExceededError,
+    UsageError,
+    bounded,
+)
 from edge_ideal_lab.fixtures import assce, c3_disjoint_c3, fig7, fig9
 from edge_ideal_lab.graphs import Graph, connected_graphs, edge_ideal, sample_graphs
 from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
@@ -144,26 +149,25 @@ class TestClosurePower:
             integral_closure_power(mixed, 1)
 
     def test_cap_refusal(self):
-        with pytest.raises(BudgetExceededError):
-            integral_closure_power(edge_ideal(fig9()), 5, cap=10**6)
+        with bounded(box_cells=10**6), pytest.raises(BudgetExceededError):
+            integral_closure_power(edge_ideal(fig9()), 5)
 
     def test_memo_ignores_call_form_and_cap(self):
         # ASSCE at k=2 has a 3^6 = 729-point box
         ideal = assce()
         _closure_sweep.cache_clear()
-        results = [
-            integral_closure_power(ideal, 2),
-            integral_closure_power(ideal, 2, cap=DEFAULT_BOX_CAP),
-            integral_closure_power(ideal, 2, DEFAULT_BOX_CAP),
-            integral_closure_power(ideal, 2, cap=2 * 10**7),
-        ]
+        results = [integral_closure_power(ideal, 2), integral_closure_power(ideal, k=2)]
+        for box_cells in (BOX_CELLS, 2 * 10**7):
+            with bounded(box_cells=box_cells):
+                results.append(integral_closure_power(ideal, 2))
         info = integral_closure_power.cache_info()
         assert (info.misses, info.hits) == (1, 3)
         assert all(r is results[0] for r in results)
         # the cap is checked before the lookup, so a cached closure still refuses
-        with pytest.raises(BudgetExceededError):
-            integral_closure_power(ideal, 2, cap=728)
-        assert integral_closure_power(ideal, 2, cap=729) is results[0]
+        with bounded(box_cells=728), pytest.raises(BudgetExceededError):
+            integral_closure_power(ideal, 2)
+        with bounded(box_cells=729):
+            assert integral_closure_power(ideal, 2) is results[0]
 
 
 def _slice_and_lp(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, MonomialIdeal]:
@@ -191,7 +195,7 @@ class TestSliceMatchesLp:
         for g in sample_graphs(20, (6, 8), 2026):
             ideal = edge_ideal(g)
             for k in (1, 2):
-                if prod(k * e + 1 for e in ideal.max_exponents()) > 500_000:
+                if prod(k * e + 1 for e in ideal.max_exponents()) > LP_CAP:
                     continue
                 fast, slow = _slice_and_lp(ideal, k)
                 assert fast == slow, f"{g} k={k}"

@@ -260,6 +260,31 @@ class TestCli:
         assert "refused" in proc.stderr
         assert proc.stdout == ""  # no partial JSON on failure
 
+    def test_spent_budget_is_a_refusal(self, tmp_path):
+        # the deadline is read inside every power, not only between powers:
+        # FIG9 to k=8 would run for about 20 s
+        proc = run_cli(
+            "analyze", "fig9.graph", "--max-power", "8", "--closure-cap", "400000000",
+            "--budget-seconds", "0.5",
+            files={"fig9.graph": serialize_graph(fig9())},
+            tmp_path=tmp_path,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("refused: time budget spent in ")
+        assert proc.stdout == ""  # no partial report
+
+    def test_fig9_fifth_power_needs_no_cap(self, tmp_path):
+        # its closure box of 6^9 cells fits under the default box cap
+        files = {"fig9.graph": serialize_graph(fig9())}
+        runs = [
+            run_cli("analyze", "fig9.graph", "--max-power", "5", *extra,
+                    files=files, tmp_path=tmp_path)
+            for extra in ((), ("--closure-cap", "20000000"))
+        ]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert "stable sets equal: True" in runs[0].stdout
+
     def test_analyze_ideal_with_many_unused_vars(self, tmp_path):
         # 24 declared variables, 2 of them used: the decomposition sweeps only
         # the used ones, so this is answered instead of refused

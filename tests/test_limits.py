@@ -1,0 +1,151 @@
+"""The run limits: one box cap and one deadline, set by ``errors.bounded``."""
+
+import ast
+from math import inf
+from pathlib import Path
+
+import pytest
+
+import edge_ideal_lab
+from edge_ideal_lab import assprimes, errors
+from edge_ideal_lab.assprimes import (
+    associated_primes_witness_oracle,
+    irreducible_decomposition,
+)
+from edge_ideal_lab.closure import _closure_fast_path, integral_closure_power
+from edge_ideal_lab.errors import (
+    BOX_CELLS,
+    BudgetExceededError,
+    UsageError,
+    bounded,
+    check_box,
+)
+from edge_ideal_lab.fixtures import fig9
+from edge_ideal_lab.graphs import Graph, edge_ideal
+from edge_ideal_lab.monomials import membership_mask
+from edge_ideal_lab.stability import power_chain
+
+C5 = edge_ideal(Graph.cycle(5))
+C5_CUBE = C5.power(3)  # box 4^5: four leading-axis slices of 4^4 cells
+
+
+def limits():
+    return errors._LIMITS.get()
+
+
+class TestBounded:
+    def test_restores_the_outer_limits(self):
+        assert limits() == (BOX_CELLS, inf)
+        with bounded(box_cells=100, seconds=60):
+            outer = limits()
+            assert outer[0] == 100 and outer[1] < inf
+            refusal = r"a box needs 11 cells \(cap 10\)"
+            with pytest.raises(BudgetExceededError, match=refusal):
+                with bounded(box_cells=10):
+                    assert limits() == (10, outer[1])
+                    check_box(11, "a box")
+            assert limits() == outer
+            with pytest.raises(KeyError), bounded(box_cells=5, seconds=1):
+                raise KeyError("any exception")
+            assert limits() == outer
+            with bounded(seconds=10**6):  # no deadline outlives the outer one
+                assert limits() == outer
+            check_box(100, "a box")
+            with pytest.raises(BudgetExceededError):
+                check_box(101, "a box")
+        assert limits() == (BOX_CELLS, inf)
+        check_box(BOX_CELLS, "a box")
+
+    def test_rejects_a_negative_or_nan_budget(self):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(UsageError, match="budget seconds must be >= 0"):
+                with bounded(seconds=bad):
+                    pass
+        assert limits() == (BOX_CELLS, inf)
+
+    def test_one_cap_bounds_the_corner_mask_the_closure_and_the_oracle(self):
+        # FIG9's cube: the corner mask, the k=3 closure box and the oracle box
+        # are all [0, 3]^9, 4^9 cells
+        ideal = edge_ideal(fig9())
+        cube = ideal.power(3)
+        runs = [
+            lambda: irreducible_decomposition(cube),
+            lambda: integral_closure_power(ideal, 3),
+            lambda: associated_primes_witness_oracle(cube),
+        ]
+        for run in runs:
+            with bounded(box_cells=4**9 - 1):
+                with pytest.raises(BudgetExceededError, match=f"needs {4**9} cells"):
+                    run()
+            with bounded(box_cells=4**9):
+                assert len(run()) > 0
+
+
+ENGINES = {
+    # the mask's five axis reads come first, then the four one-slice blocks
+    "corner": (lambda: assprimes._corner_components(C5_CUBE), 5 + 2, "corner scan"),
+    "mask": (lambda: membership_mask(C5_CUBE.exponent_array, [3] * 5), 2, "mask"),
+    "slice": (lambda: _closure_fast_path(C5, 2, (2,) * 5), 2, "closure slice"),
+    "oracle": (lambda: associated_primes_witness_oracle(C5_CUBE), 5 + 2, "oracle"),
+    "walk": (lambda: [s.k for s in power_chain(C5, 4)], 2, "power chain"),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_deadline_stops_the_engine_partway(engine, monkeypatch, expiring_clock):
+    run, live, where = ENGINES[engine]
+    monkeypatch.setattr(assprimes, "_CORNER_BLOCK", 1)
+    reads = expiring_clock(10**6)
+    with bounded(seconds=1):
+        run()
+    full = len(reads) - 1  # the reads of a whole run, past the entry read
+    assert full > live + 1
+    reads = expiring_clock(live)
+    with bounded(seconds=1), pytest.raises(BudgetExceededError, match=where):
+        run()
+    # the entry read, the live reads and the one that refused, out of a run
+    # that needs more
+    assert len(reads) == live + 2
+
+
+def _module_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_limits_live_only_in_errors():
+    # no module but errors.py defines a cap, and no function takes a limit
+    # as a parameter, except the benchmark-pinned both_chains keywords and
+    # the Berge/Tutte vertex cap that --berge-cap sets
+    allowed = {
+        ("stability.py", "both_chains"): {"closure_cap", "budget_seconds"},
+        ("graphs.py", "berge_deficiency"): {"cap"},
+        ("graphs.py", "tutte_condition_holds"): {"cap"},
+    }
+    caps, takers = {}, set()
+    package = Path(edge_ideal_lab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name in _module_level_names(tree):
+            if name.endswith(("_CAP", "_CELLS")):
+                caps[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+                taken = params & {"cap", "closure_cap", "budget_seconds"}
+                where = (path.name, node.name)
+                assert taken <= allowed.get(where, set()), (where, taken)
+                if taken:
+                    takers.add(where)
+    assert caps == dict.fromkeys(
+        ("BOX_CELLS", "BERGE_CAP", "COVER_CAP", "LP_CAP"), "errors.py"
+    )
+    assert takers == set(allowed)

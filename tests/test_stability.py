@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from edge_ideal_lab.stability import (
     both_chains,
     is_normal_up_to,
     maximal_ideal_criteria,
-    ntf_check,
+    power_chain,
     stability_bound,
 )
 
@@ -142,20 +143,24 @@ class TestChainReports:
         assert report.n1_observed is None and report.n2_observed == 2
         assert report.stable_sets_equal is None
 
-    def test_budget_truncation(self):
-        report = both_chains(
-            edge_ideal(Graph.cycle(4)), 3, "I(C4)", budget_seconds=0.0, mode="ass"
-        )
-        assert not report.complete
-        assert report.computed_powers == 1
-        assert not report.n1_certified
+    def test_spent_budget_refuses(self):
+        # a spent budget is a refusal, never a partial report
+        with pytest.raises(BudgetExceededError, match="time budget"):
+            both_chains(
+                edge_ideal(Graph.cycle(4)), 3, "I(C4)", budget_seconds=0.0, mode="ass"
+            )
 
-    def test_budget_stops_both_sides_at_once(self):
-        report = both_chains(
-            edge_ideal(Graph.cycle(5)), 3, "I(C5)", budget_seconds=0.0
-        )
-        assert not report.complete
-        assert len(report.ass_sets) == len(report.closure_ass_sets) == 1
+    def test_budget_stops_both_sides_at_once(self, product_count):
+        with pytest.raises(BudgetExceededError, match="time budget"):
+            both_chains(edge_ideal(Graph.cycle(5)), 3, "I(C5)", budget_seconds=0.0)
+        assert len(product_count) == 0
+
+    def test_json_with_a_missing_power_is_refused(self):
+        doc = both_chains(edge_ideal(Graph.cycle(5)), 3, "I(C5)", 3).to_json_dict()
+        assert len(ChainReport.from_json_dict(doc).ass_sets) == 3
+        del doc["chains"][-1]
+        with pytest.raises(UsageError, match="2 chain entries for K = 3"):
+            ChainReport.from_json_dict(doc)
 
     def test_text_rendering_mentions_certified_bound(self):
         g = Graph.cycle(4)
@@ -246,6 +251,23 @@ class TestMaximalIdealCriteria:
         assert report.components_nonbipartite and report.rank_is_vertex_count
         assert report.in_ass_at is None
         assert report.inconclusive and report.consistent
+
+
+@dataclass(frozen=True)
+class TorsionFreeReport:
+    max_power: int
+    holds: bool
+    first_failure: int | None  # power where some prime set differs from Ass(R/I)
+
+
+def ntf_check(graph: Graph, max_power: int) -> TorsionFreeReport:
+    """Whether Ass stays equal to Ass(R/I) for powers and closures up to K."""
+    ideal = edge_ideal(graph)
+    base = set(associated_primes(ideal))
+    for step in power_chain(ideal, max_power):
+        if set(step.ass) != base or set(step.closure_ass) != base:
+            return TorsionFreeReport(max_power, False, step.k)
+    return TorsionFreeReport(max_power, True, None)
 
 
 class TestNtf:

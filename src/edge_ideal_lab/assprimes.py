@@ -68,12 +68,6 @@ class IrreducibleComponent:
             rows[row, i] = e
         return MonomialIdeal.from_exponents(vset, rows)
 
-    def contains_component(self, other: IrreducibleComponent) -> bool:
-        """Ideal containment other <= self: other's support inside self's, with
-        other's exponents at least self's there."""
-        mine = dict(self.entries)
-        return all(i in mine and e >= mine[i] for i, e in other.entries)
-
 
 def _require_decomposable(ideal: MonomialIdeal) -> None:
     if ideal.is_zero:
@@ -138,9 +132,15 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponen
     return _corner_components(ideal)
 
 
-@lru_cache(maxsize=512)
 def associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
     """Radical supports of the irredundant irreducible components, sorted."""
+    # the box cap is checked before the memo, so a cached answer obeys it too
+    check_box(prod(e + 1 for e in ideal.max_exponents()), "corner membership mask")
+    return _associated_primes(ideal)
+
+
+@lru_cache(maxsize=512)
+def _associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
     comps = irreducible_decomposition(ideal)
     primes = {c.radical(ideal.vset) for c in comps}
     return tuple(sorted(primes))

@@ -15,6 +15,7 @@ from .assprimes import associated_primes, disjoint_union_ass, minimal_vertex_cov
 from .closure import closure_member_matching_oracle, integral_closure_power
 from .graphs import (
     Graph,
+    _odd_component_count,
     berge_deficiency,
     deficiency,
     edge_ideal,
@@ -35,6 +36,7 @@ from .stability import (
     analytic_spread,
     both_chains,
     is_normal_up_to,
+    maximal_ideal_criteria,
     power_chain,
     stability_bound,
 )
@@ -86,8 +88,6 @@ def _claim_fig7(graphs, ideals):
     g = graphs["FIG7"]
     value, witness = berge_deficiency(g)
     s_34 = {g.labels.index("x3"), g.labels.index("x4")}
-    from .graphs import _odd_component_count
-
     mask = sum(1 << v for v in s_34)
     achieved = _odd_component_count(g, mask) - 2
     return (
@@ -223,8 +223,6 @@ def _claim_assce(graphs, ideals):
 
 
 def _claim_maximal_criteria(graphs, ideals):
-    from .stability import maximal_ideal_criteria
-
     c3 = maximal_ideal_criteria(graphs["C3"], 2)
     c4 = maximal_ideal_criteria(graphs["C4"], 3)
     mixed = maximal_ideal_criteria(graphs["C3+C4"], 3)

@@ -12,7 +12,7 @@ from math import inf
 # For I^k of an equigenerated ideal the corner mask, the witness oracle box
 # and the closure box are all [0, k*u], so one cap on cells bounds all three.
 BOX_CELLS = 40_000_000
-BERGE_CAP = 16  # vertices of a Berge/Tutte sweep over all 2^n subsets
+BERGE_CAP = 16  # vertices of a Berge sweep over all 2^n subsets
 COVER_CAP = 20  # vertices of the 2^n vertex-cover enumeration
 LP_CAP = 500_000  # box points of the exact LP closure sweep
 

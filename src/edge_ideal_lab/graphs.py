@@ -58,20 +58,6 @@ class Graph:
         return cls(tuple(labels), _canonical_edges(edges))
 
     @classmethod
-    def from_labeled_edges(cls, pairs: Iterable[tuple[str, str]]) -> Graph:
-        """Vertices appear in first-occurrence order."""
-        labels: list[str] = []
-        index: dict[str, int] = {}
-        edges = []
-        for a, b in pairs:
-            for name in (a, b):
-                if name not in index:
-                    index[name] = len(labels)
-                    labels.append(name)
-            edges.append((index[a], index[b]))
-        return cls.from_edges(labels, edges)
-
-    @classmethod
     def cycle(cls, n: int, prefix: str = "x") -> Graph:
         labels = [f"{prefix}{i}" for i in range(1, n + 1)]
         return cls.from_edges(labels, [(i, (i + 1) % n) for i in range(n)])
@@ -109,25 +95,27 @@ class Graph:
     def has_isolated_vertices(self) -> bool:
         return any(d == 0 for d in self.degrees)
 
+    def _bfs(self, starts: Iterable[int]) -> tuple[list[list[int]], list[int]]:
+        """A breadth-first walk from each start that no earlier one reached:
+        the vertices of each component it enters, in visit order, and every
+        vertex's distance from its component's start (-1 where unreached)."""
+        dist = [-1] * self.n
+        comps = []
+        for start in starts:
+            if dist[start] == -1:
+                dist[start] = 0
+                comp = [start]
+                for v in comp:  # the list is the queue: it grows as it is read
+                    for w in self.adjacency[v]:
+                        if dist[w] == -1:
+                            dist[w] = dist[v] + 1
+                            comp.append(w)
+                comps.append(comp)
+        return comps, dist
+
     def component_indices(self) -> list[list[int]]:
         """Vertex index lists of the connected components, in discovery order."""
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            comp = []
-            queue = deque([start])
-            seen[start] = True
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for w in self.adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return [sorted(comp) for comp in self._bfs(range(self.n))[0]]
 
     def subgraph(self, vertices: Sequence[int]) -> Graph:
         keep = sorted(set(vertices))
@@ -143,23 +131,13 @@ class Graph:
     def bipartition(self) -> tuple[list[int], list[int]] | None:
         """The two colour classes of a BFS 2-colouring (each component's first
         vertex in the first class), or None when the graph has an odd cycle."""
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self.adjacency[v]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        return None
+        # an edge joins BFS layers at most one apart: same parity, same layer
+        dist = self._bfs(range(self.n))[1]
+        if any(dist[u] == dist[v] for u, v in self.edges):
+            return None
         return (
-            [v for v in range(self.n) if color[v] == 0],
-            [v for v in range(self.n) if color[v] == 1],
+            [v for v in range(self.n) if dist[v] % 2 == 0],
+            [v for v in range(self.n) if dist[v] % 2 == 1],
         )
 
     def is_bipartite(self) -> bool:
@@ -167,23 +145,14 @@ class Graph:
 
     def odd_girth(self) -> int | None:
         """Length of a shortest odd cycle; None when bipartite."""
-        best: int | None = None
-        for start in range(self.n):
-            dist = [-1] * self.n
-            dist[start] = 0
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self.adjacency[v]:
-                    if dist[w] == -1:
-                        dist[w] = dist[v] + 1
-                        queue.append(w)
-            for u, v in self.edges:
-                if dist[u] != -1 and dist[u] == dist[v]:
-                    length = 2 * dist[u] + 1
-                    if best is None or length < best:
-                        best = length
-        return best
+        lengths = [
+            2 * dist[u] + 1
+            for start in range(self.n)
+            for dist in [self._bfs([start])[1]]
+            for u, v in self.edges
+            if dist[u] != -1 and dist[u] == dist[v]
+        ]
+        return min(lengths, default=None)
 
     def leaf_count(self) -> int:
         return sum(1 for d in self.degrees if d == 1)
@@ -299,19 +268,6 @@ class MatchingCertificate:
     def size(self) -> int:
         return len(self.pairs)
 
-    def validate(self) -> None:
-        if len({v for pair in self.pairs for v in pair}) != 2 * len(self.pairs):
-            raise AssertionError("matching edges are not pairwise disjoint")
-
-
-def maximum_matching(graph: Graph) -> MatchingCertificate:
-    match, labels = _blossom_matching(graph.n, graph.adjacency), graph.labels
-    cert = MatchingCertificate(
-        tuple(sorted((labels[v], labels[w]) for v, w in enumerate(match) if w > v))
-    )
-    cert.validate()
-    return cert
-
 
 def _checked_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     """Blossom partner array, checked to be an involution."""
@@ -319,6 +275,13 @@ def _checked_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     if any(w != -1 and match[w] != v for v, w in enumerate(match)):
         raise AssertionError("matching edges are not pairwise disjoint")
     return match
+
+
+def maximum_matching(graph: Graph) -> MatchingCertificate:
+    match, labels = _checked_matching(graph.n, graph.adjacency), graph.labels
+    return MatchingCertificate(
+        tuple(sorted((labels[v], labels[w]) for v, w in enumerate(match) if w > v))
+    )
 
 
 def _matching_size(n: int, adj: Sequence[Sequence[int]]) -> int:
@@ -338,8 +301,8 @@ def has_perfect_matching(graph: Graph) -> bool:
     return deficiency(graph) == 0
 
 
-# subsets per vectorized block of the Berge and Tutte sweeps: the kernel's
-# arrays are (n, block), so memory stays O(n * 4096) whatever n is
+# subsets per vectorized block of the Berge sweep: the kernel's arrays are
+# (n, block), so memory stays O(n * 4096) whatever n is
 _SUBSET_BLOCK = 1 << 12
 
 
@@ -413,13 +376,6 @@ def berge_deficiency(graph: Graph, cap: int = BERGE_CAP) -> tuple[int, frozenset
     return best, witness
 
 
-def tutte_condition_holds(graph: Graph, cap: int = BERGE_CAP) -> bool:
-    """Whether every vertex subset S leaves at most |S| odd components."""
-    if graph.n > cap:
-        raise BudgetExceededError(f"exhaustive Tutte check capped at {cap} vertices")
-    return not any((values > 0).any() for _, values in _surplus_blocks(graph))
-
-
 # ---------------------------------------------------------------------------
 # parallelization
 # ---------------------------------------------------------------------------
@@ -457,10 +413,6 @@ class ParallelGraph:
                 for t in range(1, self.multiplicity[j] + 1):
                     out.add(((i, s), (j, t)))
         return frozenset(out)
-
-    @property
-    def n(self) -> int:
-        return sum(self.multiplicity)
 
     def copy_label(self, v: CopyVertex) -> str:
         return f"{self.base.labels[v[0]]}^{v[1]}"

@@ -82,10 +82,6 @@ class Monomial:
         _check_range(min(self.exps), max(self.exps))
 
     @classmethod
-    def one(cls, vset: VariableSet) -> Monomial:
-        return cls(vset, (0,) * vset.n)
-
-    @classmethod
     def variable(cls, vset: VariableSet, i: int) -> Monomial:
         """The unit-vector monomial x_i (0-based index)."""
         e = [0] * vset.n
@@ -437,17 +433,10 @@ class MonomialPrime:
     def from_indices(cls, vset: VariableSet, indices: Iterable[int]) -> MonomialPrime:
         return cls(tuple(sorted(vset.names[i] for i in set(indices))))
 
-    def indices(self, vset: VariableSet) -> tuple[int, ...]:
-        return tuple(vset.index[name] for name in self.names)
-
     def as_ideal(self, vset: VariableSet) -> MonomialIdeal:
         return MonomialIdeal.from_monomials(
             vset, (Monomial.variable(vset, vset.index[name]) for name in self.names)
         )
-
-    @property
-    def height(self) -> int:
-        return len(self.names)
 
     def __str__(self) -> str:
         return "(" + ",".join(self.names) + ")"

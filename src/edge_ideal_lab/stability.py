@@ -109,30 +109,6 @@ class ChainReport:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> ChainReport:
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise UsageError(f"unsupported schema: {doc.get('schema')!r}")
-        chains = doc["chains"]
-        if len(chains) != doc["K"]:
-            raise UsageError(f"{len(chains)} chain entries for K = {doc['K']}")
-
-        def side(key: str) -> tuple[PrimeSet, ...] | None:
-            if not chains or chains[0].get(key) is None:
-                return None
-            return tuple(
-                tuple(MonomialPrime(tuple(names)) for names in entry[key])
-                for entry in chains
-            )
-
-        return cls(
-            ideal_label=doc["ideal"],
-            max_power=doc["K"],
-            ass_sets=side("ass"),
-            closure_ass_sets=side("closure_ass"),
-            n1_bound=doc["verdicts"].get("n1_bound"),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 

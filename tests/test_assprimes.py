@@ -10,6 +10,7 @@ import pytest
 
 from edge_ideal_lab import assprimes, monomials
 from edge_ideal_lab.assprimes import (
+    IrreducibleComponent,
     associated_primes,
     associated_primes_witness_oracle,
     disjoint_union_ass,
@@ -18,7 +19,7 @@ from edge_ideal_lab.assprimes import (
     minimal_vertex_covers,
 )
 from edge_ideal_lab.errors import BudgetExceededError, UsageError, bounded
-from edge_ideal_lab.fixtures import assce
+from edge_ideal_lab.fixtures import assce, fig9
 from edge_ideal_lab.graphs import Graph, connected_graphs, disjoint_union, edge_ideal
 from edge_ideal_lab.monomials import (
     MonomialIdeal,
@@ -51,7 +52,14 @@ def assert_irredundant_decomposition(target, comps):
         total = total.intersect(other)
     assert total == target, str(target)
     for a, b in permutations(comps, 2):
-        assert not a.contains_component(b), f"{a} contains {b} in {target}"
+        assert not contains_component(a, b), f"{a} contains {b} in {target}"
+
+
+def contains_component(a: IrreducibleComponent, b: IrreducibleComponent) -> bool:
+    """Ideal containment b <= a: b's support inside a's, with b's exponents at
+    least a's there."""
+    mine = dict(a.entries)
+    return all(i in mine and e >= mine[i] for i, e in b.entries)
 
 
 class TestDecomposition:
@@ -160,6 +168,19 @@ class TestDecomposition:
         with bounded(box_cells=box - 1), pytest.raises(BudgetExceededError):
             irreducible_decomposition(target)
 
+    def test_cached_primes_obey_the_box_cap(self):
+        # FIG9^3 has a 4^9-cell box; once an unbounded call has memoized its
+        # primes, a smaller cap still refuses it and a cap of its box answers
+        target = edge_ideal(fig9()).power(3)
+        primes = associated_primes(target)
+        assert len(primes) == 23
+        with bounded(box_cells=4**9 - 1), pytest.raises(
+            BudgetExceededError, match=r"corner membership mask needs 262144 cells"
+        ):
+            associated_primes(target)
+        with bounded(box_cells=4**9):
+            assert associated_primes(target) is primes
+
     def test_intersection_reconstructs_ideal(self):
         for target in (
             edge_ideal(Graph.cycle(3)).power(2),
@@ -244,7 +265,7 @@ class TestWitnessOracle:
     def test_triangle_square_finds_maximal_witness(self):
         i2 = edge_ideal(Graph.cycle(3)).power(2)
         witnesses = associated_primes_witness_oracle(i2)
-        full = {w for w in witnesses if w.prime.height == 3}
+        full = {w for w in witnesses if len(w.prime.names) == 3}
         assert len(full) == 1
         assert next(iter(full)).witness.exps == (1, 1, 1)
 

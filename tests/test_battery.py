@@ -2,18 +2,23 @@
 acceptance suite's job)."""
 
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
+from edge_ideal_lab import battery, graphs
 from edge_ideal_lab.battery import (
+    certificate_battery,
+    closure_oracle_soundness,
     colon_identity_holds,
     colon_identity_sweep,
     corpus_graphs,
     run_battery,
 )
+from edge_ideal_lab.closure import closure_member_matching_oracle
 from edge_ideal_lab.errors import UsageError
-from edge_ideal_lab.fixtures import fig9
+from edge_ideal_lab.fixtures import fig9, graph_catalog
 from edge_ideal_lab.graphs import Graph, edge_ideal
 from edge_ideal_lab.monomials import membership_mask
 
@@ -123,6 +128,40 @@ def test_run_battery_small_caps():
     results = run_battery(max_vertices=4, max_power=2, samples=4)
     failures = [(n, d) for n, p, d in results if not p]
     assert not failures, failures[:5]
+
+
+def test_certificate_battery_catches_a_layout_fault(monkeypatch):
+    # every copy of G^a loses its last neighbour in the unlabeled layout that
+    # factor_by_matching and power_index share; the labeled G^a does not
+    layout = graphs._parallel_layout
+
+    def faulty(graph, multiplicity):
+        a, start, adj = layout(graph, multiplicity)
+        return a, start, [row[:-1] for row in adj]
+
+    catalog = graph_catalog()
+    named = {name: catalog[name] for name in ("E1", "STAR31", "C3", "C4", "P4")}
+    assert all(ok for _, ok, _ in certificate_battery(named))
+    monkeypatch.setattr(graphs, "_parallel_layout", faulty)
+    checks = list(certificate_battery(named))
+    assert [name for name, _, _ in checks] == [f"factorization[{n}]" for n in named]
+    assert ("factorization[E1]", False, "a=(1, 1)") in checks
+
+
+def test_closure_oracle_soundness_reports_the_first_failure(monkeypatch):
+    # with LP membership planted to refuse everything, every certified (a, k)
+    # fails, and the detail names the first of them in the scan order
+    g = graph_catalog()["C3"]
+    certified = [
+        (a, k)
+        for a in product(range(3), repeat=3)
+        for k in (1, 2)
+        if closure_member_matching_oracle(g, a, k) is True
+    ]
+    monkeypatch.setattr(battery, "np_member", lambda a, poly: False)
+    [check] = closure_oracle_soundness({"C3": g}, max_power=2, max_entry=2)
+    a, k = certified[0]
+    assert check == ("closure-oracle-soundness[C3]", False, f"a={a} k={k}")
 
 
 def test_run_battery_refuses_negative_samples():

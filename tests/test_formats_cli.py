@@ -25,8 +25,8 @@ from edge_ideal_lab.formats import (
     serialize_graph,
     serialize_ideal,
 )
-from edge_ideal_lab.graphs import Graph
-from edge_ideal_lab.stability import ChainReport
+from edge_ideal_lab.graphs import Graph, edge_ideal
+from edge_ideal_lab.stability import both_chains, stability_bound
 
 
 class TestGraphFormat:
@@ -221,8 +221,10 @@ class TestCli:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["schema"] == "edge-ideal-lab/1"
-        report = ChainReport.from_json_dict(doc)
-        assert report.to_json_dict() == doc
+        g = parse_graph(C4_GRAPH)
+        report = both_chains(edge_ideal(g), 2, "I(c4.graph)", stability_bound(g))
+        assert doc == report.to_json_dict()
+        assert [entry["k"] for entry in doc["chains"]] == [1, 2]
         assert doc["verdicts"]["n1_observed"] == 1
 
     def test_parse_error_exit_code(self, tmp_path):

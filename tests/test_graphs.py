@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from itertools import combinations, product as iter_product
 
+import networkx as nx
 import pytest
 
 from edge_ideal_lab import graphs
@@ -30,7 +31,6 @@ from edge_ideal_lab.graphs import (
     parallelize,
     power_index,
     sample_graphs,
-    tutte_condition_holds,
 )
 from edge_ideal_lab.monomials import Monomial
 
@@ -59,7 +59,7 @@ class TestMatching:
 
     def test_certificate_validates(self):
         cert = maximum_matching(fig9())
-        cert.validate()
+        assert len({v for pair in cert.pairs for v in pair}) == 2 * cert.size
         assert cert.size == 4
 
     def test_blossom_against_brute_force_exhaustive(self):
@@ -72,16 +72,9 @@ class TestMatching:
 
     def test_odd_cycles_need_blossoms(self):
         # two triangles joined by a path defeat greedy augmenting without contraction
-        g = Graph.from_labeled_edges(
-            [
-                ("a1", "a2"),
-                ("a2", "a3"),
-                ("a1", "a3"),
-                ("a3", "b3"),
-                ("b1", "b2"),
-                ("b2", "b3"),
-                ("b1", "b3"),
-            ]
+        g = Graph.from_edges(
+            ("a1", "a2", "a3", "b3", "b1", "b2"),
+            [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 3), (4, 3)],
         )
         assert matching_number(g) == 3
 
@@ -120,8 +113,9 @@ class TestDeficiencyAndBerge:
         assert berge_deficiency(big, cap=17)[0] == deficiency(big)
 
     def test_tutte_iff_perfect_matching(self):
+        # Tutte's condition is Berge's formula at value 0
         for g in (Graph.single_edge(), Graph.cycle(3), Graph.cycle(4), fig7(), k33()):
-            assert tutte_condition_holds(g) == has_perfect_matching(g)
+            assert (berge_deficiency(g)[0] == 0) == has_perfect_matching(g)
 
 
 def reference_odd_counts(g: Graph) -> list[int]:
@@ -181,8 +175,14 @@ class TestOddComponentKernel:
             assert berge_deficiency(g) == reference_berge(g), str(g)
 
     def test_tutte_iff_zero_berge_deficiency(self):
+        # Tutte's condition, every S leaving at most |S| odd components, read
+        # off the flood-fill reference
         for g in kernel_graphs():
-            assert tutte_condition_holds(g) == (berge_deficiency(g)[0] == 0), str(g)
+            tutte = all(
+                odd <= bin(mask).count("1")
+                for mask, odd in enumerate(reference_odd_counts(g))
+            )
+            assert tutte == (berge_deficiency(g)[0] == 0), str(g)
 
     def test_several_blocks(self):
         # 2^13 subsets span two blocks; the star's only maximizer {x13} lies
@@ -192,7 +192,6 @@ class TestOddComponentKernel:
             [f"x{i}" for i in range(1, 14)], [(i, 12) for i in range(12)]
         )
         assert berge_deficiency(star) == (11, frozenset({"x13"}))
-        assert not tutte_condition_holds(star)
         # x1 - x13 - x2 beside ten isolated vertices ties S = {} (block one)
         # with S = {x13} (block two) at 11: the first maximizer is kept
         tie = Graph.from_edges([f"x{i}" for i in range(1, 14)], [(0, 12), (1, 12)])
@@ -200,7 +199,7 @@ class TestOddComponentKernel:
         for g in (star, sample_graphs(1, (13, 13), seed=3)[0]):
             assert g.n == 13
             assert berge_deficiency(g) == reference_berge(g), str(g)
-            assert tutte_condition_holds(g) == has_perfect_matching(g)
+            assert (berge_deficiency(g)[0] == 0) == has_perfect_matching(g)
 
     def test_memory_stays_per_block(self):
         flat = parallelize(fig9(), (2, 2, 2, 2, 2, 2, 2, 1, 1)).flat
@@ -233,9 +232,9 @@ class TestParallelize:
 
     def test_zero_multiplicity_deletes(self):
         pg = parallelize(Graph.cycle(3), (0, 1, 1))
-        assert pg.n == 2 and len(pg.edge_set) == 1
-        empty = parallelize(Graph.cycle(3), (0, 0, 0))
-        assert empty.n == 0 and matching_number(empty.flat) == 0
+        assert pg.flat.n == 2 and len(pg.edge_set) == 1
+        empty = parallelize(Graph.cycle(3), (0, 0, 0)).flat
+        assert empty.n == 0 and matching_number(empty) == 0
 
     def test_duplicate_edge_examples(self):
         c4 = Graph.cycle(4)
@@ -322,6 +321,73 @@ class TestStructure:
         ):
             with pytest.raises(UsageError):
                 Graph(labels, edges)
+
+
+def bfs_graphs() -> list[Graph]:
+    """The 771-graph corpus, 300 seeded graphs, and 200 disjoint unions of two
+    of them with the vertices shuffled, so components interleave."""
+    single = list(connected_graphs(2, 5))
+    single += sample_graphs(300, (2, 9), 5, edge_prob=0.25)
+    rng = random.Random(17)
+    unions = []
+    for _ in range(200):
+        a, b = rng.sample(single, 2)
+        n = a.n + b.n
+        perm = rng.sample(range(n), n)
+        edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+        labels = [f"x{i}" for i in range(1, n + 1)]
+        unions.append(Graph.from_edges(labels, [(perm[u], perm[v]) for u, v in edges]))
+    return single + unions
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def reference_odd_girth(g: Graph) -> int | None:
+    """The shortest (v,0) -> (v,1) path in the bipartite double cover: the
+    shortest odd closed walk, whose length is that of a shortest odd cycle."""
+    cover = nx.Graph()
+    for u, v in g.edges:
+        cover.add_edges_from((((u, p), (v, 1 - p)) for p in (0, 1)))
+    lengths = [
+        nx.single_source_shortest_path_length(cover, (v, 0)).get((v, 1))
+        for v in range(g.n)
+        if (v, 0) in cover
+    ]
+    return min((d for d in lengths if d is not None), default=None)
+
+
+class TestBreadthFirstQueries:
+    """The three BFS queries against networkx on the same inputs."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        graphs_ = bfs_graphs()
+        assert len(graphs_) == 1271
+        return [(g, to_networkx(g)) for g in graphs_]
+
+    def test_components(self, inputs):
+        for g, h in inputs:
+            expected = sorted(sorted(c) for c in nx.connected_components(h))
+            assert g.component_indices() == expected, str(g)
+
+    def test_bipartition(self, inputs):
+        for g, h in inputs:
+            parts = g.bipartition()
+            assert (parts is None) == (not nx.is_bipartite(h)), str(g)
+            if parts is not None:
+                first, second = parts
+                assert sorted(first + second) == list(range(g.n)), str(g)
+                assert all((u in first) != (v in first) for u, v in g.edges), str(g)
+                assert all(min(c) in first for c in nx.connected_components(h))
+
+    def test_odd_girth(self, inputs):
+        for g, _ in inputs:
+            assert g.odd_girth() == reference_odd_girth(g), str(g)
 
 
 class TestSampleGraphs:
@@ -428,6 +494,8 @@ class TestPowerIndexFromBlocks:
             power_index(Graph.single_edge(), (1, 1))
         with pytest.raises(AssertionError, match="disjoint"):
             matching_number(Graph.single_edge())
+        with pytest.raises(AssertionError, match="disjoint"):
+            maximum_matching(Graph.single_edge())
         with pytest.raises(AssertionError, match="disjoint"):
             factor_by_matching(Graph.single_edge(), (1, 1))
 

@@ -123,11 +123,10 @@ def _module_level_names(tree: ast.Module):
 def test_limits_live_only_in_errors():
     # no module but errors.py defines a cap, and no function takes a limit
     # as a parameter, except the benchmark-pinned both_chains keywords and
-    # the Berge/Tutte vertex cap that --berge-cap sets
+    # the Berge vertex cap that --berge-cap sets
     allowed = {
         ("stability.py", "both_chains"): {"closure_cap", "budget_seconds"},
         ("graphs.py", "berge_deficiency"): {"cap"},
-        ("graphs.py", "tutte_condition_holds"): {"cap"},
     }
     caps, takers = {}, set()
     package = Path(edge_ideal_lab.__file__).parent

@@ -25,7 +25,6 @@ from edge_ideal_lab.fixtures import (
 from edge_ideal_lab.graphs import Graph, edge_ideal
 from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
 from edge_ideal_lab.stability import (
-    ChainReport,
     _first_constant_index,
     analytic_spread,
     both_chains,
@@ -130,13 +129,6 @@ class TestChainReports:
         assert _strict_steps(report.ass_sets) == [True, False]
         assert report.n1_observed == 2
 
-    def test_json_round_trip(self):
-        report = both_chains(edge_ideal(Graph.cycle(4)), 2, "I(C4)", 1)
-        doc = report.to_json_dict()
-        back = ChainReport.from_json_dict(doc)
-        assert back.to_json_dict() == doc
-        assert back.n1_observed == report.n1_observed
-
     def test_closure_only_chain(self):
         report = both_chains(edge_ideal(Graph.cycle(3)), 2, "I(C3)", mode="closure")
         assert report.ass_sets is None
@@ -154,13 +146,6 @@ class TestChainReports:
         with pytest.raises(BudgetExceededError, match="time budget"):
             both_chains(edge_ideal(Graph.cycle(5)), 3, "I(C5)", budget_seconds=0.0)
         assert len(product_count) == 0
-
-    def test_json_with_a_missing_power_is_refused(self):
-        doc = both_chains(edge_ideal(Graph.cycle(5)), 3, "I(C5)", 3).to_json_dict()
-        assert len(ChainReport.from_json_dict(doc).ass_sets) == 3
-        del doc["chains"][-1]
-        with pytest.raises(UsageError, match="2 chain entries for K = 3"):
-            ChainReport.from_json_dict(doc)
 
     def test_text_rendering_mentions_certified_bound(self):
         g = Graph.cycle(4)

@@ -59,9 +59,6 @@ class IrreducibleComponent:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
 
-    def radical(self, vset: VariableSet) -> MonomialPrime:
-        return MonomialPrime.from_indices(vset, self.support)
-
     def as_ideal(self, vset: VariableSet) -> MonomialIdeal:
         rows = np.zeros((len(self.entries), vset.n), dtype=np.int64)
         for row, (i, e) in enumerate(self.entries):
@@ -141,9 +138,8 @@ def associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
 
 @lru_cache(maxsize=512)
 def _associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
-    comps = irreducible_decomposition(ideal)
-    primes = {c.radical(ideal.vset) for c in comps}
-    return tuple(sorted(primes))
+    supports = {c.support for c in irreducible_decomposition(ideal)}
+    return tuple(sorted(MonomialPrime.from_indices(ideal.vset, s) for s in supports))
 
 
 def minimal_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
@@ -251,20 +247,9 @@ def disjoint_union_ass(
         raise UsageError("need at least one part and a positive power")
     for part in parts:
         _require_decomposable(part)
-    same_vset = all(p.vset.names == parts[0].vset.names for p in parts)
-    if same_vset and len(parts) > 1:
-        supports = [
-            set(np.flatnonzero(p.exponent_array.any(axis=0)).tolist()) for p in parts
-        ]
-        for a, b in combinations(range(len(parts)), 2):
-            if supports[a] & supports[b]:
-                raise UsageError("parts must have pairwise disjoint supports")
-    else:
-        all_names: list[str] = []
-        for p in parts:
-            all_names.extend(p.vset.names)
-        if len(set(all_names)) != len(all_names):
-            raise UsageError("parts must use pairwise disjoint variable names")
+    names = [name for p in parts for name in p.vset.names]
+    if len(set(names)) != len(names):
+        raise UsageError("parts must use pairwise disjoint variable names")
 
     s = len(parts)
     results: set[MonomialPrime] = set()

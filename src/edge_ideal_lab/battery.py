@@ -9,6 +9,7 @@ equality is ideal equality), which keeps exhaustive sweeps cheap.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
@@ -39,7 +40,7 @@ from .graphs import (
     sample_graphs,
 )
 from .monomials import Monomial, MonomialIdeal, maximal_prime, membership_mask
-from .stability import power_chain
+from .stability import both_chains, power_chain
 
 Check = tuple[str, bool, str]
 
@@ -74,8 +75,11 @@ def colon_identity_holds(ideal: MonomialIdeal, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def corpus_graphs(max_vertices: int = 5) -> list[Graph]:
-    return list(connected_graphs(2, max_vertices))
+def _first_failure(name: str, failures: Iterator[str]) -> Check:
+    """The check ``name``: passed when ``failures`` yields nothing, else
+    failed with its first detail (the scan stops there)."""
+    detail = next(failures, None)
+    return name, detail is None, detail or ""
 
 
 def colon_identity_sweep(
@@ -90,10 +94,9 @@ def colon_identity_sweep(
 def persistence_sweep(graphs: Iterable[Graph], max_power: int = 4) -> Iterator[Check]:
     """Ascending-chain checks of the associated primes of the powers."""
     for idx, g in enumerate(graphs):
-        ideal = edge_ideal(g)
-        sets = [set(step.ass) for step in power_chain(ideal, max_power)]
-        ok = all(a <= b for a, b in zip(sets, sets[1:]))
-        yield f"persistence[{idx}:{g}]", ok, f"sizes {[len(s) for s in sets]}"
+        report = both_chains(edge_ideal(g), max_power, mode="ass")
+        sizes = [len(s) for s in report.ass_sets]
+        yield f"persistence[{idx}:{g}]", report.ascending, f"sizes {sizes}"
 
 
 def maximal_step_sweep(
@@ -150,17 +153,16 @@ def matching_battery(named_graphs: dict[str, Graph]) -> Iterator[Check]:
 
 def certificate_battery(named_graphs: dict[str, Graph]) -> Iterator[Check]:
     for name, g in named_graphs.items():
-        for a in _multiplicity_samples(g.n):
-            # the labeled G^a is the reference: power_index shares the
-            # unlabeled layout of factor_by_matching, so it misses its faults
-            cert = factor_by_matching(g, a)
-            nu = matching_number(parallelize(g, a).flat)
-            ok = cert.matched_degree == nu and cert.delta.degree == sum(a) - 2 * nu
-            if not ok:
-                yield f"factorization[{name}]", False, f"a={a}"
-                break
-        else:
-            yield f"factorization[{name}]", True, ""
+        # the labeled G^a is the reference: power_index shares the unlabeled
+        # layout of factor_by_matching, so it misses its faults
+        failures = (
+            f"a={a}"
+            for a in _multiplicity_samples(g.n)
+            for cert in [factor_by_matching(g, a)]
+            for nu in [matching_number(parallelize(g, a).flat)]
+            if (cert.matched_degree, cert.delta.degree) != (nu, sum(a) - 2 * nu)
+        )
+        yield _first_failure(f"factorization[{name}]", failures)
 
 
 def _multiplicity_samples(n: int) -> list[tuple[int, ...]]:
@@ -183,19 +185,15 @@ def membership_coherence_sweep(
     for name, g in named_graphs.items():
         ideal = edge_ideal(g)
         powers = list(ideal.powers(max_power))
-        ok = True
-        bad = ""
-        for a in iter_product(range(max_entry + 1), repeat=g.n):
-            nu = power_index(g, a)
-            x_a = Monomial(ideal.vset, a)
-            for k in range(1, max_power + 1):
-                if powers[k - 1].contains(x_a) != (k <= nu):
-                    ok = False
-                    bad = f"a={a} k={k} nu={nu}"
-                    break
-            if not ok:
-                break
-        yield f"membership-coherence[{name}]", ok, bad
+        failures = (
+            f"a={a} k={k} nu={nu}"
+            for a in iter_product(range(max_entry + 1), repeat=g.n)
+            for nu in [power_index(g, a)]
+            for x_a in [Monomial(ideal.vset, a)]
+            for k, power in enumerate(powers, 1)
+            if power.contains(x_a) != (k <= nu)
+        )
+        yield _first_failure(f"membership-coherence[{name}]", failures)
 
 
 def multiset_matching_sweep(
@@ -205,33 +203,24 @@ def multiset_matching_sweep(
     perfect matching; the ideal-membership route is the independent check."""
     for name, g in named_graphs.items():
         ideal = edge_ideal(g)
-        powers = list(ideal.powers((max_entry * g.n) // 2))
-        ok = True
-        bad = ""
-        for a in iter_product(range(max_entry + 1), repeat=g.n):
-            total = sum(a)
-            member = edge_subring_member(g, a)
-            if total % 2 == 1:
-                expected = False
-            else:
-                expected = total == 0 or powers[total // 2 - 1].contains(
-                    Monomial(ideal.vset, a)
-                )
-            if member != expected:
-                ok = False
-                bad = f"a={a}"
-                break
-        yield f"multiset-matching[{name}]", ok, bad
+        # the chain I^0 = R, I, I^2, ..., so a = 0 needs no special case
+        powers = [MonomialIdeal.unit(ideal.vset), *ideal.powers((max_entry * g.n) // 2)]
+        failures = (
+            f"a={a}"
+            for a in iter_product(range(max_entry + 1), repeat=g.n)
+            for member, total in [(edge_subring_member(g, a), sum(a))]
+            if member
+            != (total % 2 == 0 and powers[total // 2].contains(Monomial(ideal.vset, a)))
+        )
+        yield _first_failure(f"multiset-matching[{name}]", failures)
 
 
 def commutation_sweep(
     named_graphs: dict[str, Graph], multiplicities: Sequence[tuple[int, ...]] = ()
 ) -> Iterator[Check]:
     """Duplicating an edge of a parallelization equals bumping multiplicities."""
-    for name, g in named_graphs.items():
-        vectors = list(multiplicities) or _multiplicity_samples(g.n)[: g.n + 1]
-        ok = True
-        bad = ""
+
+    def failures(g: Graph, vectors: Sequence[tuple[int, ...]]) -> Iterator[str]:
         for a in vectors:
             pg = parallelize(g, a)
             for copy_edge in sorted(pg.edge_set):
@@ -239,15 +228,13 @@ def commutation_sweep(
                 bumped = list(a)
                 bumped[x[0]] += 1
                 bumped[y[0]] += 1
-                direct = duplicate_copy_edge(pg, copy_edge)
                 one_step = parallelize(g, bumped).edge_set
-                if direct != one_step:
-                    ok = False
-                    bad = f"a={a} f={copy_edge}"
-                    break
-            if not ok:
-                break
-        yield f"parallel-commutation[{name}]", ok, bad
+                if duplicate_copy_edge(pg, copy_edge) != one_step:
+                    yield f"a={a} f={copy_edge}"
+
+    for name, g in named_graphs.items():
+        vectors = list(multiplicities) or _multiplicity_samples(g.n)[: g.n + 1]
+        yield _first_failure(f"parallel-commutation[{name}]", failures(g, vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +247,16 @@ def decomposition_validity(ideals: dict[str, MonomialIdeal]) -> Iterator[Check]:
     for name, ideal in ideals.items():
         comps = irreducible_decomposition(ideal)
         as_ideals = [c.as_ideal(ideal.vset) for c in comps]
-        total = as_ideals[0]
-        for other in as_ideals[1:]:
-            total = total.intersect(other)
-        ok = total == ideal
-        irredundant = True
-        if ok and len(as_ideals) > 1:
-            for skip in range(len(as_ideals)):
-                rest = [c for i, c in enumerate(as_ideals) if i != skip]
-                partial = rest[0]
-                for other in rest[1:]:
-                    partial = partial.intersect(other)
-                if partial == ideal:
-                    irredundant = False
-                    break
-        yield f"decomposition-validity[{name}]", ok and irredundant, (
+        ok = reduce(MonomialIdeal.intersect, as_ideals) == ideal
+        redundant = ok and len(as_ideals) > 1 and any(
+            reduce(MonomialIdeal.intersect, as_ideals[:skip] + as_ideals[skip + 1 :])
+            == ideal
+            for skip in range(len(as_ideals))
+        )
+        yield f"decomposition-validity[{name}]", ok and not redundant, (
             f"{len(comps)} components"
             + ("" if ok else " INTERSECTION!=IDEAL")
-            + ("" if irredundant else " REDUNDANT")
+            + (" REDUNDANT" if redundant else "")
         )
 
 
@@ -328,18 +307,14 @@ def closure_oracle_soundness(
     for name, g in named_graphs.items():
         ideal = edge_ideal(g)
         polys = {k: NewtonPolyhedron.of_power(ideal, k) for k in range(1, max_power + 1)}
-        ok = True
-        bad = ""
-        for a in iter_product(range(max_entry + 1), repeat=g.n):
-            for k, poly in polys.items():
-                cert = closure_member_matching_oracle(g, a, k)
-                if cert is True and not np_member(a, poly):
-                    ok = False
-                    bad = f"a={a} k={k}"
-                    break
-            if not ok:
-                break
-        yield f"closure-oracle-soundness[{name}]", ok, bad
+        failures = (
+            f"a={a} k={k}"
+            for a in iter_product(range(max_entry + 1), repeat=g.n)
+            for k, poly in polys.items()
+            if closure_member_matching_oracle(g, a, k) is True
+            and not np_member(a, poly)
+        )
+        yield _first_failure(f"closure-oracle-soundness[{name}]", failures)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +342,7 @@ def run_battery(
         if g.n <= 6 and name not in ("FIG8",)
     }
     small_named = {name: g for name, g in named.items() if g.n <= 4}
-    corpus = corpus_graphs(max_vertices)
+    corpus = list(connected_graphs(2, max_vertices))
     seeded = sample_graphs(samples, (6, 7), seed)
     if not corpus and not seeded:
         # with no graphs the colon-identity and persistence sweeps are empty

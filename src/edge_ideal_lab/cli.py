@@ -113,6 +113,15 @@ def _load_input(path: Path, allow_unused: bool):
     return parse_graph(text)
 
 
+def _emit(args, doc: dict, text_lines: list[str]) -> None:
+    """Print ``doc`` under the schema tag as JSON, or else the text lines."""
+    if args.format == "json":
+        print(json.dumps({"schema": SCHEMA_VERSION, **doc}, indent=2, sort_keys=True))
+    else:
+        for line in text_lines:
+            print(line)
+
+
 def _cmd_analyze(args) -> int:
     loaded = _load_input(args.input, args.allow_unused_vars)
     if isinstance(loaded, Graph):
@@ -127,7 +136,7 @@ def _cmd_analyze(args) -> int:
         raise ParseError("analyze needs a proper nonzero ideal")
     with bounded(args.closure_cap, args.budget_seconds):
         report = both_chains(ideal, args.max_power, label, bound, mode=args.mode)
-    print(report.to_json() if args.format == "json" else report.to_text())
+    _emit(args, report.to_json_dict(), [report.to_text()])
     return EXIT_OK
 
 
@@ -162,11 +171,18 @@ def _graph_measurement(graph: Graph, which: str, berge_cap: int) -> dict:
 
 
 def _cmd_graph(args) -> int:
+    for flag, value, owners in (
+        ("--then", args.then, ("parallelize", "duplicate")),
+        ("--mult", args.mult, ("parallelize",)),
+        ("--edge", args.edge, ("duplicate",)),
+    ):
+        if value is not None and args.subcommand not in owners:
+            raise UsageError(f"{flag} applies only to {' and '.join(owners)}")
     loaded = _load_input(args.input, allow_unused=True)
     if not isinstance(loaded, Graph):
         raise ParseError("the graph command needs a graph file")
     graph = loaded
-    doc: dict = {"schema": SCHEMA_VERSION, "input": str(args.input)}
+    doc: dict = {"input": str(args.input)}
     if args.subcommand in ("matching", "deficiency", "berge"):
         doc.update(_graph_measurement(graph, args.subcommand, args.berge_cap))
     else:
@@ -193,41 +209,23 @@ def _cmd_graph(args) -> int:
         )
         if args.then:
             doc["then"] = _graph_measurement(flat, args.then, args.berge_cap)
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for key, value in doc.items():
-            if key != "schema":
-                print(f"{key}: {value}")
+    _emit(args, doc, [f"{key}: {value}" for key, value in doc.items()])
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     results = run_claims(only=args.only)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "claims": [
-                        {
-                            "id": r.claim_id,
-                            "description": r.description,
-                            "passed": r.passed,
-                            "detail": r.detail,
-                        }
-                        for r in results
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            print(f"[{mark}] {r.claim_id}: {r.description} ({r.detail})")
-        print(f"{sum(r.passed for r in results)}/{len(results)} claims passed")
+    claims = [
+        {"id": r.claim_id, "description": r.description, "passed": r.passed,
+         "detail": r.detail}
+        for r in results
+    ]
+    text = [
+        f"[{'PASS' if r.passed else 'FAIL'}] {r.claim_id}: {r.description} ({r.detail})"
+        for r in results
+    ]
+    text.append(f"{sum(r.passed for r in results)}/{len(results)} claims passed")
+    _emit(args, {"claims": claims}, text)
     if not results:
         print("no claims matched the filter", file=sys.stderr)
         return EXIT_FAILED
@@ -241,24 +239,10 @@ def _cmd_battery(args) -> int:
         seed=args.sample_seed,
         samples=args.samples,
     )
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "checks": [
-                        {"name": n, "passed": p, "detail": d} for n, p, d in results
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        failed = [(n, d) for n, p, d in results if not p]
-        for name, detail in failed:
-            print(f"[FAIL] {name} ({detail})")
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    checks = [{"name": n, "passed": p, "detail": d} for n, p, d in results]
+    text = [f"[FAIL] {n} ({d})" for n, p, d in results if not p]
+    text.append(f"{sum(p for _, p, _ in results)}/{len(results)} checks passed")
+    _emit(args, {"checks": checks}, text)
     return EXIT_OK if all(p for _, p, _ in results) else EXIT_FAILED
 
 

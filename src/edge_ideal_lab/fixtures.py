@@ -10,20 +10,6 @@ from .graphs import Graph, disjoint_union, parallelize
 from .monomials import MonomialIdeal, VariableSet
 
 
-def single_edge() -> Graph:
-    return Graph.single_edge()
-
-
-def star_3_1() -> Graph:
-    """The (3,1)-parallelization of a single edge: a star with three leaves."""
-    return parallelize(single_edge(), (3, 1)).flat
-
-
-def k33() -> Graph:
-    """The (3,3)-parallelization of a single edge: complete bipartite 3x3."""
-    return parallelize(single_edge(), (3, 3)).flat
-
-
 FIG7_EDGES = [
     ("x1", "x3"),
     ("x2", "x3"),
@@ -40,11 +26,6 @@ def fig7() -> Graph:
 
 
 FIG8_MULTIPLICITY = (1, 1, 2, 2, 1, 1)
-
-
-def fig8() -> Graph:
-    """fig7 with both endpoints of the middle edge duplicated."""
-    return parallelize(fig7(), FIG8_MULTIPLICITY).flat
 
 
 FIG9_EDGES = [
@@ -69,34 +50,6 @@ def fig9() -> Graph:
 
 
 FIG9_CLOSURE_WITNESS = (1, 1, 1, 0, 1, 1, 1, 1, 1)  # x1*x2*x3*x5*x6*x7*x8*x9
-
-
-def c3() -> Graph:
-    return Graph.cycle(3)
-
-
-def c4() -> Graph:
-    return Graph.cycle(4)
-
-
-def c5() -> Graph:
-    return Graph.cycle(5)
-
-
-def p4() -> Graph:
-    return Graph.path(4)
-
-
-def k23() -> Graph:
-    return Graph.complete_bipartite(2, 3)
-
-
-def c3_disjoint_c3() -> Graph:
-    return disjoint_union(Graph.cycle(3), Graph.cycle(3, prefix="y"))
-
-
-def c3_disjoint_c4() -> Graph:
-    return disjoint_union(Graph.cycle(3), Graph.cycle(4, prefix="y"))
 
 
 ASSCE_GENERATORS = (
@@ -127,20 +80,22 @@ def assce() -> MonomialIdeal:
 
 
 def graph_catalog() -> dict[str, Graph]:
+    edge = Graph.single_edge()
     return {
-        "E1": single_edge(),
-        "STAR31": star_3_1(),
-        "K33": k33(),
+        "E1": edge,
+        "STAR31": parallelize(edge, (3, 1)).flat,  # a star with three leaves
+        "K33": parallelize(edge, (3, 3)).flat,  # complete bipartite 3x3
         "FIG7": fig7(),
-        "FIG8": fig8(),
+        # fig7 with both endpoints of the middle edge duplicated
+        "FIG8": parallelize(fig7(), FIG8_MULTIPLICITY).flat,
         "FIG9": fig9(),
-        "C3": c3(),
-        "C4": c4(),
-        "C5": c5(),
-        "P4": p4(),
-        "K23": k23(),
-        "C3+C3": c3_disjoint_c3(),
-        "C3+C4": c3_disjoint_c4(),
+        "C3": Graph.cycle(3),
+        "C4": Graph.cycle(4),
+        "C5": Graph.cycle(5),
+        "P4": Graph.path(4),
+        "K23": Graph.complete_bipartite(2, 3),
+        "C3+C3": disjoint_union(Graph.cycle(3), Graph.cycle(3, prefix="y")),
+        "C3+C4": disjoint_union(Graph.cycle(3), Graph.cycle(4, prefix="y")),
     }
 
 

@@ -341,16 +341,6 @@ def _odd_component_count(graph: Graph, removed: int) -> int:
     return int(_odd_component_counts(graph, removed, removed + 1)[0])
 
 
-def _surplus_blocks(graph: Graph) -> Iterator[tuple[int, np.ndarray]]:
-    """(lo, odd(G - S) - |S| for S in [lo, lo + block)) over all vertex subsets."""
-    total = 1 << graph.n
-    for lo in range(0, total, _SUBSET_BLOCK):
-        hi = min(lo + _SUBSET_BLOCK, total)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        sizes = sum((masks >> v) & 1 for v in range(graph.n))
-        yield lo, _odd_component_counts(graph, lo, hi) - sizes
-
-
 def berge_deficiency(graph: Graph, cap: int = BERGE_CAP) -> tuple[int, frozenset[str]]:
     """max over S of (odd components of G minus S) - |S|, with an argmax witness.
 
@@ -364,7 +354,12 @@ def berge_deficiency(graph: Graph, cap: int = BERGE_CAP) -> tuple[int, frozenset
         )
     best = None
     best_mask = 0
-    for lo, values in _surplus_blocks(graph):
+    total = 1 << graph.n
+    for lo in range(0, total, _SUBSET_BLOCK):
+        hi = min(lo + _SUBSET_BLOCK, total)
+        masks = np.arange(lo, hi, dtype=np.int64)
+        sizes = sum((masks >> v) & 1 for v in range(graph.n))
+        values = _odd_component_counts(graph, lo, hi) - sizes  # odd(G - S) - |S|
         j = int(np.argmax(values))
         if best is None or values[j] > best:
             best = int(values[j])
@@ -414,15 +409,13 @@ class ParallelGraph:
                     out.add(((i, s), (j, t)))
         return frozenset(out)
 
-    def copy_label(self, v: CopyVertex) -> str:
-        return f"{self.base.labels[v[0]]}^{v[1]}"
-
     @cached_property
     def flat(self) -> Graph:
         """The same graph with plain string labels name^copy."""
         index = {v: k for k, v in enumerate(self.vertices)}
         edges = [(index[u], index[v]) for u, v in self.edge_set]
-        return Graph.from_edges([self.copy_label(v) for v in self.vertices], edges)
+        labels = [f"{self.base.labels[i]}^{c}" for i, c in self.vertices]
+        return Graph.from_edges(labels, edges)
 
 
 def parallelize(graph: Graph, multiplicity: Sequence[int]) -> ParallelGraph:

@@ -10,7 +10,6 @@ ideal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -109,9 +108,6 @@ class ChainReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     def to_text(self) -> str:
         lines = [f"ideal: {self.ideal_label}   (max power {self.max_power})"]
         for i in range(self.max_power):
@@ -180,24 +176,24 @@ def both_chains(
     max_power: int,
     label: str = "I",
     n1_bound: int | None = None,
-    budget_seconds: float | None = None,
-    closure_cap: int | None = None,
     *,
     mode: str = "both",
+    closure_cap: int | None = None,
 ) -> ChainReport:
     """Associated primes of each power 1..max_power (``mode="ass"``), of the
     closure of each power (``"closure"``) or both, read off one walk.
 
-    The walk runs under ``bounded(closure_cap, budget_seconds)``: a refusal
-    or a spent budget raises, with no partial report. A closure-only report
-    carries no stability bound: ``n1_bound`` bounds the Ass chain.
+    The walk runs under ``bounded(closure_cap)`` and the caller's deadline,
+    which ``bounded(seconds=...)`` sets: a refusal or a spent budget raises,
+    with no partial report. A closure-only report carries no stability
+    bound: ``n1_bound`` bounds the Ass chain.
     """
     if mode not in ("ass", "closure", "both"):
         raise UsageError(f"unknown chain mode {mode!r}: use ass, closure or both")
     if max_power < 1:
         raise UsageError("max power must be >= 1")
     ass, closure = mode != "closure", mode != "ass"
-    with bounded(closure_cap, budget_seconds):
+    with bounded(closure_cap):
         sides = [
             (step.ass if ass else None, step.closure_ass if closure else None)
             for step in power_chain(ideal, max_power)
@@ -247,12 +243,8 @@ def stability_bound(graph: Graph) -> int | None:
         return None
     bounds = []
     for comp in components:
-        if comp.is_bipartite():
-            bounds.append(1)
-        else:
-            og = comp.odd_girth()
-            assert og is not None
-            bounds.append(comp.n - (og - 1) // 2 - comp.leaf_count())
+        og = comp.odd_girth()  # None when bipartite
+        bounds.append(1 if og is None else comp.n - (og - 1) // 2 - comp.leaf_count())
     return sum(b - 1 for b in bounds) + 1
 
 

@@ -119,7 +119,9 @@ class TestDecomposition:
             corner = irreducible_decomposition(target)
             assert_irredundant_decomposition(target, corner)
             oracle = {w.prime for w in associated_primes_witness_oracle(target)}
-            assert oracle == {c.radical(target.vset) for c in corner}
+            assert oracle == {
+                MonomialPrime.from_indices(target.vset, c.support) for c in corner
+            }
 
     def test_unused_variables_do_not_count_toward_the_support_cap(self):
         # 24 or 70 declared variables, 2 occurring: only the occurring ones are
@@ -311,13 +313,8 @@ class TestWitnessOracle:
 
 
 def combined_ideal(parts: Sequence[MonomialIdeal]) -> MonomialIdeal:
-    """The sum of the parts inside the concatenated variable set (or their
-    shared one), for direct cross-checks of disjoint_union_ass."""
-    if all(p.vset.names == parts[0].vset.names for p in parts):
-        total = parts[0]
-        for p in parts[1:]:
-            total = total.sum(p)
-        return total
+    """The sum of the parts inside the concatenated variable set, for direct
+    cross-checks of disjoint_union_ass."""
     names: list[str] = []
     for p in parts:
         names.extend(p.vset.names)

@@ -13,13 +13,15 @@ from edge_ideal_lab.battery import (
     closure_oracle_soundness,
     colon_identity_holds,
     colon_identity_sweep,
-    corpus_graphs,
+    commutation_sweep,
+    membership_coherence_sweep,
+    multiset_matching_sweep,
     run_battery,
 )
 from edge_ideal_lab.closure import closure_member_matching_oracle
 from edge_ideal_lab.errors import UsageError
 from edge_ideal_lab.fixtures import fig9, graph_catalog
-from edge_ideal_lab.graphs import Graph, edge_ideal
+from edge_ideal_lab.graphs import Graph, connected_graphs, edge_ideal
 from edge_ideal_lab.monomials import membership_mask
 
 
@@ -121,7 +123,7 @@ class TestColonChain:
 
 def test_corpus_counts():
     # labeled connected graphs without isolated vertices: 1, 4, 38 on 2..4 vertices
-    assert len(corpus_graphs(4)) == 1 + 4 + 38
+    assert len(list(connected_graphs(2, 4))) == 1 + 4 + 38
 
 
 def test_run_battery_small_caps():
@@ -162,6 +164,48 @@ def test_closure_oracle_soundness_reports_the_first_failure(monkeypatch):
     [check] = closure_oracle_soundness({"C3": g}, max_power=2, max_entry=2)
     a, k = certified[0]
     assert check == ("closure-oracle-soundness[C3]", False, f"a={a} k={k}")
+
+
+@pytest.mark.parametrize(
+    "sweep, patched, key, planted, detail",
+    [
+        # power_index says no edge divides x^a
+        (
+            membership_coherence_sweep, "power_index", lambda g, a: a,
+            {(1, 1): 0, (2, 2): 0}, "a=(1, 1) k=1 nu=0",
+        ),
+        # edge_subring_member says x^a is no product of edges
+        (
+            multiset_matching_sweep, "edge_subring_member", lambda g, a: a,
+            {(1, 1): False, (2, 2): False}, "a=(1, 1)",
+        ),
+        # duplicate_copy_edge loses every edge
+        (
+            commutation_sweep, "duplicate_copy_edge",
+            lambda pg, f: (pg.multiplicity, f),
+            {
+                ((2, 1), ((0, 2), (1, 1))): frozenset(),
+                ((1, 2), ((0, 1), (1, 1))): frozenset(),
+            },
+            "a=(2, 1) f=((0, 2), (1, 1))",
+        ),
+    ],
+)
+def test_sweeps_report_the_first_planted_fault(
+    monkeypatch, sweep, patched, key, planted, detail
+):
+    # two inputs answer wrongly; the check fails and names the one the scan
+    # reaches first
+    real = getattr(battery, patched)
+
+    def faulty(x, arg):
+        return planted.get(key(x, arg), real(x, arg))
+
+    named = {"E1": graph_catalog()["E1"]}
+    [(name, ok, _)] = sweep(named)
+    assert ok
+    monkeypatch.setattr(battery, patched, faulty)
+    assert list(sweep(named)) == [(name, False, detail)]
 
 
 def test_run_battery_refuses_negative_samples():

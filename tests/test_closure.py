@@ -21,7 +21,7 @@ from edge_ideal_lab.errors import (
     UsageError,
     bounded,
 )
-from edge_ideal_lab.fixtures import assce, c3_disjoint_c3, fig7, fig9
+from edge_ideal_lab.fixtures import assce, fig7, fig9, graph_catalog
 from edge_ideal_lab.graphs import Graph, connected_graphs, edge_ideal, sample_graphs
 from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
 from edge_ideal_lab.stability import is_normal_up_to
@@ -90,7 +90,7 @@ class TestClosurePower:
             for g in (Graph.cycle(3), Graph.cycle(4), Graph.path(4), fig7())
             for k in (1, 2)
         ]
-        cases += [(c3_disjoint_c3(), k) for k in (1, 2, 3)]
+        cases += [(graph_catalog()["C3+C3"], k) for k in (1, 2, 3)]
         cases += [(Graph.cycle(5), 3), (bowtie, 3)]
         for g, k in cases:
             i = edge_ideal(g)
@@ -102,7 +102,7 @@ class TestClosurePower:
             assert fast == slow, f"{g} k={k}"
         # C3+C3 at k=3 is the smallest case found where the paths meet on a
         # closure larger than the power: x1*...*x6 is in it but not in I^3
-        i = edge_ideal(c3_disjoint_c3())
+        i = edge_ideal(graph_catalog()["C3+C3"])
         assert integral_closure_power(i, 3) != i.power(3)
 
     @staticmethod

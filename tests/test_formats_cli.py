@@ -1,5 +1,6 @@
 """File formats, the command-line interface, and fixture integrity."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import edge_ideal_lab
+from edge_ideal_lab import cli
 from edge_ideal_lab.claims import CLAIMS, run_claims
 from edge_ideal_lab.errors import ParseError
 from edge_ideal_lab.fixtures import (
@@ -417,6 +419,56 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == "error: budget seconds must be >= 0\n"
         assert proc.stdout == ""
+
+    def test_graph_refuses_flags_of_other_subcommands(self, tmp_path, capsys):
+        # a flag that does not apply is refused, not silently ignored (a
+        # wrong-length --mult and a non-edge included)
+        graph = tmp_path / "c4.graph"
+        graph.write_text(C4_GRAPH)
+        cases = [
+            (["matching", "--then", "berge", "--mult", "9,9", "--edge", "x y"],
+             "--then"),
+            (["berge", "--then", "matching"], "--then"),
+            (["deficiency", "--mult", "1,1,1,1"], "--mult"),
+            (["duplicate", "--edge", "x1 x2", "--mult", "1,1,1,1"], "--mult"),
+            (["matching", "--edge", "x1 x2"], "--edge"),
+            (["parallelize", "--mult", "1,1,1,1", "--edge", "x1 x2"], "--edge"),
+        ]
+        for extra, flag in cases:
+            assert cli.main(["graph", str(graph), *extra]) == 2, extra
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {flag} applies only to"), err
+
+
+# stdout sha256 and exit code of the commands whose bytes the refactors keep;
+# a change of output on purpose updates the pin and says so in CHANGES.md
+GOLDEN = {
+    "verify-paper --format json": (
+        0, "78ac19a2d309f2a87e659a003458abfc5a4e3388899a89e6becc0f09abe7fcc9"
+    ),
+    "verify-paper": (
+        0, "9a9e34e28d0922ecd90a059bab4303a8ad97bf1ebd11f0a2a899b964a7ae74c7"
+    ),
+    "property-battery --format json": (
+        0, "d5520b4c3c01eb80ec6a551c3c382b75a015871b801114d66a8661922e1e0b4c"
+    ),
+    "property-battery": (
+        0, "6f21446fe6833107179ecdc3836180ffee91d6164c5fccbd371125eacbcaa98e"
+    ),
+    "analyze fig9.graph --max-power 5 --mode both --closure-cap 20000000 "
+    "--format json": (
+        0, "be902e522fe5ccb7627671ca84d2732a1ff59774375d8d8f04ec8ce49b9e96b2"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_golden_output(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig9.graph").write_text(serialize_graph(fig9()))
+    code = cli.main(command.split())
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN[command]
 
 
 class TestClaims:

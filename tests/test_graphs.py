@@ -9,7 +9,7 @@ import pytest
 
 from edge_ideal_lab import graphs
 from edge_ideal_lab.errors import BudgetExceededError, UsageError
-from edge_ideal_lab.fixtures import c4, c5, fig7, fig9, graph_catalog, k33, p4, star_3_1
+from edge_ideal_lab.fixtures import fig7, fig9, graph_catalog
 from edge_ideal_lab.graphs import (
     _SUBSET_BLOCK,
     Graph,
@@ -34,6 +34,8 @@ from edge_ideal_lab.graphs import (
 )
 from edge_ideal_lab.monomials import Monomial
 
+CATALOG = graph_catalog()
+
 
 def brute_force_matching_number(g: Graph) -> int:
     """Independent oracle: maximize over all edge subsets directly."""
@@ -54,8 +56,8 @@ class TestMatching:
         assert matching_number(fig7()) == 2
 
     def test_k33(self):
-        assert matching_number(k33()) == 3
-        assert has_perfect_matching(k33())
+        assert matching_number(CATALOG["K33"]) == 3
+        assert has_perfect_matching(CATALOG["K33"])
 
     def test_certificate_validates(self):
         cert = maximum_matching(fig9())
@@ -90,7 +92,7 @@ class TestDeficiencyAndBerge:
         assert deficiency(Graph.cycle(3)) == 1
 
     def test_berge_matches_deficiency_on_fixtures(self):
-        for g in (Graph.single_edge(), Graph.cycle(3), Graph.cycle(4), fig7(), k33()):
+        for g in (CATALOG[name] for name in ("E1", "C3", "C4", "FIG7", "K33")):
             value, witness = berge_deficiency(g)
             assert value == deficiency(g)
 
@@ -114,7 +116,7 @@ class TestDeficiencyAndBerge:
 
     def test_tutte_iff_perfect_matching(self):
         # Tutte's condition is Berge's formula at value 0
-        for g in (Graph.single_edge(), Graph.cycle(3), Graph.cycle(4), fig7(), k33()):
+        for g in (CATALOG[name] for name in ("E1", "C3", "C4", "FIG7", "K33")):
             assert (berge_deficiency(g)[0] == 0) == has_perfect_matching(g)
 
 
@@ -227,7 +229,7 @@ class TestParallelize:
             assert matching_number(flat) == matching_number(g)
 
     def test_star_from_duplications(self):
-        star = star_3_1()
+        star = CATALOG["STAR31"]
         assert star.n == 4 and star.leaf_count() == 3
 
     def test_zero_multiplicity_deletes(self):
@@ -297,14 +299,19 @@ class TestStructure:
 
     def test_bipartition(self):
         two_parts = Graph.from_edges("abcde", [(0, 1), (1, 2), (3, 4)])
-        cases = ((k33(), [3, 3]), (c4(), [2, 2]), (p4(), [2, 2]), (two_parts, [3, 2]))
+        cases = (
+            (CATALOG["K33"], [3, 3]),
+            (CATALOG["C4"], [2, 2]),
+            (CATALOG["P4"], [2, 2]),
+            (two_parts, [3, 2]),
+        )
         for g, sizes in cases:
             first, second = g.bipartition()
             assert sorted(first + second) == list(range(g.n))
             assert [len(first), len(second)] == sizes
             assert all((u in first) != (v in first) for u, v in g.edges)
             assert g.is_bipartite()
-        assert c5().bipartition() is None and not c5().is_bipartite()
+        assert CATALOG["C5"].bipartition() is None and not CATALOG["C5"].is_bipartite()
 
     def test_direct_constructor_requires_canonical_edges(self):
         labels = ("a", "b", "c")

@@ -122,10 +122,11 @@ def _module_level_names(tree: ast.Module):
 
 def test_limits_live_only_in_errors():
     # no module but errors.py defines a cap, and no function takes a limit
-    # as a parameter, except the benchmark-pinned both_chains keywords and
-    # the Berge vertex cap that --berge-cap sets
+    # as a parameter, except the benchmark-pinned both_chains keyword and
+    # the Berge vertex cap that --berge-cap sets; a deadline is set only by
+    # bounded(seconds=...)
     allowed = {
-        ("stability.py", "both_chains"): {"closure_cap", "budget_seconds"},
+        ("stability.py", "both_chains"): {"closure_cap"},
         ("graphs.py", "berge_deficiency"): {"cap"},
     }
     caps, takers = {}, set()
@@ -148,3 +149,16 @@ def test_limits_live_only_in_errors():
         ("BOX_CELLS", "BERGE_CAP", "COVER_CAP", "LP_CAP"), "errors.py"
     )
     assert takers == set(allowed)
+
+
+def test_json_is_written_only_by_the_cli():
+    # one emitter: every JSON document the package prints goes through cli._emit
+    package = Path(edge_ideal_lab.__file__).parent
+    writers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
+                writers.add(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                writers.update(path.name for a in node.names if a.name == "dumps")
+    assert writers == {"cli.py"}

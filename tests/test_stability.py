@@ -11,18 +11,12 @@ import pytest
 
 import edge_ideal_lab
 from edge_ideal_lab.assprimes import associated_primes
-from edge_ideal_lab.battery import corpus_graphs, maximal_step_sweep, persistence_sweep
+from edge_ideal_lab.battery import maximal_step_sweep, persistence_sweep
 from edge_ideal_lab.claims import _claim_assce
 from edge_ideal_lab.closure import integral_closure_power
-from edge_ideal_lab.errors import BudgetExceededError, UsageError
-from edge_ideal_lab.fixtures import (
-    c3_disjoint_c3,
-    c3_disjoint_c4,
-    fig9,
-    graph_catalog,
-    ideal_catalog,
-)
-from edge_ideal_lab.graphs import Graph, edge_ideal
+from edge_ideal_lab.errors import BudgetExceededError, UsageError, bounded
+from edge_ideal_lab.fixtures import fig9, graph_catalog, ideal_catalog
+from edge_ideal_lab.graphs import Graph, connected_graphs, edge_ideal
 from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
 from edge_ideal_lab.stability import (
     _first_constant_index,
@@ -79,8 +73,8 @@ class TestStabilityBound:
         assert stability_bound(Graph.cycle(5)) == 3
 
     def test_disjoint_composition(self):
-        assert stability_bound(c3_disjoint_c3()) == 3
-        assert stability_bound(c3_disjoint_c4()) == 2
+        assert stability_bound(graph_catalog()["C3+C3"]) == 3
+        assert stability_bound(graph_catalog()["C3+C4"]) == 2
 
     def test_leaves_lower_the_bound(self):
         # triangle with one pendant vertex: 4 - 1 - 1 = 2
@@ -100,7 +94,7 @@ class TestAnalyticSpread:
         assert analytic_spread(i) == 1
 
     def test_disjoint_triangles_additive(self):
-        assert analytic_spread(edge_ideal(c3_disjoint_c3())) == 6
+        assert analytic_spread(edge_ideal(graph_catalog()["C3+C3"])) == 6
 
     def test_mixed_degree_rejected(self):
         mixed = MonomialIdeal.from_exponents(
@@ -137,14 +131,14 @@ class TestChainReports:
 
     def test_spent_budget_refuses(self):
         # a spent budget is a refusal, never a partial report
-        with pytest.raises(BudgetExceededError, match="time budget"):
-            both_chains(
-                edge_ideal(Graph.cycle(4)), 3, "I(C4)", budget_seconds=0.0, mode="ass"
-            )
+        with bounded(seconds=0.0):
+            with pytest.raises(BudgetExceededError, match="time budget"):
+                both_chains(edge_ideal(Graph.cycle(4)), 3, "I(C4)", mode="ass")
 
     def test_budget_stops_both_sides_at_once(self, product_count):
-        with pytest.raises(BudgetExceededError, match="time budget"):
-            both_chains(edge_ideal(Graph.cycle(5)), 3, "I(C5)", budget_seconds=0.0)
+        with bounded(seconds=0.0):
+            with pytest.raises(BudgetExceededError, match="time budget"):
+                both_chains(edge_ideal(Graph.cycle(5)), 3, "I(C5)")
         assert len(product_count) == 0
 
     def test_text_rendering_mentions_certified_bound(self):
@@ -225,7 +219,7 @@ class TestMaximalIdealCriteria:
         assert report.rank_matches_components and report.consistent
 
     def test_mixed_components(self):
-        report = maximal_ideal_criteria(c3_disjoint_c4(), 3)
+        report = maximal_ideal_criteria(graph_catalog()["C3+C4"], 3)
         assert not report.components_nonbipartite
         assert not report.rank_is_vertex_count
         assert report.in_ass_at is None and report.in_closure_ass_at is None
@@ -265,7 +259,7 @@ class TestNtf:
         assert not report.holds and report.first_failure == 2
 
     def test_disjoint_triangles_fail(self):
-        report = ntf_check(c3_disjoint_c3(), 3)
+        report = ntf_check(graph_catalog()["C3+C3"], 3)
         assert not report.holds
 
 
@@ -286,7 +280,7 @@ class TestWalkLaziness:
 
     def test_sweeps_over_ass_ask_for_no_closure(self, spy):
         closures = spy(integral_closure_power)
-        graphs = corpus_graphs(4)
+        graphs = list(connected_graphs(2, 4))
         assert all(ok for _, ok, _ in persistence_sweep(graphs, max_power=3))
         assert all(ok for _, ok, _ in maximal_step_sweep(graphs, max_power=3))
         assert closures == []

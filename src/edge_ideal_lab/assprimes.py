@@ -4,18 +4,19 @@ One engine computes the (unique) irredundant decomposition: the corner scan
 localizes at each candidate support (inverting the other variables) and reads
 components off the socle of the localized ideal: c is a corner iff c is outside
 the ideal but every c*x_i is inside, and then the component has exponents c+1.
-Membership over the box [0, u] under the generator maximum u is one boolean
-array per ideal. Localizing at a support raises the other coordinates to u,
+Membership over the box [0, u] under the generator maximum u is one mask per
+ideal, its trailing axes (as many as fit in 64 cells) packed into the bits of
+machine words. Localizing at a support raises the other coordinates to u,
 where membership saturates, so the localizations partition that box (a cell
-belongs to the support of its coordinates below u) and one pass of shifted
-slice ANDs over it finds the corners of every support at once. Only variables
-that occur in some generator span the box.
+belongs to the support of its coordinates below u) and one pass of ANDs with
+the next cell along each axis (slices on the leading axes, bit shifts on the
+packed ones) finds the corners of every support at once. Only variables that
+occur in some generator span the box.
 
 A witness oracle re-derives the associated primes from the definition (the
-colon by a monomial outside the ideal equals a prime) by lookups in one
-membership mask, and is used as an independent cross-check. Both build that
-mask with monomials.membership_mask, a prefix scan of in-place slice ORs
-along each axis that allocates nothing beyond the mask.
+colon by a monomial outside the ideal equals a prime) by lookups in the
+boolean mask of monomials.membership_mask, which the engine does not use, and
+is an independent cross-check.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ from .monomials import (
     VariableSet,
     membership_mask,
 )
-
-_CORNER_BLOCK = 1 << 21  # cells per block of the corner pass
-
 
 @dataclass(frozen=True)
 class IrreducibleComponent:
@@ -78,16 +76,54 @@ def _require_decomposable(ideal: MonomialIdeal) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _corner_components(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
+@lru_cache(maxsize=64)
+def _word_layout(shape: tuple[int, ...]):
+    """The trailing axes that fit in 64 cells are the bits of a word in C
+    order, and the `lead` others index the words. Per packed axis: its bit
+    stride, low (coordinate > 0) and top (coordinate at the maximum) bits,
+    in the word dtype (numpy 2 promotes uint64 mixed with int64 to float)."""
+    lead, bits = len(shape), 1
+    while lead and bits * shape[lead - 1] <= 64:
+        lead -= 1
+        bits *= shape[lead]
+    full = (1 << bits) - 1
+    dtype = np.min_scalar_type(full).type  # uint8, 16, 32 or 64
+    packed, stride = [], bits
+    for n in shape[lead:]:
+        stride //= n
+        coord = [b // stride % n for b in range(bits)]
+        low = sum(1 << b for b, c in enumerate(coord) if c > 0)
+        top = sum(1 << b for b, c in enumerate(coord) if c == n - 1)
+        packed.append((dtype(stride), dtype(low), dtype(top)))
+    return lead, bits, dtype, dtype(full), tuple(packed)
+
+
+def _corner_cells(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The occurring variables, their generator maximum u and one corner cell
+    per irredundant component (exponents cell + 1 where the cell is below u)."""
+    _require_decomposable(ideal)
     exps = ideal.exponent_array
     # a support holding a variable that occurs in no generator localizes to a
     # box with a zero side and has no corners, so only occurring ones count
-    occurring = [i for i in range(ideal.vset.n) if exps[:, i].any()]
+    occurring = np.flatnonzero(exps.any(axis=0))
     rows = exps[:, occurring]
-    u = rows.max(axis=0).tolist()
-    cells = prod(v + 1 for v in u)
-    check_box(cells, "corner membership mask")
-    member = membership_mask(rows, u)
+    u = rows.max(axis=0)
+    shape = tuple((u + 1).tolist())
+    check_box(prod(shape), "corner membership mask")
+    lead, bits, dtype, full, packed = _word_layout(shape)
+    # each generator sets its bit; prefix ORs along each axis spread the bits
+    word, bit = np.divmod(np.ravel_multi_index(rows.T, shape), bits)
+    member = np.zeros(shape[:lead], dtype)
+    np.bitwise_or.at(member.reshape(-1), word, dtype(1) << bit.astype(dtype))
+    for j in range(lead):
+        check_time("the corner mask")
+        along = member.swapaxes(0, j)
+        for i in range(1, shape[j]):
+            along[i] |= along[i - 1]
+    for (stride, low, _), n in zip(packed, shape[lead:]):
+        check_time("the corner mask")
+        for _ in range(1, n):
+            member |= (member << stride) & low
     # every cell c lies in the localization at exactly one support, S(c) =
     # {j : c_j < u_j} (the other coordinates sit at u, where membership
     # saturates; past the localized maximum it is constant along an axis, so
@@ -95,26 +131,19 @@ def _corner_components(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]
     # the ideal and c + e_j is inside for every j in S(c): one pass over the
     # box tests every support at once. An improper localization (some
     # generator misses S) holds every cell of its region, so it has none.
-    # The pass runs over blocks of leading-axis slices, so the corner array
-    # beside the mask stays near _CORNER_BLOCK cells.
-    out = []
-    step = max(1, _CORNER_BLOCK * (u[0] + 1) // cells)
-    for lo in range(0, u[0] + 1, step):
+    corners = ~member & full
+    for j in range(lead):
         check_time("the corner scan")
-        window = member[lo : lo + step]
-        corners = ~window
-        # the leading axis reads the slice after each one, past the window
-        below = min(lo + step, u[0]) - lo
-        corners[:below] &= member[lo + 1 : lo + 1 + below]
-        for j in range(1, len(u)):
-            lead = (slice(None),) * j
-            corners[lead + (slice(0, u[j]),)] &= window[lead + (slice(1, None),)]
-        for cell in np.argwhere(corners).tolist():
-            cell[0] += lo
-            out.append(
-                tuple((occurring[j], c + 1) for j, c in enumerate(cell) if c < u[j])
-            )
-    return tuple(IrreducibleComponent(c) for c in sorted(out))
+        corners.swapaxes(0, j)[: u[j]] &= member.swapaxes(0, j)[1:]
+    for stride, _, top in packed:
+        check_time("the corner scan")
+        corners &= (member >> stride) | top
+    # shift the bits out of the nonzero words, with no byte-order assumption
+    words = np.flatnonzero(corners)
+    hit = (corners.ravel()[words, None] >> np.arange(bits, dtype=dtype)) & dtype(1)
+    at, bit = np.nonzero(hit)
+    cells = np.stack(np.unravel_index(words[at] * bits + bit, shape), axis=1)
+    return occurring, u, cells
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +154,12 @@ def _corner_components(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]
 def irreducible_decomposition(ideal: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """The unique irredundant decomposition of a proper nonzero monomial ideal
     into ideals generated by pure variable powers."""
-    _require_decomposable(ideal)
-    return _corner_components(ideal)
+    occurring, u, cells = (a.tolist() for a in _corner_cells(ideal))
+    comps = sorted(
+        tuple((i, c + 1) for i, c, top in zip(occurring, cell, u) if c < top)
+        for cell in cells
+    )
+    return tuple(IrreducibleComponent(c) for c in comps)
 
 
 def associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
@@ -138,7 +171,11 @@ def associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
 
 @lru_cache(maxsize=512)
 def _associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
-    supports = {c.support for c in irreducible_decomposition(ideal)}
+    occurring, u, cells = _corner_cells(ideal)
+    # each support as a bit code over the occurring variables
+    place = 1 << np.arange(len(u))
+    codes = set(((cells < u) @ place).tolist())
+    supports = (occurring[(code & place) > 0] for code in codes)
     return tuple(sorted(MonomialPrime.from_indices(ideal.vset, s) for s in supports))
 
 
@@ -195,8 +232,8 @@ def associated_primes_witness_oracle(ideal: MonomialIdeal) -> tuple[AssWitness, 
     equals it exactly when c, with every coordinate outside S raised to u, is
     still outside I. Each prime keeps its first witness in C order. A variable
     in no generator is never in such a colon, so the box spans the occurring
-    variables only and witnesses are 0 elsewhere. Only the membership mask
-    builder is shared with the decomposition engine.
+    variables only and witnesses are 0 elsewhere. Nothing is shared with the
+    decomposition engine, which packs its own mask.
     """
     _require_decomposable(ideal)
     occurring = np.flatnonzero(ideal.exponent_array.any(axis=0))

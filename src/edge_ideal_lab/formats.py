@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, UsageError
 from .graphs import Graph
 from .monomials import MonomialIdeal, VariableSet
 
@@ -110,6 +110,9 @@ def parse_ideal(text: str, allow_unused_vars: bool = False) -> MonomialIdeal:
 
 
 def serialize_graph(graph: Graph) -> str:
+    for label in graph.labels:  # a parallelization's x1^2 would not read back
+        if not _NAME.match(label):
+            raise UsageError(f"label {label!r} is not a name a graph file can hold")
     lines = ["vars: " + " ".join(graph.labels)]
     lines.extend(f"{graph.labels[u]} {graph.labels[v]}" for u, v in graph.edges)
     return "\n".join(lines) + "\n"

@@ -150,16 +150,6 @@ class TestDecomposition:
         }
         assert_irredundant_decomposition(target, comps)
 
-    def test_corner_blocks_do_not_change_the_components(self, monkeypatch):
-        # the corner pass over blocks of leading-axis slices, down to one
-        # cell per block, reads the next slice across each block boundary
-        targets = [assce().power(2), edge_ideal(Graph.cycle(5)).power(3)]
-        targets += [ideal((3, 0, 0), (1, 1, 1), (0, 2, 1)), ideal((2,), (3,))]
-        want = [irreducible_decomposition(t) for t in targets]
-        for block in (1, 7, 50):
-            monkeypatch.setattr(assprimes, "_CORNER_BLOCK", block)
-            assert [assprimes._corner_components(t) for t in targets] == want
-
     def test_corner_cell_cap_boundary(self):
         # the box cap bounds the one mask over [0, u]: ASSCE^2 fits a cap of
         # exactly its box and is refused one cell below it
@@ -191,6 +181,109 @@ class TestDecomposition:
             ideal((3, 0, 0), (1, 1, 1), (0, 2, 1)),
         ):
             assert_irredundant_decomposition(target, irreducible_decomposition(target))
+
+
+def kernel_targets():
+    """Ideals spanning each word layout of the corner kernel, with the
+    layout's leading-axis count and word size."""
+    return [
+        # one-word boxes: every axis packed
+        (ideal((2,), (3,)), 0, 8),
+        (ideal((1, 1)), 0, 8),
+        (ideal((3, 0, 0), (1, 1, 1), (0, 2, 1)), 0, 32),
+        (edge_ideal(Graph.cycle(5)).power(3), 2, 64),  # 4^3 cells per word
+        # an axis of more than 64 cells: packed as the last axis only when
+        # it fits, and the last one leaves nothing packed (a byte per cell)
+        (ideal((70, 0), (3, 2), (0, 3)), 1, 8),
+        (ideal((0, 70), (2, 3), (3, 0)), 2, 8),
+        # mixed axis lengths, shape (3, 4, 2, 5): three axes in a 40-bit word
+        (ideal((2, 0, 0, 1), (0, 3, 1, 0), (1, 1, 0, 4), (0, 2, 1, 2)), 1, 64),
+        (assce().power(2), 3, 32),  # 3^3 cells per word
+    ]
+
+
+def oracle_primes(target):
+    return {w.prime for w in associated_primes_witness_oracle(target)}
+
+
+def component_primes(target, comps):
+    return {MonomialPrime.from_indices(target.vset, c.support) for c in comps}
+
+
+def random_ideals(seed, count):
+    """Seeded random ideals over 1 to 5 variables, exponents up to 3 but on
+    one axis, whose exponents reach up to 66 (wider than a word)."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(1, 5)
+        tops = [3] * n
+        tops[rng.randrange(n)] = rng.choice([1, 3, 7, 9, 66])
+        rows = [
+            tuple(rng.randint(0, t) for t in tops) for _ in range(rng.randint(1, 6))
+        ]
+        target = MonomialIdeal.from_exponents(VariableSet.standard(n), rows)
+        if not (target.is_unit or target.is_zero):
+            count -= 1
+            yield target
+
+
+class TestCornerKernel:
+    """The bit-packed corner scan, checked on each word layout against the
+    intersection of its components and against the witness oracle."""
+
+    def test_layouts(self):
+        for target, lead, width in kernel_targets():
+            shape = tuple(e + 1 for e in target.max_exponents())
+            layout = assprimes._word_layout(shape)
+            assert (layout[0], np.iinfo(layout[2]).bits) == (lead, width), shape
+
+    def test_every_layout_matches_the_oracle(self):
+        for target, _, _ in kernel_targets():
+            comps = irreducible_decomposition(target)
+            assert_irredundant_decomposition(target, comps)
+            assert set(associated_primes(target)) == oracle_primes(target)
+            assert set(associated_primes(target)) == component_primes(target, comps)
+
+    def test_random_ideals_match_the_oracle(self):
+        for target in random_ideals(seed=20, count=300):
+            comps = irreducible_decomposition(target)
+            assert_irredundant_decomposition(target, comps)
+            assert set(associated_primes(target)) == oracle_primes(target), target
+
+    @pytest.mark.parametrize("fault", ["no top bits", "last packed axis unscanned"])
+    def test_planted_faults_are_caught(self, fault, monkeypatch):
+        # a kernel missing the top bits of the corner test, or the prefix OR
+        # along its last packed axis, answers wrongly on the kernel targets
+        layout = assprimes._word_layout.__wrapped__
+
+        def faulty(shape):
+            lead, bits, dtype, full, packed = layout(shape)
+            packed = list(packed)
+            if packed and fault == "no top bits":
+                packed = [(stride, low, dtype(0)) for stride, low, _ in packed]
+            elif packed:
+                packed[-1] = (packed[-1][0], dtype(0), packed[-1][2])
+            return lead, bits, dtype, full, tuple(packed)
+
+        targets = [t for t, _, _ in kernel_targets()]
+        want = [irreducible_decomposition(t) for t in targets]
+        monkeypatch.setattr(assprimes, "_word_layout", faulty)
+        wrong = [irreducible_decomposition(t) != w for t, w in zip(targets, want)]
+        assert sum(wrong) >= len(targets) // 2
+
+    def test_runs_without_the_shared_mask_builder(self, monkeypatch):
+        # the engine packs its own mask; monomials.membership_mask is left
+        # to the oracle and the colon identity it cross-checks
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the corner engine built a boolean mask")
+
+        want = [irreducible_decomposition(t) for t, _, _ in kernel_targets()]
+        assprimes._associated_primes.cache_clear()
+        monkeypatch.setattr(monomials, "membership_mask", forbidden)
+        monkeypatch.setattr(assprimes, "membership_mask", forbidden)
+        for (target, _, _), comps in zip(kernel_targets(), want):
+            assert irreducible_decomposition(target) == comps
+            assert set(associated_primes(target)) == component_primes(target, comps)
 
 
 class TestAssociatedPrimes:
@@ -306,7 +399,7 @@ class TestWitnessOracle:
             raise AssertionError("the witness oracle called decomposition code")
 
         monkeypatch.setattr(assprimes, "irreducible_decomposition", forbidden)
-        monkeypatch.setattr(assprimes, "_corner_components", forbidden)
+        monkeypatch.setattr(assprimes, "_corner_cells", forbidden)
         monkeypatch.setattr(monomials, "minimalize_rows", forbidden)
         witnesses = associated_primes_witness_oracle(target)
         assert {w.prime for w in witnesses} == expected

@@ -26,7 +26,7 @@ from edge_ideal_lab.monomials import membership_mask
 from edge_ideal_lab.stability import power_chain
 
 C5 = edge_ideal(Graph.cycle(5))
-C5_CUBE = C5.power(3)  # box 4^5: four leading-axis slices of 4^4 cells
+C5_CUBE = C5.power(3)  # box 4^5: two leading axes, three packed in 64-cell words
 
 
 def limits():
@@ -82,8 +82,9 @@ class TestBounded:
 
 
 ENGINES = {
-    # the mask's five axis reads come first, then the four one-slice blocks
-    "corner": (lambda: assprimes._corner_components(C5_CUBE), 5 + 2, "corner scan"),
+    # the corner engine reads the clock per axis of its mask pass, then per
+    # axis of its corner pass: five and five, so it stops in the second pass
+    "corner": (lambda: assprimes._corner_cells(C5_CUBE), 5 + 2, "corner scan"),
     "mask": (lambda: membership_mask(C5_CUBE.exponent_array, [3] * 5), 2, "mask"),
     "slice": (lambda: _closure_fast_path(C5, 2, (2,) * 5), 2, "closure slice"),
     "oracle": (lambda: associated_primes_witness_oracle(C5_CUBE), 5 + 2, "oracle"),
@@ -92,9 +93,8 @@ ENGINES = {
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_deadline_stops_the_engine_partway(engine, monkeypatch, expiring_clock):
+def test_deadline_stops_the_engine_partway(engine, expiring_clock):
     run, live, where = ENGINES[engine]
-    monkeypatch.setattr(assprimes, "_CORNER_BLOCK", 1)
     reads = expiring_clock(10**6)
     with bounded(seconds=1):
         run()

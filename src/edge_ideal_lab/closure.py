@@ -17,6 +17,10 @@ LP), and the minimal generators are the members of the slice |a| = 2k:
   of G is a matching times one vertex; so each generator with c > 0 has a
   cone edge x_i*z as a factor. When |a| > 2b, x^a / x_i is in the closure of
   I^b, and x^a is not minimal.
+The slice is pruned while it is built: on it a.y >= 2k is a.d >= 0 for
+d = y - 1, which every cover with no zero meets, and a prefix is dropped once
+some cover's partial a.d plus the most the later axes can add, min(2k - |a|,
+sum of the later bounds with d_i = +1), is negative. The last axis is the test.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import LP_CAP, BudgetExceededError, UsageError, check_box, check_time
 from .graphs import Graph, power_index
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, integers
 
 FAST_PATH_MAX_VARS = 12  # cover-vector grid is 3^n
 
@@ -75,47 +79,59 @@ def np_member(exponents: Sequence[int] | Monomial, poly: NewtonPolyhedron) -> bo
     return feasible_nonneg(poly.transposed, a, [[1] * q], [poly.scale])
 
 
-def _minimal_cover_vectors(ideal: MonomialIdeal) -> np.ndarray:
-    """Componentwise-minimal y in {0,1,2}^n with y_u + y_v >= 2 on every edge:
-    (twice) the vertices of the fractional vertex-cover polytope, the dual
-    feasible points of the matching LP."""
+@lru_cache(maxsize=256)
+def _cover_slack(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
+    """Rows d = y - 1 for the componentwise-minimal y in {0,1,2}^n with a zero
+    and y_u + y_v >= 2 on every edge (twice the vertices of the fractional
+    vertex-cover polytope, the dual points of the matching LP), then a row of
+    -1 for the degree to place; and later[c, j] = sum(u_i : i > j, d[c, i] =
+    +1), u the max exponents, so k * later sums the bounds k * u_i."""
     n = ideal.vset.n
     valid = np.ones((3,) * n, dtype=bool)
     # every generator is squarefree of degree 2: its row has two nonzeros
     for u, v in np.nonzero(ideal.exponent_array)[1].reshape(-1, 2).tolist():
-        for yu, yv in ((0, 0), (0, 1), (1, 0)):
-            idx: list = [slice(None)] * n
-            idx[u] = yu
-            idx[v] = yv
-            valid[tuple(idx)] = False
+        y = np.moveaxis(valid, (u, v), (0, 1))  # a view with y_u, y_v first
+        y[0, :2] = y[1, 0] = False
     # minimal cells of the upward-closed valid set: none valid one step below
     minimal = valid.copy()
     for axis in range(n):
         lead = (slice(None),) * axis
         minimal[lead + (slice(1, None),)] &= ~valid[lead + (slice(0, -1),)]
-    return np.argwhere(minimal)
+    d = np.argwhere(minimal) - 1
+    d = np.vstack((d[d.min(axis=1) < 0], np.full(n, -1)))
+    plus = np.maximum(d, 0) * np.array(ideal.max_exponents())
+    d = d.astype(np.int16)
+    later = plus[:, ::-1].cumsum(axis=1)[:, ::-1] - plus
+    d.flags.writeable = later.flags.writeable = False
+    return d, later
 
 
 def _closure_fast_path(
     ideal: MonomialIdeal, k: int, bounds: tuple[int, ...]
 ) -> np.ndarray:
-    # the slice {a in [0, bounds] : |a| = 2k} in C order, built axis by axis
-    # from the prefixes whose partial sum the later axes can still lift to 2k
-    room = np.cumsum((0,) + bounds[:0:-1])[::-1]  # room[j] = sum(bounds[j+1:])
-    cols, sums = np.zeros((0, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for j, (b, later) in enumerate(zip(bounds, room.tolist())):
+    # the slice {a in [0, bounds] : |a| = 2k} in C order, pruned as it is built
+    # (module docstring): the state is a.d per cover, then r = 2k - |a| in
+    # [0, sum of later bounds]; members are read back from (row, value) pairs.
+    d, later = _cover_slack(ideal)
+    dtype = np.int16 if 4 * k < 2**15 else np.int64  # |state + lift| <= 4k
+    lift = np.minimum(k * later, 2 * k).astype(dtype)
+    state = np.zeros((len(d), 1), dtype=dtype)
+    state[-1] = 2 * k
+    rest, steps = sum(bounds), []
+    for b, d_j, lift_j in zip(bounds, d.T[:, :, None], lift.T[:, :, None]):
         check_time("the closure slice")
-        table = sums[:, None] + np.arange(b + 1)
-        rows, vals = np.nonzero((table <= 2 * k) & (table + later >= 2 * k))
-        grown = np.empty((j + 1, len(rows)), dtype=np.int64)
-        # "clip" writes into out directly, where "raise" would buffer a copy
-        np.take(cols, rows, axis=1, out=grown[:j], mode="clip")
-        grown[j] = vals
-        cols, sums = grown, table[rows, vals]
-    keep = np.ones(len(sums), dtype=bool)
-    for y in _minimal_cover_vectors(ideal):
-        keep &= y @ cols >= 2 * k
-    return cols.T[keep]
+        rest -= b
+        table = state[-1, :, None] - np.arange(b + 1, dtype=dtype)
+        rows, vals = ((table >= 0) & (table <= rest)).nonzero()
+        state = state[:, rows] + d_j * vals.astype(dtype)
+        keep = (state + np.minimum(lift_j, state[-1])).min(axis=0) >= 0
+        steps.append((rows[keep], vals[keep]))
+        state = state[:, keep]
+    at, cols = np.arange(state.shape[1]), []
+    for rows, vals in reversed(steps):
+        cols.append(vals[at])
+        at = rows[at]
+    return np.column_stack(cols[::-1])
 
 
 def _closure_lp_path(
@@ -167,15 +183,16 @@ def _closure_sweep(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     degree = ideal.generated_degree()
     bounds = tuple(k * e for e in ideal.max_exponents())
     if degree == 2 and ideal.is_squarefree and ideal.vset.n <= FAST_PATH_MAX_VARS:
+        # one degree in C order is canonical order; all members are minimal
         members = _closure_fast_path(ideal, k, bounds)
-    else:
-        total = prod(b + 1 for b in bounds)
-        if total > LP_CAP:
-            raise BudgetExceededError(
-                f"LP closure sweep over {total} lattice points is impractical; "
-                "only degree-2 squarefree ideals have a fast path"
-            )
-        members = _closure_lp_path(ideal, k, bounds, degree * k)
+        return MonomialIdeal._canonical(ideal.vset, members)
+    total = prod(b + 1 for b in bounds)
+    if total > LP_CAP:
+        raise BudgetExceededError(
+            f"LP closure sweep over {total} lattice points is impractical; "
+            "only degree-2 squarefree ideals have a fast path"
+        )
+    members = _closure_lp_path(ideal, k, bounds, degree * k)
     return MonomialIdeal.from_exponents(ideal.vset, members)
 
 
@@ -192,7 +209,7 @@ def closure_member_matching_oracle(
     least k*m (certifying x^a in the closure of the k-th edge-ideal power);
     None when no m = 1..n certifies it.
     """
-    a = tuple(int(v) for v in a)
+    a = integers(a)
     for m in range(1, graph.n + 1):
         scaled = tuple(m * v for v in a)
         if power_index(graph, scaled) >= k * m:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BERGE_CAP, BudgetExceededError, UsageError
 from .linalg import integer_rank
-from .monomials import Monomial, MonomialIdeal, VariableSet
+from .monomials import Monomial, MonomialIdeal, VariableSet, integers
 
 Edge = tuple[int, int]
 
@@ -387,6 +387,7 @@ class ParallelGraph:
     multiplicity: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "multiplicity", integers(self.multiplicity))
         if len(self.multiplicity) != self.base.n:
             raise UsageError("multiplicity length must equal vertex count")
         if any(m < 0 for m in self.multiplicity):
@@ -419,7 +420,7 @@ class ParallelGraph:
 
 
 def parallelize(graph: Graph, multiplicity: Sequence[int]) -> ParallelGraph:
-    return ParallelGraph(graph, tuple(int(m) for m in multiplicity))
+    return ParallelGraph(graph, multiplicity)
 
 
 def duplicate_edge(graph: Graph, edge: tuple[int, int]) -> ParallelGraph:

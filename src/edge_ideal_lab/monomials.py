@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -57,6 +58,14 @@ def _trusted(cls, **fields):
     return obj
 
 
+def integers(values: Iterable) -> tuple[int, ...]:
+    """The values as Python ints; a non-integer such as 1.5 is refused."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise UsageError("exponents must be integers") from None
+
+
 def _check_range(low: int, high: int) -> None:
     if low < 0:
         raise UsageError("exponents must be non-negative")
@@ -77,6 +86,7 @@ class Monomial:
     exps: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "exps", integers(self.exps))
         if len(self.exps) != self.vset.n:
             raise UsageError("exponent vector length must equal variable count")
         _check_range(min(self.exps), max(self.exps))
@@ -129,9 +139,9 @@ class Monomial:
 
 def _exponent_rows(n: int, exps: np.ndarray | Iterable[Sequence[int]]) -> np.ndarray:
     """Validated exponent rows as an (m, n) int64 matrix: an integer array or
-    any iterable of length-n rows, every entry in range."""
+    any iterable of length-n rows of integers, every entry in range."""
     if not isinstance(exps, np.ndarray):
-        rows = [tuple(r) for r in exps]
+        rows = [integers(r) for r in exps]
         if any(len(r) != n for r in rows):
             raise UsageError("exponent vector length must equal variable count")
         # checked on Python ints: the int64 cast must not see a huge value
@@ -140,6 +150,8 @@ def _exponent_rows(n: int, exps: np.ndarray | Iterable[Sequence[int]]) -> np.nda
         return np.array(rows, dtype=np.int64).reshape(-1, n)
     if exps.ndim != 2 or exps.shape[1] != n:
         raise UsageError("exponent vector length must equal variable count")
+    if exps.dtype.kind not in "biu":  # bool, signed, unsigned
+        raise UsageError("exponents must be integers")
     if exps.size:
         _check_range(exps.min(), exps.max())
     return exps.astype(np.int64, copy=False)

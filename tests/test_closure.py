@@ -1,10 +1,13 @@
 """Newton-polyhedron membership and integral closure sweeps."""
 
+import random
 import tracemalloc
 from math import prod
 
+import numpy as np
 import pytest
 
+from edge_ideal_lab import closure
 from edge_ideal_lab.closure import (
     NewtonPolyhedron,
     _closure_fast_path,
@@ -22,7 +25,13 @@ from edge_ideal_lab.errors import (
     bounded,
 )
 from edge_ideal_lab.fixtures import assce, fig7, fig9, graph_catalog
-from edge_ideal_lab.graphs import Graph, connected_graphs, edge_ideal, sample_graphs
+from edge_ideal_lab.graphs import (
+    Graph,
+    connected_graphs,
+    edge_ideal,
+    power_index,
+    sample_graphs,
+)
 from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
 from edge_ideal_lab.stability import is_normal_up_to
 
@@ -117,13 +126,14 @@ class TestClosurePower:
 
     def test_fig9_closure_memory(self):
         # the fourth power's box has 5^9 cells, its degree-8 slice 11 385
-        # points; the slice sweep peaks near 2.3 MB
-        assert self._closure_peak(4) < 3 * 2**20
+        # points; the pruned slice peaks near 0.7 MB
+        assert self._closure_peak(4) < 1.5 * 2**20
 
     def test_fig9_sixth_closure_memory(self):
         # the sixth power's box has 7^9 cells (int64 cover sums over it alone
-        # take 323 MB); its degree-12 slice has 114 387 points, about 24 MB
-        assert self._closure_peak(6) < 32 * 2**20
+        # take 323 MB); its degree-12 slice has 114 387 points, the whole
+        # slice about 24 MB, and the pruned slice peaks near 4 MB
+        assert self._closure_peak(6) < 8 * 2**20
 
     def test_closure_generators_pass_lp(self):
         i = edge_ideal(fig7())
@@ -219,6 +229,116 @@ class TestSliceMatchesLp:
             assert all(g.degree == 2 * k and np_member(g, poly) for g in extra)
 
 
+def reference_slice(bounds: tuple[int, ...], total: int) -> np.ndarray:
+    """Every point of the box [0, bounds] of degree `total`, in C order, with
+    no pruning beyond the degree."""
+    points = np.zeros((1, 0), dtype=np.int64)
+    for j, b in enumerate(bounds):
+        table = points.sum(axis=1)[:, None] + np.arange(b + 1)
+        rows, vals = np.nonzero((table <= total) & (table + sum(bounds[j + 1 :]) >= total))
+        points = np.column_stack((points[rows], vals))
+    return points
+
+
+def reference_covers(ideal: MonomialIdeal) -> np.ndarray:
+    """Every componentwise-minimal y in {0,1,2}^n with y_u + y_v >= 2 on each
+    generator x_u*x_v, by a scan of the whole 3^n grid."""
+    n = ideal.vset.n
+    grid = np.indices((3,) * n, dtype=np.int8).reshape(n, -1).T
+    place = 3 ** np.arange(n - 1, -1, -1)  # y sits in row y @ place
+    valid = np.ones(len(grid), dtype=bool)
+    for u, v in np.nonzero(ideal.exponent_array)[1].reshape(-1, 2).tolist():
+        valid &= grid[:, u] + grid[:, v] >= 2
+    minimal = valid.copy()
+    for i in range(n):
+        lower = np.flatnonzero(grid[:, i])
+        minimal[lower] &= ~valid[lower - place[i]]
+    return grid[minimal].astype(np.int64)
+
+
+def reference_closure(ideal: MonomialIdeal, k: int) -> np.ndarray:
+    """The whole degree-2k slice, then a.y >= 2k for every minimal cover."""
+    points = reference_slice(tuple(k * e for e in ideal.max_exponents()), 2 * k)
+    return points[(points @ reference_covers(ideal).T >= 2 * k).all(axis=1)]
+
+
+def slice_cases():
+    """Edge ideals of the corpus (k <= 3), of seeded graphs on 6-12 vertices,
+    of FIG9 (k <= 6), and degree-2 squarefree ideals with unused variables."""
+    cases = [(edge_ideal(g), k) for g in connected_graphs(2, 5) for k in (1, 2, 3)]
+    cases += [(edge_ideal(g), k) for g in sample_graphs(12, (6, 12), 22) for k in (1, 2, 3)]
+    cases += [(edge_ideal(fig9()), k) for k in range(1, 7)]
+    rng = random.Random(22)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rows = []
+        for u, v in rng.sample(pairs, rng.randint(1, n - 1)):
+            row = [0] * n
+            row[u] = row[v] = 1
+            rows.append(row)
+        ideal = MonomialIdeal.from_exponents(VariableSet.standard(n), rows)
+        cases.append((ideal, rng.randint(1, 4)))
+    return cases
+
+
+def fast_rows(ideal: MonomialIdeal, k: int) -> np.ndarray:
+    return _closure_fast_path(ideal, k, tuple(k * e for e in ideal.max_exponents()))
+
+
+def first_mismatch(cases):
+    for ideal, k in cases:
+        if not np.array_equal(fast_rows(ideal, k), reference_closure(ideal, k)):
+            return ideal, k
+    return None
+
+
+class TestSliceMatchesReference:
+    """The pruned slice against the whole slice filtered by every cover."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        cases = slice_cases()
+        # at least one ideal has a variable in no generator
+        assert any(0 in ideal.max_exponents() for ideal, _ in cases)
+        return cases
+
+    def test_same_rows_in_the_same_order(self, cases):
+        assert first_mismatch(cases) is None
+
+    def test_rows_are_canonical_as_returned(self, cases):
+        # _closure_sweep wraps them unchecked; the validating constructor
+        # refuses rows that are not the sorted divisibility-minimal set
+        for ideal, k in cases:
+            MonomialIdeal(ideal.vset, fast_rows(ideal, k))
+
+    @pytest.mark.parametrize("planted", ["zeroed", "from axis j+2"])
+    def test_too_tight_prune_is_caught(self, cases, planted, monkeypatch):
+        cover_slack = closure._cover_slack
+
+        def tight(ideal):
+            d, later = cover_slack(ideal)
+            if planted == "zeroed":
+                return d, np.zeros_like(later)
+            return d, np.column_stack((later[:, 1:], np.zeros(len(later), later.dtype)))
+
+        monkeypatch.setattr(closure, "_cover_slack", tight)
+        assert first_mismatch(cases) is not None
+
+
+def test_fig9_fourth_closure_by_matchings():
+    # x^a is in the closure of I^k exactly when nu(G^(2a)) >= 2k: no cover,
+    # LP or pruning involved, and the LP cannot reach this 5^9 box. Every
+    # generator has degree 8, so on the degree-8 slice a member is a generator
+    graph = fig9()
+    closure4 = integral_closure_power(edge_ideal(graph), 4)
+    members = set(map(tuple, closure4.exponent_array.tolist()))
+    points = reference_slice((4,) * 9, 8)
+    assert len(points) == 11_385 and 5**9 > LP_CAP
+    for a in points.tolist():
+        assert (tuple(a) in members) == (power_index(graph, [2 * v for v in a]) >= 8), a
+
+
 class TestMatchingOracle:
     def test_fig9_witness_certified(self):
         assert (
@@ -231,6 +351,11 @@ class TestMatchingOracle:
         i = edge_ideal(g)
         for gen in i.power(2).gens:
             assert closure_member_matching_oracle(g, gen.exps, 2) is True
+
+    def test_non_integer_exponent_rejected(self):
+        # 0.9 must not be truncated to 0
+        with pytest.raises(UsageError, match="integers"):
+            closure_member_matching_oracle(Graph.cycle(3), (0.9, 1, 1), 1)
 
     def test_degree_deficit_unknown(self):
         assert closure_member_matching_oracle(Graph.cycle(3), (1, 1, 1), 2) is None

@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import combinations, product as iter_product
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from edge_ideal_lab import graphs
@@ -13,6 +14,7 @@ from edge_ideal_lab.fixtures import fig7, fig9, graph_catalog
 from edge_ideal_lab.graphs import (
     _SUBSET_BLOCK,
     Graph,
+    ParallelGraph,
     _odd_component_count,
     _odd_component_counts,
     berge_deficiency,
@@ -511,6 +513,14 @@ class TestPowerIndexFromBlocks:
             power_index(fig9(), (1,) * 8)
         with pytest.raises(UsageError, match="non-negative"):
             power_index(fig9(), (1, 1, 1, 1, -1, 1, 1, 1, 1))
+        # 1.7 must not be truncated to 1
+        with pytest.raises(UsageError, match="integers"):
+            power_index(Graph.cycle(3), (1.7, 1, 1))
+        with pytest.raises(UsageError, match="integers"):
+            parallelize(Graph.cycle(3), (1, 1.0, 1))
+        with pytest.raises(UsageError, match="integers"):
+            ParallelGraph(Graph.cycle(3), (1.5, 1, 1))
+        assert power_index(Graph.cycle(3), (np.int64(2), 1, 1)) == 2
 
 
 class TestPowerIndexAndFactorization:

@@ -107,6 +107,19 @@ class TestFromExponents:
             with pytest.raises(UsageError, match="non-negative"):
                 MonomialIdeal.from_exponents(V3, rows)
 
+    def test_non_integer_exponent_rejected(self):
+        # 1.5 must not be truncated to 1, in a row or in a float array
+        for rows in ([(1.5, 1, 0)], np.array([[1.5, 1, 0]]), np.array([[1.0, 1, 0]])):
+            with pytest.raises(UsageError, match="integers"):
+                MonomialIdeal.from_exponents(V3, rows)
+        with pytest.raises(UsageError, match="integers"):
+            Monomial(V3, (1.5, 1, 0))
+        # numpy integers stay accepted, and are stored as Python ints
+        a = Monomial(V3, (np.int64(2), np.uint8(1), 0))
+        assert a.exps == (2, 1, 0) and all(type(e) is int for e in a.exps)
+        rows = [(np.int32(1), 1, 0)]
+        assert MonomialIdeal.from_exponents(V3, rows) == ideal((1, 1, 0))
+
     def test_array_and_rows_agree(self):
         rows = [(2, 1, 0), (1, 1, 0), (0, 0, 3)]
         from_array = MonomialIdeal.from_exponents(V3, np.array(rows))

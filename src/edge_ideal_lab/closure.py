@@ -3,10 +3,13 @@
 Membership in the closure of the k-th power is membership of the exponent
 vector in k times the Newton polyhedron of the base ideal, an exact rational
 LP. A general ideal walks the box [0, k*u] of the power's generators in
-degree order, one LP call per undominated lattice point; that sweep is also
-the oracle of the edge-ideal path. For I = I(G), membership is min_y a.y >= 2k
-over the minimal half-integral vertex covers y (the duals of the matching
-LP), and the minimal generators are the members of the slice |a| = 2k:
+degree order, one LP per undominated lattice point that no kept y rejects:
+an LP that puts a outside gives y >= 0 with a.y < k * min_g g.y over the
+generators g, and every b in k * conv(V) + R^n_+ has b.y >= k * min_g g.y.
+That sweep is also the oracle of the edge-ideal path. For I = I(G),
+membership is min_y a.y >= 2k over the minimal half-integral vertex covers y
+(the duals of the matching LP), and the minimal generators are the members
+of the slice |a| = 2k:
 - a member has |a| >= a.y' >= 2k for the minimal cover y' under all-ones, so
   every member of the slice is minimal;
 - none lies above 2k. R[It] is the edge subring of the cone G' = G + apex z
@@ -28,12 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from .errors import LP_CAP, BudgetExceededError, UsageError, check_box, check_time
 from .graphs import Graph, power_index
+from .linalg import feasible_nonneg, separating_direction
 from .monomials import Monomial, MonomialIdeal, integers
 
 FAST_PATH_MAX_VARS = 12  # cover-vector grid is 3^n
@@ -70,11 +75,11 @@ class NewtonPolyhedron:
 
 def np_member(exponents: Sequence[int] | Monomial, poly: NewtonPolyhedron) -> bool:
     """Exact LP feasibility of lambda >= 0, sum lambda = scale, V lambda <= a."""
-    from .linalg import feasible_nonneg
-
-    a = list(exponents.exps) if isinstance(exponents, Monomial) else list(exponents)
+    a = exponents.exps if isinstance(exponents, Monomial) else integers(exponents)
     if len(a) != poly.dimension:
         raise UsageError("exponent vector dimension mismatch")
+    if any(v < 0 for v in a):
+        raise UsageError("exponents must be non-negative")
     q = len(poly.generators_matrix)
     return feasible_nonneg(poly.transposed, a, [[1] * q], [poly.scale])
 
@@ -138,21 +143,27 @@ def _closure_lp_path(
     ideal: MonomialIdeal, k: int, bounds: tuple[int, ...], degree_floor: int
 ) -> np.ndarray:
     poly = NewtonPolyhedron.of_power(ideal, k)
+    gens = poly.generators_matrix
     points = np.indices(tuple(b + 1 for b in bounds)).reshape(len(bounds), -1).T
     degrees = points.sum(axis=1)
-    found: list[np.ndarray] = []
+    found: list[list[int]] = []
+    kept: list[tuple[list[int], int]] = []  # (y, k * min_g g.y) on Python ints
     for s in range(degree_floor, int(degrees.max()) + 1):
         block = points[degrees == s]
-        if not len(block):
-            continue
-        if found:
-            mins = np.array(found, dtype=np.int64)
-            dominated = (mins[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
-            block = block[~dominated]
-        for row in block:
+        mins = np.array(found, dtype=np.int64).reshape(-1, len(bounds))
+        block = block[~(mins[None] <= block[:, None]).all(axis=2).any(axis=1)]
+        for row in block.tolist():
             check_time("the LP closure sweep")
-            if np_member([int(v) for v in row], poly):
+            if any(sum(map(mul, row, y)) < floor for y, floor in kept):
+                continue
+            y = separating_direction(poly.transposed, row, [[1] * len(gens)], [k])
+            if y is None:
                 found.append(row)
+                continue
+            floor = k * min(sum(map(mul, g, y)) for g in gens)
+            if min(y) < 0 or sum(map(mul, row, y)) >= floor:
+                raise AssertionError(f"{y} does not separate {row} from the closure")
+            kept.append((y, floor))
     return np.array(found, dtype=np.int64).reshape(-1, len(bounds))
 
 

@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -378,6 +378,16 @@ def berge_deficiency(graph: Graph, cap: int = BERGE_CAP) -> tuple[int, frozenset
 CopyVertex = tuple[int, int]  # (base vertex index, copy number >= 1)
 
 
+def _multiplicities(graph: Graph, multiplicity: Sequence[int]) -> tuple[int, ...]:
+    """The multiplicities as Python ints, one per vertex, none negative."""
+    a = integers(multiplicity)
+    if len(a) != graph.n:
+        raise UsageError("multiplicity length must equal vertex count")
+    if min(a, default=0) < 0:
+        raise UsageError("multiplicities must be non-negative")
+    return a
+
+
 @dataclass(frozen=True)
 class ParallelGraph:
     """The graph obtained by deleting multiplicity-0 vertices and duplicating
@@ -387,11 +397,8 @@ class ParallelGraph:
     multiplicity: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "multiplicity", integers(self.multiplicity))
-        if len(self.multiplicity) != self.base.n:
-            raise UsageError("multiplicity length must equal vertex count")
-        if any(m < 0 for m in self.multiplicity):
-            raise UsageError("multiplicities must be non-negative")
+        a = _multiplicities(self.base, self.multiplicity)
+        object.__setattr__(self, "multiplicity", a)
 
     @cached_property
     def vertices(self) -> tuple[CopyVertex, ...]:
@@ -502,12 +509,13 @@ def _parallel_layout(
 
     Copy c of vertex i is start[i] + c - 1 and all copies of i share the blocks
     of i's neighbours: G^a.flat's adjacency, tuple for tuple."""
-    a = parallelize(graph, multiplicity).multiplicity
+    a = _multiplicities(graph, multiplicity)
     start = list(accumulate(a, initial=0))
+    blocks = list(map(range, start, start[1:]))
     adj = []
-    for i, neighbours in enumerate(graph.adjacency):
-        row = tuple(v for j in neighbours for v in range(start[j], start[j + 1]))
-        adj += [row] * a[i]
+    for m, neighbours in zip(a, graph.adjacency):
+        if m:
+            adj += [tuple(chain.from_iterable(map(blocks.__getitem__, neighbours)))] * m
     return a, start, adj
 
 
@@ -563,8 +571,7 @@ def factor_by_matching(graph: Graph, multiplicity: Sequence[int]) -> Factorizati
 def edge_subring_member(graph: Graph, multiplicity: Sequence[int]) -> bool:
     """Whether x^a is a product of edge monomials, i.e. the parallelization
     has a perfect matching."""
-    a = tuple(int(m) for m in multiplicity)
-    return sum(a) == 2 * power_index(graph, a)
+    return 2 * power_index(graph, multiplicity) == sum(multiplicity)
 
 
 # ---------------------------------------------------------------------------

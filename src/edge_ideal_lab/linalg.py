@@ -8,6 +8,7 @@ guaranteed termination, whose every division by the previous pivot is exact.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import index
 from typing import Sequence
 
@@ -39,13 +40,21 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def feasible_nonneg(
+def feasible_nonneg(a_le, b_le, a_eq, b_eq) -> bool:
+    """Whether {x >= 0 : a_le x <= b_le, a_eq x = b_eq} is non-empty (the
+    arguments are those of separating_direction)."""
+    return separating_direction(a_le, b_le, a_eq, b_eq) is None
+
+
+def separating_direction(
     a_le: Sequence[Sequence[int]],
     b_le: Sequence[int],
     a_eq: Sequence[Sequence[int]],
     b_eq: Sequence[int],
-) -> bool:
-    """Whether {x >= 0 : a_le x <= b_le, a_eq x = b_eq} is non-empty.
+) -> list[int] | None:
+    """None when {x >= 0 : a_le x <= b_le, a_eq x = b_eq} is non-empty, else
+    multipliers y >= 0 of the inequality rows, over their gcd, that some z
+    on the equality rows extends to y a_le + z a_eq >= 0, y b_le + z b_eq < 0.
 
     Requires b_le >= 0 and b_eq >= 0 (all uses here satisfy this), so slacks
     give a starting basis for the inequality rows and one artificial variable
@@ -60,11 +69,18 @@ def feasible_nonneg(
     0, to (pivot*row - f*pivot_row) // prev_pivot, a division that is exact
     (see _pivot for the shortcuts that store the same integers).
     Artificials never re-enter, so their columns are not stored.
+
+    The certificate is Farkas' lemma (Schrijver, Combinatorial Optimization,
+    2003) read off the objective row. Like every row it combines the original
+    rows, as -det * (y [a_le | b_le] + z [a_eq | b_eq]), so slack column i
+    holds -det * y_i. At the stop no entry is positive: y >= 0 and
+    y a_le + z a_eq >= 0, and the positive artificial sum is -det times
+    y b_le + z b_eq.
     """
     if any(b < 0 for b in b_le) or any(b < 0 for b in b_eq):
         raise ValueError("right-hand sides must be non-negative")
     if not a_eq:
-        return True  # x = 0 satisfies a_le x <= b_le
+        return None  # x = 0 satisfies a_le x <= b_le
     n = len(a_eq[0])
     n_le = len(a_le)
     n_rows = n_le + len(a_eq)
@@ -95,11 +111,13 @@ def feasible_nonneg(
                 leave, best_t = i, t
         if leave is None:
             break  # unbounded direction cannot occur in phase one; defensive
-        pivot = tableau[leave][entering]
-        _pivot(tableau, leave, entering, prev_pivot)
-        prev_pivot = pivot
+        _pivot(tableau, leave, entering, prev_pivot)  # the pivot row is kept
+        prev_pivot = best_t
         basis[leave] = entering
-    return obj[width] == 0
+    if obj[width] == 0:
+        return None
+    common = gcd(*obj[n:width]) or 1
+    return [-v // common for v in obj[n:width]]
 
 
 def _pivot(

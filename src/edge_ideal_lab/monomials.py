@@ -7,6 +7,7 @@ and serializations are byte-stable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -318,15 +319,35 @@ class MonomialIdeal:
         degs = self.exponent_array.sum(axis=1)
         return int(degs[0]) if len(degs) and degs[0] == degs[-1] else None
 
+    @cached_property
+    def _max_exponents(self) -> tuple[int, ...]:
+        return tuple(self.exponent_array.max(axis=0, initial=0).tolist())
+
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max of the generators (the exponent vector of their lcm)."""
-        if self.is_zero:
-            return (0,) * self.vset.n
-        return tuple(int(v) for v in self.exponent_array.max(axis=0))
+        return self._max_exponents
+
+    @cached_property
+    def _bitsets(self) -> tuple[tuple[list[int], tuple[int, ...]], ...]:
+        """Per variable: its distinct exponents e_1 < ... < e_r, and 0 then, per
+        e_j, the bitset of the generators with exponent <= e_j (bit g: row g)."""
+        out = []
+        for col in self.exponent_array.T:
+            values = sorted(set(col.tolist()))
+            bits = np.packbits(col <= np.c_[values], axis=1, bitorder="little")
+            masks = (0, *(int.from_bytes(row.tobytes(), "little") for row in bits))
+            out.append((values, masks))
+        return tuple(out)
 
     def contains(self, m: Monomial) -> bool:
+        """Whether some generator divides m: one bitset AND per variable."""
         _check_same(self.vset, m.vset)
-        return bool((self.exponent_array <= m.exps).all(axis=1).any())
+        acc = -1  # every generator
+        for e, (values, masks) in zip(m.exps, self._bitsets):
+            acc &= masks[bisect_right(values, e)]
+            if not acc:
+                return False
+        return True
 
     def is_subset_of(self, other: MonomialIdeal) -> bool:
         _check_same(self.vset, other.vset)

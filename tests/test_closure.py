@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import product as iter_product
 from math import prod
 
 import numpy as np
@@ -69,6 +70,17 @@ class TestNpMember:
         poly = NewtonPolyhedron.of_power(edge_ideal(Graph.cycle(3)), 1)
         with pytest.raises(UsageError):
             np_member((1, 1), poly)
+
+    def test_negative_exponent_refused(self):
+        poly = NewtonPolyhedron.of_power(edge_ideal(Graph.cycle(3)), 1)
+        with pytest.raises(UsageError, match="non-negative"):
+            np_member((-1, 1, 1), poly)
+
+    def test_non_integer_exponent_refused(self):
+        # 0.5 must not reach the LP as a right-hand side
+        poly = NewtonPolyhedron.of_power(edge_ideal(Graph.cycle(3)), 1)
+        with pytest.raises(UsageError, match="integers"):
+            np_member((0.5, 1, 1), poly)
 
 
 class TestClosurePower:
@@ -227,6 +239,111 @@ class TestSliceMatchesLp:
             extra = [g for g in closure.gens if not power.contains(g)]
             assert len(extra) == size - len(power)
             assert all(g.degree == 2 * k and np_member(g, poly) for g in extra)
+
+
+def dot(u, v) -> int:
+    return sum(p * q for p, q in zip(u, v))
+
+
+def reference_lp_closure(ideal: MonomialIdeal, k: int) -> tuple[np.ndarray, list]:
+    """The LP sweep with no kept direction: every point of the box at or above
+    degree d*k, in (degree, lex) order, that no member found so far divides
+    goes to its own LP. Returns the members and the undominated non-members."""
+    bounds = tuple(k * e for e in ideal.max_exponents())
+    poly = NewtonPolyhedron.of_power(ideal, k)
+    box = np.array(list(iter_product(*(range(b + 1) for b in bounds))))
+    found, outside = np.zeros((0, len(bounds)), dtype=np.int64), []
+    for s in range(k * ideal.generated_degree(), sum(bounds) + 1):
+        block = box[box.sum(axis=1) == s]
+        block = block[~(found[None] <= block[:, None]).all(axis=2).any(axis=1)]
+        for a in map(tuple, block.tolist()):
+            if np_member(a, poly):
+                found = np.vstack((found, a))
+            else:
+                outside.append(a)
+    return found, outside
+
+
+def recorded_lp_sweep(ideal: MonomialIdeal, k: int, monkeypatch):
+    """_closure_lp_path's rows, with each point it sent to an LP and each
+    direction it got back."""
+    solve, asked, directions = closure.separating_direction, set(), []
+
+    def recording(a_le, b_le, a_eq, b_eq):
+        asked.add(tuple(b_le))
+        y = solve(a_le, b_le, a_eq, b_eq)
+        if y is not None:
+            directions.append(y)
+        return y
+
+    with monkeypatch.context() as patch:
+        patch.setattr(closure, "separating_direction", recording)
+        bounds = tuple(k * e for e in ideal.max_exponents())
+        rows = _closure_lp_path(ideal, k, bounds, k * ideal.generated_degree())
+    return rows, asked, directions
+
+
+def seeded_equigenerated(count: int, seed: int) -> list[tuple[MonomialIdeal, int]]:
+    """Ideals on 2..5 variables generated by 1..6 monomials of one degree, 2
+    or 3, with squares and cubes allowed, each with a power k <= 2 whose box
+    stays small."""
+    rng, cases = random.Random(seed), []
+    while len(cases) < count:
+        n, d = rng.randint(2, 5), rng.choice((2, 3))
+        monomials = [a for a in iter_product(range(d + 1), repeat=n) if sum(a) == d]
+        rows = rng.sample(monomials, rng.randint(1, min(6, len(monomials))))
+        ideal = MonomialIdeal.from_exponents(VariableSet.standard(n), rows)
+        k = rng.randint(1, 2)
+        if prod(k * e + 1 for e in ideal.max_exponents()) <= 2000:
+            cases.append((ideal, k))
+    return cases
+
+
+class TestLpSweepMatchesReference:
+    """The LP sweep that rejects points by kept separating directions against
+    one LP per undominated point: the same rows, byte for byte, and every
+    point rejected without an LP violates a kept direction y >= 0."""
+
+    @staticmethod
+    def check(cases, monkeypatch):
+        for ideal, k in cases:
+            rows, asked, directions = recorded_lp_sweep(ideal, k, monkeypatch)
+            want, outside = reference_lp_closure(ideal, k)
+            assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes(), (
+                f"{ideal} k={k}"
+            )
+            # the certificate, on Python ints: a.y < k * min_g g.y with y >= 0
+            gens = ideal.exponent_array.tolist()
+            floors = [(y, k * min(dot(g, y) for g in gens)) for y in directions]
+            for a in outside:
+                if a not in asked:
+                    assert any(
+                        min(y) >= 0 and dot(a, y) < floor for y, floor in floors
+                    ), (f"{ideal} k={k}", a)
+
+    def test_assce(self, monkeypatch):
+        self.check([(assce(), k) for k in (1, 2, 3)], monkeypatch)
+
+    def test_seeded_equigenerated(self, monkeypatch):
+        cases = seeded_equigenerated(60, 23)
+        assert {ideal.generated_degree() for ideal, _ in cases} == {2, 3}
+        assert any(not ideal.is_squarefree for ideal, _ in cases)
+        self.check(cases, monkeypatch)
+
+    def test_corpus(self, monkeypatch):
+        cases = [(edge_ideal(g), k) for g in connected_graphs(2, 5) for k in (1, 2)]
+        self.check(cases, monkeypatch)
+
+    def test_a_flipped_direction_is_caught(self, monkeypatch):
+        solve = closure.separating_direction
+
+        def flipped(*system):
+            y = solve(*system)
+            return None if y is None else [-v for v in y]
+
+        monkeypatch.setattr(closure, "separating_direction", flipped)
+        with pytest.raises(AssertionError, match="does not separate"):
+            _closure_lp_path(assce(), 2, (2,) * 6, 6)
 
 
 def reference_slice(bounds: tuple[int, ...], total: int) -> np.ndarray:

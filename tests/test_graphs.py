@@ -520,6 +520,11 @@ class TestPowerIndexFromBlocks:
             parallelize(Graph.cycle(3), (1, 1.0, 1))
         with pytest.raises(UsageError, match="integers"):
             ParallelGraph(Graph.cycle(3), (1.5, 1, 1))
+        # the parallelization refuses what power_index refuses, in the same words
+        with pytest.raises(UsageError, match="length"):
+            parallelize(fig9(), (1,) * 8)
+        with pytest.raises(UsageError, match="non-negative"):
+            parallelize(Graph.cycle(3), (0, -1, 1))
         assert power_index(Graph.cycle(3), (np.int64(2), 1, 1)) == 2
 
 
@@ -581,6 +586,9 @@ class TestPowerIndexAndFactorization:
         assert edge_subring_member(Graph.single_edge(), (3, 3))
         assert not edge_subring_member(Graph.cycle(3), (1, 1, 1))
         assert edge_subring_member(Graph.cycle(3), (2, 2, 2))
+        # 1.5 must not be truncated to 1, which would make x1*x2 of (1.5, 1)
+        with pytest.raises(UsageError, match="integers"):
+            edge_subring_member(Graph.single_edge(), (1.5, 1))
 
     def test_membership_coherence_exhaustive_small(self):
         for g in connected_graphs(2, 3):

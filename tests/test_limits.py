@@ -12,7 +12,11 @@ from edge_ideal_lab.assprimes import (
     associated_primes_witness_oracle,
     irreducible_decomposition,
 )
-from edge_ideal_lab.closure import _closure_fast_path, integral_closure_power
+from edge_ideal_lab.closure import (
+    _closure_fast_path,
+    _closure_lp_path,
+    integral_closure_power,
+)
 from edge_ideal_lab.errors import (
     BOX_CELLS,
     BudgetExceededError,
@@ -20,7 +24,7 @@ from edge_ideal_lab.errors import (
     bounded,
     check_box,
 )
-from edge_ideal_lab.fixtures import fig9
+from edge_ideal_lab.fixtures import assce, fig9
 from edge_ideal_lab.graphs import Graph, edge_ideal
 from edge_ideal_lab.monomials import membership_mask
 from edge_ideal_lab.stability import power_chain
@@ -87,6 +91,9 @@ ENGINES = {
     "corner": (lambda: assprimes._corner_cells(C5_CUBE), 5 + 2, "corner scan"),
     "mask": (lambda: membership_mask(C5_CUBE.exponent_array, [3] * 5), 2, "mask"),
     "slice": (lambda: _closure_fast_path(C5, 2, (2,) * 5), 2, "closure slice"),
+    # one read per undominated point, whether a kept direction rejects it or
+    # an LP decides it
+    "lp": (lambda: _closure_lp_path(assce(), 2, (2,) * 6, 6), 2, "LP closure sweep"),
     "oracle": (lambda: associated_primes_witness_oracle(C5_CUBE), 5 + 2, "oracle"),
     "walk": (lambda: [s.k for s in power_chain(C5, 4)], 2, "power chain"),
 }

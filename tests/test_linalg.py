@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from edge_ideal_lab import linalg
-from edge_ideal_lab.linalg import feasible_nonneg, integer_rank
+from edge_ideal_lab.linalg import feasible_nonneg, integer_rank, separating_direction
 
 
 def fraction_gauss_rank(rows):
@@ -45,6 +45,38 @@ def mixed_sign_systems():
         a_eq = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(m_eq)]
         b_eq = [rng.choice((0, rng.randint(1, 6))) for _ in range(m_eq)]
         yield a_le, b_le, a_eq, b_eq
+
+
+def nonneg_systems():
+    """250 seeded systems with non-negative coefficients, some with no
+    equality row: (a_le, b_le, a_eq, b_eq) with at least one row."""
+    rng = random.Random(11)
+    for _ in range(250):
+        n = rng.randint(1, 5)
+        m_le = rng.randint(0, 4)
+        m_eq = rng.randint(0, 2)
+        if m_le + m_eq == 0:
+            continue
+        a_le = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m_le)]
+        b_le = [rng.randint(0, 6) for _ in range(m_le)]
+        a_eq = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m_eq)]
+        b_eq = [rng.randint(0, 6) for _ in range(m_eq)]
+        yield a_le, b_le, a_eq, b_eq
+
+
+def scipy_feasible(scipy_opt, a_le, b_le, a_eq, b_eq) -> bool:
+    n = len((a_le or a_eq)[0])
+    res = scipy_opt.linprog(
+        [0] * n,
+        A_ub=a_le or None,
+        b_ub=b_le or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=[(0, None)] * n,
+        method="highs",
+    )
+    assert res.status in (0, 2)
+    return res.status == 0
 
 
 def row_scaled(a_le, b_le, a_eq, b_eq):
@@ -93,49 +125,17 @@ class TestFeasibility:
 
     def test_against_scipy(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
-        rng = random.Random(11)
-        for _ in range(250):
-            n = rng.randint(1, 5)
-            m_le = rng.randint(0, 4)
-            m_eq = rng.randint(0, 2)
-            if m_le + m_eq == 0:
-                continue
-            a_le = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m_le)]
-            b_le = [rng.randint(0, 6) for _ in range(m_le)]
-            a_eq = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m_eq)]
-            b_eq = [rng.randint(0, 6) for _ in range(m_eq)]
-            mine = feasible_nonneg(a_le, b_le, a_eq, b_eq)
-            res = scipy_opt.linprog(
-                [0] * n,
-                A_ub=a_le or None,
-                b_ub=b_le or None,
-                A_eq=a_eq or None,
-                b_eq=b_eq or None,
-                bounds=[(0, None)] * n,
-                method="highs",
-            )
-            assert mine == (res.status == 0)
+        for system in nonneg_systems():
+            assert feasible_nonneg(*system) == scipy_feasible(scipy_opt, *system)
 
     def test_mixed_sign_and_degenerate_against_scipy(self):
         # negative coefficients and many zero right-hand sides (ratio ties);
         # scaling each row by its own large factor must not change the answer
         scipy_opt = pytest.importorskip("scipy.optimize")
-        for a_le, b_le, a_eq, b_eq in mixed_sign_systems():
-            n = len(a_eq[0])
-            mine = feasible_nonneg(a_le, b_le, a_eq, b_eq)
-            res = scipy_opt.linprog(
-                [0] * n,
-                A_ub=a_le or None,
-                b_ub=b_le or None,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=[(0, None)] * n,
-                method="highs",
-            )
-            assert res.status in (0, 2)
-            assert mine == (res.status == 0), (a_le, b_le, a_eq, b_eq)
-            scaled = feasible_nonneg(*row_scaled(a_le, b_le, a_eq, b_eq))
-            assert scaled == mine, (a_le, b_le, a_eq, b_eq)
+        for system in mixed_sign_systems():
+            mine = feasible_nonneg(*system)
+            assert mine == scipy_feasible(scipy_opt, *system), system
+            assert feasible_nonneg(*row_scaled(*system)) == mine, system
 
     def test_row_update_shortcuts_store_the_same_tableau(self, monkeypatch):
         # reference: the plain Edmonds update of every other row, no shortcut
@@ -180,3 +180,56 @@ class TestFeasibility:
     def test_no_fractions_in_linalg(self):
         source = inspect.getsource(linalg)
         assert "Fraction" not in source and "fractions" not in source
+
+
+def farkas_extension_value(scipy_opt, y, a_le, b_le, a_eq, b_eq) -> float:
+    """min over z of y b_le + z b_eq subject to y a_le + z a_eq >= 0, by a
+    float LP in the free z (-inf when unbounded, +inf when infeasible)."""
+    n = len((a_le or a_eq)[0])
+    y_a = [sum(y[i] * a_le[i][j] for i in range(len(a_le))) for j in range(n)]
+    y_b = sum(v * b for v, b in zip(y, b_le))
+    if not a_eq:
+        return y_b if min(y_a, default=0) >= 0 else float("inf")
+    res = scipy_opt.linprog(
+        b_eq,
+        A_ub=[[-row[j] for row in a_eq] for j in range(n)],
+        b_ub=y_a,
+        bounds=[(None, None)] * len(a_eq),
+        method="highs",
+    )
+    assert res.status in (0, 2, 3)
+    if res.status == 0:
+        return y_b + res.fun
+    return float("inf") if res.status == 2 else -float("inf")
+
+
+class TestSeparatingDirection:
+    """The multipliers read off the final objective row: None exactly on the
+    feasible systems, else y >= 0 that a Farkas certificate extends."""
+
+    def test_against_scipy(self):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        infeasible = nonzero = 0
+        for system in [*nonneg_systems(), *mixed_sign_systems()]:
+            a_le, b_le, a_eq, b_eq = system
+            y = separating_direction(*system)
+            assert (y is None) == scipy_feasible(scipy_opt, *system), system
+            if y is None:
+                continue
+            infeasible += 1
+            assert len(y) == len(a_le) and min(y, default=0) >= 0, (system, y)
+            assert farkas_extension_value(scipy_opt, y, *system) < -1e-9, (system, y)
+            # y = 0 certifies nothing unless the equalities alone are infeasible
+            if scipy_feasible(scipy_opt, [], [], a_eq, b_eq):
+                assert any(y), (system, y)
+                nonzero += 1
+        assert infeasible > 100 and nonzero > 50
+
+    def test_reduced_by_the_gcd(self):
+        # x1 + x2 = 3 with x1 <= 1 and x2 <= 1, every row scaled by 6
+        y = separating_direction([[6, 0], [0, 6]], [6, 6], [[6, 6]], [18])
+        assert y == [1, 1]
+
+    def test_feasible_and_equality_free_systems_give_none(self):
+        assert separating_direction([[1, 0], [0, 1]], [1, 1], [[1, 1]], [2]) is None
+        assert separating_direction([[1, -1]], [0], [], []) is None

@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import random
 import re
 import subprocess
 import sys
@@ -404,6 +405,20 @@ class TestMembershipContainment:
             got = {a for a in box if power.contains(Monomial(i.vset, a))}
             assert got == expected
             power = power.product(i)
+
+    def test_contains_equals_generator_scan_on_seeded_ideals(self):
+        # mixed degrees and exponents up to 3, queried on a box that reaches
+        # two past every generator maximum; the zero and unit ideals too
+        rng = random.Random(23)
+        ideals = [MonomialIdeal.zero(V3), MonomialIdeal.unit(V3)]
+        for _ in range(40):
+            rows = [[rng.randint(0, 3) for _ in range(3)] for _ in range(rng.randint(1, 6))]
+            ideals.append(MonomialIdeal.from_exponents(V3, rows))
+        for i in ideals:
+            top = max(i.max_exponents()) + 2
+            for a in iter_product(range(top + 1), repeat=3):
+                scan = any(all(map(int.__le__, g.exps, a)) for g in i.gens)
+                assert i.contains(m(*a)) == scan, (str(i), a)
 
     def test_zero_ideal_contains_nothing(self):
         zero = MonomialIdeal.zero(V3)

@@ -1,16 +1,19 @@
 """Reusable property sweeps: every theorem-shaped statement as a batch check.
 
 Each sweep yields (name, passed, detail) triples so the CLI battery command,
-the test suite, and the acceptance criteria all run the same code. Ideal
-equalities over whole corpora are decided on membership masks over bounded
-exponent boxes (both sides' minimal generators live inside the box, so mask
-equality is ideal equality), which keeps exhaustive sweeps cheap.
+the test suite, and the acceptance criteria all run the same code. The
+colon identity over whole corpora is decided on membership bitsets (Python
+ints) over one bounded exponent box (both sides' minimal generators live
+inside the box, so bitset equality is ideal equality), which keeps
+exhaustive sweeps cheap.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import product as iter_product
+from math import prod
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,7 +25,7 @@ from .assprimes import (
     minimal_vertex_covers,
 )
 from .closure import NewtonPolyhedron, closure_member_matching_oracle, np_member
-from .errors import UsageError
+from .errors import UsageError, check_box, check_time
 from .graphs import (
     Graph,
     berge_deficiency,
@@ -39,35 +42,71 @@ from .graphs import (
     power_index,
     sample_graphs,
 )
-from .monomials import Monomial, MonomialIdeal, maximal_prime, membership_mask
+from .monomials import Monomial, MonomialIdeal, maximal_prime
 from .stability import both_chains, power_chain
 
 Check = tuple[str, bool, str]
 
 
 def colon_identity_holds(ideal: MonomialIdeal, k: int) -> bool:
-    """Whether (I^(k+1) : I) equals I^k, decided on membership masks.
+    """Whether (I^(k+1) : I) equals I^k, decided on bitsets over one box.
 
-    colon membership at c is membership of c+g in the higher power for every
-    generator g, i.e. an AND of shifted masks; both sides' minimal generators
-    are bounded by the componentwise maxima, so the box decides equality.
-    The powers come from the ideal's memoized chain, so a sweep over k builds
-    each of them once.
+    Both sides' minimal generators are bounded by the componentwise maxima
+    ``bounds`` of I^k and I^(k+1), so the box [0, bounds] decides equality.
+    A membership bitset is a Python int whose bit i is cell i in C order: one
+    bit per generator, spread along each axis by a doubling prefix OR. Colon
+    membership at c is membership of c+g in I^(k+1) for every generator g of
+    I, an AND of windows; each window is read in the same box by shifts that
+    saturate at the top of every axis, which is exact because membership in
+    I^(k+1) is constant past its generator maxima. The powers come from the
+    ideal's memoized chain, so a sweep over k builds each of them once.
     """
+    try:
+        k = index(k)
+    except TypeError:
+        raise UsageError("the colon identity needs an integer power") from None
+    if k < 0 or ideal.is_zero:
+        raise UsageError("the colon identity needs a power >= 0 of a nonzero ideal")
     # the chain I^0 = R, I, ..., I^(k+1), so k = 0 needs no special case
     *_, power_k, power_k1 = [MonomialIdeal.unit(ideal.vset), *ideal.powers(k + 1)]
-    bounds = tuple(
+    bounds = [
         max(x, y) for x, y in zip(power_k.max_exponents(), power_k1.max_exponents())
-    )
-    extended = tuple(b + s for b, s in zip(bounds, ideal.max_exponents()))
-    high_mask = membership_mask(power_k1.exponent_array, extended)
-    colon_mask: np.ndarray | None = None
+    ]
+    cells = prod(b + 1 for b in bounds)
+    check_box(cells, "colon box")
+    full = (1 << cells) - 1
+    axes, stride = [], cells  # per axis: bound, stride, top layer, cells below it
+    for b in bounds:
+        stride //= b + 1
+        top, width = (1 << stride) - 1 << b * stride, stride * (b + 1)
+        while width < cells:  # repeat the first period's top layer
+            top, width = top | top << width, 2 * width
+        axes.append((b, stride, top & full, ~top & full))
+    strides = np.array([s for _, s, _, _ in axes], dtype=np.int64)
+
+    def members(rows: np.ndarray) -> int:
+        idx = rows @ strides
+        seed = np.zeros(cells // 8 + 1, dtype=np.uint8)
+        np.bitwise_or.at(seed, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
+        m = int.from_bytes(seed, "little")
+        for b, s, top, _ in axes:
+            check_time("the colon identity")
+            keep, t = full ^ top >> b * s, s  # the cells at least t/s above the bottom
+            while t <= b * s:
+                m |= (m << t) & keep
+                keep &= keep << t
+                t *= 2
+        return m
+
+    high, colon = members(power_k1.exponent_array), full
     for row in ideal.exponent_array.tolist():
-        idx = tuple(slice(e, e + b + 1) for e, b in zip(row, bounds))
-        window = high_mask[idx]
-        colon_mask = window if colon_mask is None else colon_mask & window
-    assert colon_mask is not None
-    return bool((colon_mask == membership_mask(power_k.exponent_array, bounds)).all())
+        check_time("the colon identity")
+        window = high
+        for e, (_, s, top, low) in zip(row, axes):
+            for _ in range(e):
+                window = ((window >> s) & low) | (window & top)
+        colon &= window
+    return colon == members(power_k.exponent_array)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The assembled property battery at reduced caps (the full-cap run is the
 acceptance suite's job)."""
 
+import random
 import tracemalloc
 from itertools import product
 
@@ -20,9 +21,9 @@ from edge_ideal_lab.battery import (
 )
 from edge_ideal_lab.closure import closure_member_matching_oracle
 from edge_ideal_lab.errors import UsageError
-from edge_ideal_lab.fixtures import fig9, graph_catalog
+from edge_ideal_lab.fixtures import assce, fig9, graph_catalog
 from edge_ideal_lab.graphs import Graph, connected_graphs, edge_ideal
-from edge_ideal_lab.monomials import membership_mask
+from edge_ideal_lab.monomials import MonomialIdeal, VariableSet, membership_mask
 
 
 def test_membership_mask_matches_contains():
@@ -105,6 +106,103 @@ def test_colon_identity_from_power_zero():
     # (I : I) is the unit ideal I^0, and (I^3 : I) = I^2 on the triangle
     i = edge_ideal(Graph.cycle(3))
     assert all(colon_identity_holds(i, k) for k in (0, 1, 2))
+
+
+def reference_colon_identity(ideal: MonomialIdeal, k: int) -> bool:
+    """(I^(k+1) : I) == I^k on numpy masks: the mask of I^(k+1) over the
+    extended box [0, bounds + max(I)], one window of it per generator g of I
+    starting at g, and the AND of the windows against the mask of I^k."""
+    *_, power_k, power_k1 = [MonomialIdeal.unit(ideal.vset), *ideal.powers(k + 1)]
+    bounds = tuple(
+        max(x, y) for x, y in zip(power_k.max_exponents(), power_k1.max_exponents())
+    )
+    extended = tuple(b + s for b, s in zip(bounds, ideal.max_exponents()))
+    high_mask = membership_mask(power_k1.exponent_array, extended)
+    colon_mask = np.ones(tuple(b + 1 for b in bounds), dtype=bool)
+    for row in ideal.exponent_array.tolist():
+        colon_mask &= high_mask[tuple(slice(e, e + b + 1) for e, b in zip(row, bounds))]
+    return bool((colon_mask == membership_mask(power_k.exponent_array, bounds)).all())
+
+
+def mixed_ideals(count: int, seed: int = 2014):
+    """Seeded ideals in 2..4 variables: pure squares and cubes beside mixed
+    monomials with exponents up to 3, so the generators have mixed degrees."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        rows = [
+            [rng.choice((2, 3)) if i == j else 0 for i in range(n)]
+            for j in rng.sample(range(n), rng.randint(1, n))
+        ]
+        for _ in range(rng.randint(1, 4)):
+            rows.append([rng.randint(0, 3) for _ in range(n)])
+        yield MonomialIdeal.from_exponents(VariableSet.standard(n), rows)
+
+
+# (x^4, x^3 y, x y^3, y^4): x^2 y^2 is in (I^2 : I) but not in I
+RATLIFF_RUSH = MonomialIdeal.from_exponents(
+    VariableSet.standard(2), [(4, 0), (3, 1), (1, 3), (0, 4)]
+)
+
+
+class TestColonAgainstReference:
+    """The bitset kernel against the numpy-mask reference on the extended box."""
+
+    def agree(self, ideal, powers):
+        answers = [colon_identity_holds(ideal, k) for k in powers]
+        assert answers == [reference_colon_identity(ideal, k) for k in powers], ideal
+        return answers
+
+    def test_five_vertex_corpus(self):
+        graphs = list(connected_graphs(2, 5))
+        assert len(graphs) == 771
+        for g in graphs:
+            assert self.agree(edge_ideal(g), range(4)) == [True] * 4, str(g)
+
+    def test_assce_fails_at_two(self):
+        assert self.agree(assce(), range(5)) == [True, True, False, True, True]
+
+    def test_ratliff_rush_fails_at_one(self):
+        assert self.agree(RATLIFF_RUSH, range(4)) == [True, False, True, True]
+
+    def test_seeded_mixed_degree_ideals(self):
+        ideals = list(mixed_ideals(60))
+        degrees = {int(d) for i in ideals for d in i.exponent_array.max(axis=1)}
+        assert {2, 3} <= degrees  # squares and cubes among the generators
+        for ideal in ideals:
+            self.agree(ideal, range(3))
+
+    def test_fig9(self):
+        assert self.agree(edge_ideal(fig9()), range(4)) == [True] * 4
+
+
+@pytest.mark.parametrize(
+    "ideal, k, message",
+    [
+        (edge_ideal(Graph.cycle(3)), -1, "a power >= 0"),
+        (edge_ideal(Graph.cycle(3)), 1.5, "an integer power"),
+        (MonomialIdeal.zero(VariableSet.standard(3)), 1, "a nonzero ideal"),
+    ],
+    ids=["negative-k", "non-integer-k", "zero-ideal"],
+)
+def test_colon_identity_refuses_bad_input(ideal, k, message):
+    with pytest.raises(UsageError, match=message):
+        colon_identity_holds(ideal, k)
+
+
+def test_colon_identity_peak_memory_per_cell():
+    # FIG9 at k=3: the box [0, 4]^9; the chain is built before tracing, so
+    # the peak is the kernel's own bitsets and seed buffers
+    ideal = edge_ideal(fig9())
+    list(ideal.powers(4))
+    cells = 5**9
+    tracemalloc.start()
+    try:
+        assert colon_identity_holds(ideal, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * cells
 
 
 class TestColonChain:

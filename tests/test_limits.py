@@ -12,6 +12,7 @@ from edge_ideal_lab.assprimes import (
     associated_primes_witness_oracle,
     irreducible_decomposition,
 )
+from edge_ideal_lab.battery import colon_identity_holds
 from edge_ideal_lab.closure import (
     _closure_fast_path,
     _closure_lp_path,
@@ -84,6 +85,16 @@ class TestBounded:
             with bounded(box_cells=4**9):
                 assert len(run()) > 0
 
+    def test_the_cap_bounds_the_colon_box(self):
+        # C5 at k=2: the box [0, 3]^5 holds the generators of I^2 and I^3
+        cells = 4**5
+        with bounded(box_cells=cells - 1):
+            refusal = f"colon box needs {cells} cells"
+            with pytest.raises(BudgetExceededError, match=refusal):
+                colon_identity_holds(C5, 2)
+        with bounded(box_cells=cells):
+            assert colon_identity_holds(C5, 2)
+
 
 ENGINES = {
     # the corner engine reads the clock per axis of its mask pass, then per
@@ -96,6 +107,9 @@ ENGINES = {
     "lp": (lambda: _closure_lp_path(assce(), 2, (2,) * 6, 6), 2, "LP closure sweep"),
     "oracle": (lambda: associated_primes_witness_oracle(C5_CUBE), 5 + 2, "oracle"),
     "walk": (lambda: [s.k for s in power_chain(C5, 4)], 2, "power chain"),
+    # one read per axis of each prefix scan and one per window: five for the
+    # bitset of I^3, then five windows, so it stops among the windows
+    "colon": (lambda: colon_identity_holds(C5, 2), 5 + 2, "colon identity"),
 }
 
 

@@ -202,8 +202,14 @@ def _claim_fig9_chains(graphs, ideals):
 
 
 def _claim_fig9_matching_oracle(graphs, ideals):
-    cert = closure_member_matching_oracle(graphs["FIG9"], FIG9_CLOSURE_WITNESS, 4)
-    return (cert is True, "matching certificate found for the closure witness")
+    g = graphs["FIG9"]
+    # exact both ways: the witness is in the fourth closure and not the fifth
+    inside = closure_member_matching_oracle(g, FIG9_CLOSURE_WITNESS, 4)
+    outside = closure_member_matching_oracle(g, FIG9_CLOSURE_WITNESS, 5)
+    return (
+        inside and not outside,
+        "matching certificate found for the closure witness",
+    )
 
 
 def _claim_assce(graphs, ideals):

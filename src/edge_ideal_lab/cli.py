@@ -30,7 +30,9 @@ from .graphs import (
     maximum_matching,
     parallelize,
 )
-from .stability import SCHEMA_VERSION, both_chains, stability_bound
+from .stability import both_chains, stability_bound
+
+SCHEMA_VERSION = "edge-ideal-lab/1"  # every JSON document carries it
 
 EXIT_OK = 0
 EXIT_FAILED = 1

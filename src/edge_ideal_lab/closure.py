@@ -28,8 +28,7 @@ sum of the later bounds with d_i = +1), is negative. The last axis is the test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 from operator import mul
 from typing import Sequence
@@ -39,49 +38,30 @@ import numpy as np
 from .errors import LP_CAP, BudgetExceededError, UsageError, check_box, check_time
 from .graphs import Graph, power_index
 from .linalg import feasible_nonneg, separating_direction
-from .monomials import Monomial, MonomialIdeal, integers
+from .monomials import Monomial, MonomialIdeal, integer_power, integers
 
 FAST_PATH_MAX_VARS = 12  # cover-vector grid is 3^n
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
-    """scale * conv(generator exponents) + the non-negative orthant."""
-
-    generators_matrix: tuple[tuple[int, ...], ...]
-    scale: int
-
-    def __post_init__(self):
-        if self.scale < 1:
-            raise UsageError("scale must be a positive integer")
-        if not self.generators_matrix:
-            raise UsageError("a Newton polyhedron needs at least one generator")
-
-    @classmethod
-    def of_power(cls, ideal: MonomialIdeal, k: int) -> NewtonPolyhedron:
-        if ideal.is_zero:
-            raise UsageError("the zero ideal has no Newton polyhedron")
-        return cls(tuple(map(tuple, ideal.exponent_array.tolist())), k)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.generators_matrix[0])
-
-    @cached_property
-    def transposed(self) -> tuple[tuple[int, ...], ...]:
-        """The generators as columns: one row per coordinate."""
-        return tuple(zip(*self.generators_matrix))
+def _power_lp(ideal: MonomialIdeal, k: int):
+    """The LP of k * conv(V) + R^n_+ for the generator exponents V: V as
+    columns (one row per coordinate), and lambda summing to k."""
+    return tuple(zip(*ideal.exponent_array.tolist())), [[1] * len(ideal)], [k]
 
 
-def np_member(exponents: Sequence[int] | Monomial, poly: NewtonPolyhedron) -> bool:
-    """Exact LP feasibility of lambda >= 0, sum lambda = scale, V lambda <= a."""
-    a = exponents.exps if isinstance(exponents, Monomial) else integers(exponents)
-    if len(a) != poly.dimension:
-        raise UsageError("exponent vector dimension mismatch")
-    if any(v < 0 for v in a):
-        raise UsageError("exponents must be non-negative")
-    q = len(poly.generators_matrix)
-    return feasible_nonneg(poly.transposed, a, [[1] * q], [poly.scale])
+def np_member(
+    exponents: Sequence[int] | Monomial, ideal: MonomialIdeal, k: int
+) -> bool:
+    """Whether x^a lies in the integral closure of the k-th power of a nonzero
+    ideal: exact LP feasibility of lambda >= 0, sum lambda = k, V lambda <= a."""
+    k = integer_power(k, 1, "closure membership")
+    if ideal.is_zero:
+        raise UsageError("closure membership needs a nonzero ideal")
+    if isinstance(exponents, Monomial):
+        exponents = exponents.exps
+    a = Monomial(ideal.vset, exponents).exps  # integer entries, length and sign
+    columns, weights, scale = _power_lp(ideal, k)
+    return feasible_nonneg(columns, a, weights, scale)
 
 
 @lru_cache(maxsize=256)
@@ -142,8 +122,8 @@ def _closure_fast_path(
 def _closure_lp_path(
     ideal: MonomialIdeal, k: int, bounds: tuple[int, ...], degree_floor: int
 ) -> np.ndarray:
-    poly = NewtonPolyhedron.of_power(ideal, k)
-    gens = poly.generators_matrix
+    columns, weights, scale = _power_lp(ideal, k)
+    gens = ideal.exponent_array.tolist()
     points = np.indices(tuple(b + 1 for b in bounds)).reshape(len(bounds), -1).T
     degrees = points.sum(axis=1)
     found: list[list[int]] = []
@@ -156,7 +136,7 @@ def _closure_lp_path(
             check_time("the LP closure sweep")
             if any(sum(map(mul, row, y)) < floor for y, floor in kept):
                 continue
-            y = separating_direction(poly.transposed, row, [[1] * len(gens)], [k])
+            y = separating_direction(columns, row, weights, scale)
             if y is None:
                 found.append(row)
                 continue
@@ -179,8 +159,7 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     checks run on every call; the sweep is memoized on (ideal, k) alone, so
     a cached closure still refuses under a cap below its box.
     """
-    if k < 1:
-        raise UsageError("power must be >= 1")
+    k = integer_power(k, 1, "the integral closure")
     if ideal.is_zero:
         return ideal
     if ideal.generated_degree() is None:
@@ -213,16 +192,12 @@ integral_closure_power.cache_info = _closure_sweep.cache_info  # type: ignore[at
 
 def closure_member_matching_oracle(
     graph: Graph, a: Sequence[int], k: int
-) -> bool | None:
-    """One-sided closure membership via matchings of scaled parallelizations.
-
-    True when some multiple m has matching number of the m*a parallelization at
-    least k*m (certifying x^a in the closure of the k-th edge-ideal power);
-    None when no m = 1..n certifies it.
-    """
-    a = integers(a)
-    for m in range(1, graph.n + 1):
-        scaled = tuple(m * v for v in a)
-        if power_index(graph, scaled) >= k * m:
-            return True
-    return None
+) -> bool:
+    """x^a is in the closure of I(G)^k exactly when nu(G^(2a)) >= 2k.
+    Membership is a.y >= k for every fractional vertex cover y; the least a.y
+    is, by LP duality, the fractional b-matching number with capacities a,
+    whose polytope is half-integral (Schrijver, Combinatorial Optimization,
+    2003), so twice it is the matching number of G^(2a). No cover, LP or box
+    is involved."""
+    k = integer_power(k, 1, "the matching oracle")
+    return power_index(graph, [2 * v for v in integers(a)]) >= 2 * k

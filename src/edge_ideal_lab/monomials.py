@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
 from operator import index
 from typing import Iterable, Iterator, Sequence
@@ -65,6 +65,17 @@ def integers(values: Iterable) -> tuple[int, ...]:
         return tuple(map(index, values))
     except TypeError:
         raise UsageError("exponents must be integers") from None
+
+
+def integer_power(k, least: int, what: str) -> int:
+    """The power k as a Python int, refused unless it is an integer >= least."""
+    try:
+        k = index(k)
+    except TypeError:
+        raise UsageError(f"{what} needs an integer power") from None
+    if k < least:
+        raise UsageError(f"{what} needs a power >= {least}")
+    return k
 
 
 def _check_range(low: int, high: int) -> None:
@@ -351,8 +362,7 @@ class MonomialIdeal:
 
     def is_subset_of(self, other: MonomialIdeal) -> bool:
         _check_same(self.vset, other.vset)
-        a, b = self.exponent_array, other.exponent_array
-        return bool((b[None, :, :] <= a[:, None, :]).all(axis=2).any(axis=1).all())
+        return all(map(other.contains, self.gens))
 
     def sum(self, other: MonomialIdeal) -> MonomialIdeal:
         _check_same(self.vset, other.vset)
@@ -380,22 +390,23 @@ class MonomialIdeal:
         The chain is memoized on this instance, like ``gens``: a walk builds
         only the powers no earlier walk reached, one product each, and yields
         the same objects every time. Lazy: a consumer that stops early builds
-        no further product.
+        no further product. A negative or non-integer max_power is refused at
+        the call, before any step.
         """
+        count = integer_power(max_power, 0, "the power chain")
+        return map(self._chain_step, range(count))
+
+    def _chain_step(self, k: int) -> MonomialIdeal:
+        """I^(k+1), built from I^k when no walk has reached it yet."""
         chain = self._chain
-        for k in range(max_power):
-            if k == len(chain):
-                chain.append(chain[-1].product(self))
-            yield chain[k]
+        if k == len(chain):
+            chain.append(chain[-1].product(self))
+        return chain[k]
 
     def power(self, k: int) -> MonomialIdeal:
         """The k-th element of the power chain; k = 0 gives the unit ideal."""
-        if k < 0:
-            raise UsageError("power must be non-negative")
-        result = MonomialIdeal.unit(self.vset)
-        for result in self.powers(k):
-            pass  # keep only the last power
-        return result
+        *_, last = [MonomialIdeal.unit(self.vset), *self.powers(k)]
+        return last
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         _check_same(self.vset, other.vset)
@@ -417,13 +428,7 @@ class MonomialIdeal:
         _check_same(self.vset, other.vset)
         if other.is_zero:
             raise UsageError("colon by the zero ideal is undefined")
-        result: MonomialIdeal | None = None
-        for row in other.exponent_array:
-            quotients = np.maximum(self.exponent_array - row, 0)
-            piece = MonomialIdeal.from_exponents(self.vset, quotients)
-            result = piece if result is None else result.intersect(piece)
-        assert result is not None
-        return result
+        return reduce(MonomialIdeal.intersect, map(self.colon_monomial, other.gens))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):

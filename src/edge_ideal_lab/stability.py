@@ -26,8 +26,6 @@ from .monomials import (
     primes_to_lists,
 )
 
-SCHEMA_VERSION = "edge-ideal-lab/1"
-
 PrimeSet = tuple[MonomialPrime, ...]
 
 
@@ -95,7 +93,6 @@ class ChainReport:
                 entry[key] = primes_to_lists(side[i]) if side else None
             chains.append(entry)
         return {
-            "schema": SCHEMA_VERSION,
             "ideal": self.ideal_label,
             "K": self.max_power,
             "chains": chains,

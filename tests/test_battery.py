@@ -258,10 +258,20 @@ def test_closure_oracle_soundness_reports_the_first_failure(monkeypatch):
         for k in (1, 2)
         if closure_member_matching_oracle(g, a, k) is True
     ]
-    monkeypatch.setattr(battery, "np_member", lambda a, poly: False)
-    [check] = closure_oracle_soundness({"C3": g}, max_power=2, max_entry=2)
+    monkeypatch.setattr(battery, "np_member", lambda a, ideal, k: False)
+    [check] = closure_oracle_soundness({"C3": g}, max_power=2)
     a, k = certified[0]
     assert check == ("closure-oracle-soundness[C3]", False, f"a={a} k={k}")
+
+
+def test_closure_oracle_soundness_fails_on_a_false_member(monkeypatch):
+    # LP membership planted to accept everything disagrees first at the first
+    # (a, k) outside the closure: a = 0 at k = 1
+    g = graph_catalog()["C3"]
+    assert all(ok for _, ok, _ in closure_oracle_soundness({"C3": g}))
+    monkeypatch.setattr(battery, "np_member", lambda a, ideal, k: True)
+    [check] = closure_oracle_soundness({"C3": g}, max_power=2)
+    assert check == ("closure-oracle-soundness[C3]", False, "a=(0, 0, 0) k=1")
 
 
 @pytest.mark.parametrize(

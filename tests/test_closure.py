@@ -8,9 +8,8 @@ from math import prod
 import numpy as np
 import pytest
 
-from edge_ideal_lab import closure
+from edge_ideal_lab import closure, linalg
 from edge_ideal_lab.closure import (
-    NewtonPolyhedron,
     _closure_fast_path,
     _closure_lp_path,
     _closure_sweep,
@@ -33,7 +32,7 @@ from edge_ideal_lab.graphs import (
     power_index,
     sample_graphs,
 )
-from edge_ideal_lab.monomials import MonomialIdeal, VariableSet
+from edge_ideal_lab.monomials import Monomial, MonomialIdeal, VariableSet
 from edge_ideal_lab.stability import is_normal_up_to
 
 
@@ -41,46 +40,59 @@ class TestNpMember:
     def test_generators_are_members(self):
         i = edge_ideal(Graph.cycle(3))
         for k in (1, 2, 3):
-            poly = NewtonPolyhedron.of_power(i, k)
             for g in i.power(k).gens:
-                assert np_member(g, poly)
+                assert np_member(g, i, k)
 
     def test_triangle_unit_vector_case(self):
         i = edge_ideal(Graph.cycle(3))
-        assert np_member((1, 1, 1), NewtonPolyhedron.of_power(i, 1))
-        assert not np_member((1, 1, 1), NewtonPolyhedron.of_power(i, 2))
+        assert np_member((1, 1, 1), i, 1)
+        assert not np_member((1, 1, 1), i, 2)
 
     def test_fig9_witness_in_scaled_polyhedron(self):
         i = edge_ideal(fig9())
         witness = (1, 1, 1, 0, 1, 1, 1, 1, 1)
-        assert np_member(witness, NewtonPolyhedron.of_power(i, 4))
-        assert not np_member(witness, NewtonPolyhedron.of_power(i, 5))
+        assert np_member(witness, i, 4)
+        assert not np_member(witness, i, 5)
 
     def test_monotone_in_exponents(self):
         i = edge_ideal(Graph.cycle(5))
-        poly = NewtonPolyhedron.of_power(i, 2)
         members = [g.exps for g in i.power(2).gens][:5]
         for a in members:
             for axis in range(5):
                 bumped = list(a)
                 bumped[axis] += 1
-                assert np_member(bumped, poly)
+                assert np_member(bumped, i, 2)
 
     def test_dimension_mismatch(self):
-        poly = NewtonPolyhedron.of_power(edge_ideal(Graph.cycle(3)), 1)
         with pytest.raises(UsageError):
-            np_member((1, 1), poly)
+            np_member((1, 1), edge_ideal(Graph.cycle(3)), 1)
 
     def test_negative_exponent_refused(self):
-        poly = NewtonPolyhedron.of_power(edge_ideal(Graph.cycle(3)), 1)
         with pytest.raises(UsageError, match="non-negative"):
-            np_member((-1, 1, 1), poly)
+            np_member((-1, 1, 1), edge_ideal(Graph.cycle(3)), 1)
 
     def test_non_integer_exponent_refused(self):
         # 0.5 must not reach the LP as a right-hand side
-        poly = NewtonPolyhedron.of_power(edge_ideal(Graph.cycle(3)), 1)
         with pytest.raises(UsageError, match="integers"):
-            np_member((0.5, 1, 1), poly)
+            np_member((0.5, 1, 1), edge_ideal(Graph.cycle(3)), 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_power_below_one_refused(self, k):
+        with pytest.raises(UsageError, match="power >= 1"):
+            np_member((1, 1, 1), edge_ideal(Graph.cycle(3)), k)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, "2"])
+    def test_non_integer_power_refused(self, k):
+        # 1.5 must not reach the LP as the weight total
+        with pytest.raises(UsageError, match="integer power"):
+            np_member((1, 1, 1), edge_ideal(Graph.cycle(3)), k)
+
+    def test_zero_ideal_refused(self):
+        with pytest.raises(UsageError, match="nonzero ideal"):
+            np_member((1, 1, 1), MonomialIdeal.zero(VariableSet.standard(3)), 1)
+
+    def test_numpy_power_accepted(self):
+        assert np_member((1, 1, 1), edge_ideal(Graph.cycle(3)), np.int64(1))
 
 
 class TestClosurePower:
@@ -150,9 +162,8 @@ class TestClosurePower:
     def test_closure_generators_pass_lp(self):
         i = edge_ideal(fig7())
         for k in (1, 2):
-            poly = NewtonPolyhedron.of_power(i, k)
             for g in integral_closure_power(i, k).gens:
-                assert np_member(g, poly)
+                assert np_member(g, i, k)
 
     def test_assce_first_failure_at_two(self):
         i = assce()
@@ -162,6 +173,12 @@ class TestClosurePower:
         closure2 = integral_closure_power(i, 2)
         assert i.power(2).is_subset_of(closure2)
         assert closure2 != i.power(2)
+
+    @pytest.mark.parametrize("k", [0, 1.5, "2"])
+    def test_bad_power_refused(self, k):
+        # 1.5 must not reach the sweep: on C3 it answered (x1*x2*x3)
+        with pytest.raises(UsageError, match="integral closure needs"):
+            integral_closure_power(edge_ideal(Graph.cycle(3)), k)
 
     def test_mixed_degree_rejected(self):
         mixed = MonomialIdeal.from_exponents(
@@ -235,10 +252,9 @@ class TestSliceMatchesLp:
             )
             assert len(closure) == size
             assert power.is_subset_of(closure)
-            poly = NewtonPolyhedron.of_power(ideal, k)
             extra = [g for g in closure.gens if not power.contains(g)]
             assert len(extra) == size - len(power)
-            assert all(g.degree == 2 * k and np_member(g, poly) for g in extra)
+            assert all(g.degree == 2 * k and np_member(g, ideal, k) for g in extra)
 
 
 def dot(u, v) -> int:
@@ -250,14 +266,13 @@ def reference_lp_closure(ideal: MonomialIdeal, k: int) -> tuple[np.ndarray, list
     degree d*k, in (degree, lex) order, that no member found so far divides
     goes to its own LP. Returns the members and the undominated non-members."""
     bounds = tuple(k * e for e in ideal.max_exponents())
-    poly = NewtonPolyhedron.of_power(ideal, k)
     box = np.array(list(iter_product(*(range(b + 1) for b in bounds))))
     found, outside = np.zeros((0, len(bounds)), dtype=np.int64), []
     for s in range(k * ideal.generated_degree(), sum(bounds) + 1):
         block = box[box.sum(axis=1) == s]
         block = block[~(found[None] <= block[:, None]).all(axis=2).any(axis=1)]
         for a in map(tuple, block.tolist()):
-            if np_member(a, poly):
+            if np_member(a, ideal, k):
                 found = np.vstack((found, a))
             else:
                 outside.append(a)
@@ -458,12 +473,12 @@ def test_fig9_fourth_closure_by_matchings():
 
 class TestMatchingOracle:
     def test_fig9_witness_certified(self):
-        assert (
-            closure_member_matching_oracle(fig9(), (1, 1, 1, 0, 1, 1, 1, 1, 1), 4)
-            is True
-        )
+        # in the fourth closure and, exactly, not in the fifth
+        witness = (1, 1, 1, 0, 1, 1, 1, 1, 1)
+        assert closure_member_matching_oracle(fig9(), witness, 4) is True
+        assert closure_member_matching_oracle(fig9(), witness, 5) is False
 
-    def test_generators_certified_at_m1(self):
+    def test_generators_are_members(self):
         g = Graph.cycle(4)
         i = edge_ideal(g)
         for gen in i.power(2).gens:
@@ -474,15 +489,55 @@ class TestMatchingOracle:
         with pytest.raises(UsageError, match="integers"):
             closure_member_matching_oracle(Graph.cycle(3), (0.9, 1, 1), 1)
 
-    def test_degree_deficit_unknown(self):
-        assert closure_member_matching_oracle(Graph.cycle(3), (1, 1, 1), 2) is None
+    @pytest.mark.parametrize("k", [0, 1.5, "2"])
+    def test_bad_power_refused(self, k):
+        # like np_member: 1.5 must not be answered as a power
+        with pytest.raises(UsageError, match="matching oracle needs"):
+            closure_member_matching_oracle(Graph.cycle(3), (1, 1, 1), k)
+
+    def test_degree_deficit_is_refused(self):
+        # degree 3 < 2k = 4: not a member, and the oracle says so (False,
+        # never None)
+        assert closure_member_matching_oracle(Graph.cycle(3), (1, 1, 1), 2) is False
 
     def test_certificates_confirmed_by_lp(self):
+        # both ways: every answer, True or False, is the LP's
         g = Graph.cycle(5)
         i = edge_ideal(g)
-        from itertools import product
-
-        for a in product(range(2), repeat=5):
+        for a in iter_product(range(3), repeat=5):
             for k in (1, 2):
-                if closure_member_matching_oracle(g, a, k) is True:
-                    assert np_member(a, NewtonPolyhedron.of_power(i, k))
+                assert closure_member_matching_oracle(g, a, k) == np_member(a, i, k), a
+
+    def test_equals_the_closure_on_every_corpus_slice(self):
+        # every point of the degree-2k slice of [0, k*u], where the closure's
+        # generators live, for all 771 corpus graphs at k <= 2
+        checked = 0
+        for g in connected_graphs(2, 5):
+            ideal = edge_ideal(g)
+            for k in (1, 2):
+                closure = integral_closure_power(ideal, k)
+                bounds = tuple(k * e for e in ideal.max_exponents())
+                for a in reference_slice(bounds, 2 * k).tolist():
+                    inside = closure.contains(Monomial(ideal.vset, a))
+                    assert closure_member_matching_oracle(g, a, k) == inside, (g, a, k)
+                    checked += 1
+        assert checked == 41_028
+
+    def test_uses_no_cover_lp_or_slice(self, monkeypatch):
+        # the oracle shares no code with either closure path
+        def refuse(*args, **kwargs):
+            raise AssertionError("the matching oracle reached a closure path")
+
+        for module, name in [
+            (linalg, "separating_direction"),
+            (closure, "separating_direction"),
+            (closure, "_cover_slack"),
+            (closure, "_closure_fast_path"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        g = fig9()
+        witness = (1, 1, 1, 0, 1, 1, 1, 1, 1)
+        assert closure_member_matching_oracle(g, witness, 4) is True
+        assert closure_member_matching_oracle(g, witness, 5) is False
+        with pytest.raises(AssertionError, match="closure path"):
+            np_member(witness, edge_ideal(g), 4)

@@ -237,7 +237,7 @@ class TestCli:
         assert doc["schema"] == "edge-ideal-lab/1"
         g = parse_graph(C4_GRAPH)
         report = both_chains(edge_ideal(g), 2, "I(c4.graph)", stability_bound(g))
-        assert doc == report.to_json_dict()
+        assert doc == {"schema": "edge-ideal-lab/1", **report.to_json_dict()}
         assert [entry["k"] for entry in doc["chains"]] == [1, 2]
         assert doc["verdicts"]["n1_observed"] == 1
 

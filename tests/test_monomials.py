@@ -351,6 +351,18 @@ class TestSumPowerProduct:
             assert list(i.powers(0)) == []
             assert i.power(0) == MonomialIdeal.unit(i.vset)
 
+    @pytest.mark.parametrize("k", [1.5, "2", -1])
+    def test_power_refuses_a_bad_exponent(self, k):
+        # a UsageError, not a bare TypeError from the chain walk
+        with pytest.raises(UsageError, match="power chain needs"):
+            edge_ideal(Graph.cycle(3)).power(k)
+
+    @pytest.mark.parametrize("k", [-1, 1.5, "2"])
+    def test_powers_refuses_a_bad_count_at_the_call(self, k):
+        # refused at the call, before any step, instead of yielding nothing
+        with pytest.raises(UsageError, match="power chain needs"):
+            edge_ideal(Graph.cycle(3)).powers(k)
+
 
 class TestColon:
     def test_single_generators(self):

@@ -230,13 +230,19 @@ def associated_primes_witness_oracle(ideal: MonomialIdeal) -> tuple[AssWitness, 
     outside I let S = {i : c + e_i in I}; where c_i = u_i, c + e_i saturates
     back to c and so counts as outside. Then (I : x^c) contains P_S, and
     equals it exactly when c, with every coordinate outside S raised to u, is
-    still outside I. Each prime keeps its first witness in C order. A variable
+    still outside I. S is one int64 key per outside cell, bit j set when c +
+    e_j is in I, so at most 62 occurring variables are taken; one sort of the
+    realized keys gives each prime its first witness in C order. A variable
     in no generator is never in such a colon, so the box spans the occurring
     variables only and witnesses are 0 elsewhere. Nothing is shared with the
     decomposition engine, which packs its own mask.
     """
     _require_decomposable(ideal)
     occurring = np.flatnonzero(ideal.exponent_array.any(axis=0))
+    if len(occurring) > 62:
+        raise UsageError(
+            f"the witness oracle takes at most 62 variables, got {len(occurring)}"
+        )
     rows = ideal.exponent_array[:, occurring]
     u = rows.max(axis=0).tolist()
     shape = tuple(e + 1 for e in u)
@@ -245,19 +251,21 @@ def associated_primes_witness_oracle(ideal: MonomialIdeal) -> tuple[AssWitness, 
     member = membership_mask(rows, u).ravel()
     outside = np.flatnonzero(~member)
     raised = np.full(len(outside), total - 1, dtype=np.int64)  # the corner u
-    in_prime = np.empty((len(occurring), len(outside)), dtype=bool)
+    keys = np.zeros(len(outside), dtype=np.int64)  # bit j: j in S
     stride = total
     for j, side in enumerate(shape):
         check_time("the witness oracle")
         stride //= side  # C-order stride of axis j
         c = outside // stride % side
         # c + e_j, or c itself where c_j = u_j (membership saturates there)
-        in_prime[j] = member[np.where(c < u[j], outside + stride, outside)]
+        in_prime = member[np.where(c < u[j], outside + stride, outside)]
+        keys |= in_prime << np.int64(j)
         # keep c_j on the axes in S; the others stay raised to u_j
-        raised -= np.where(in_prime[j], (u[j] - c) * stride, 0)
+        raised -= np.where(in_prime, (u[j] - c) * stride, 0)
     realized = ~member[raised]
-    supports, first = np.unique(in_prime[:, realized].T, axis=0, return_index=True)
-    exps = np.zeros((len(supports), ideal.vset.n), dtype=np.int64)
+    keys, first = np.unique(keys[realized], return_index=True)
+    supports = (keys[:, None] >> np.arange(len(occurring))) & 1 == 1
+    exps = np.zeros((len(keys), ideal.vset.n), dtype=np.int64)
     exps[:, occurring] = np.transpose(np.unravel_index(outside[realized][first], shape))
     witnesses = [
         AssWitness(

@@ -124,21 +124,31 @@ def _closure_lp_path(
 ) -> np.ndarray:
     columns, weights, scale = _power_lp(ideal, k)
     gens = ideal.exponent_array.tolist()
-    points = np.indices(tuple(b + 1 for b in bounds)).reshape(len(bounds), -1).T
+    shape = tuple(b + 1 for b in bounds)
+    points = np.indices(shape).reshape(len(bounds), -1).T  # row i is cell i
+    strides = [prod(shape[i + 1 :]) for i in range(len(shape))]  # C order
     degrees = points.sum(axis=1)
+    # dominated[p]: p is a member found so far or a multiple of one, filled
+    # in degree order: p is dominated when it is a member or some p - e_i is
+    dominated = np.zeros(len(points), dtype=bool)
     found: list[list[int]] = []
     kept: list[tuple[list[int], int]] = []  # (y, k * min_g g.y) on Python ints
     for s in range(degree_floor, int(degrees.max()) + 1):
-        block = points[degrees == s]
-        mins = np.array(found, dtype=np.int64).reshape(-1, len(bounds))
-        block = block[~(mins[None] <= block[:, None]).all(axis=2).any(axis=1)]
-        for row in block.tolist():
+        cells = np.flatnonzero(degrees == s)
+        block = points[cells]
+        for i, stride in enumerate(strides):
+            # p - e_i, or p itself where p_i = 0
+            lower = np.where(block[:, i] > 0, cells - stride, cells)
+            dominated[cells] |= dominated[lower]
+        fresh = ~dominated[cells]
+        for cell, row in zip(cells[fresh].tolist(), block[fresh].tolist()):
             check_time("the LP closure sweep")
             if any(sum(map(mul, row, y)) < floor for y, floor in kept):
                 continue
             y = separating_direction(columns, row, weights, scale)
             if y is None:
                 found.append(row)
+                dominated[cell] = True
                 continue
             floor = k * min(sum(map(mul, g, y)) for g in gens)
             if min(y) < 0 or sum(map(mul, row, y)) >= floor:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BERGE_CAP, BudgetExceededError, UsageError
+from .errors import BERGE_CAP, BudgetExceededError, UsageError, check_time
 from .linalg import integer_rank
 from .monomials import Monomial, MonomialIdeal, VariableSet, integers
 
@@ -301,69 +301,100 @@ def has_perfect_matching(graph: Graph) -> bool:
     return deficiency(graph) == 0
 
 
-# subsets per vectorized block of the Berge sweep: the kernel's arrays are
-# (n, block), so memory stays O(n * 4096) whatever n is
-_SUBSET_BLOCK = 1 << 12
+# the low vertices of the Berge sweep: their 2^12 subsets make one block, and
+# the kernel's arrays are (n, block), so memory stays O(n * 4096) whatever n is
+_LOW_VERTICES = 12
 
 
-def _odd_component_counts(graph: Graph, lo: int, hi: int) -> np.ndarray:
-    """Odd components of graph minus S, for each vertex bitmask S in [lo, hi).
+def _add_top_vertex(bits: np.ndarray, v: int, lower: list[int]) -> None:
+    """Put vertex v, above every present vertex, into each column's kept set.
 
-    Vertex labels live in one (n, hi - lo) int16 array whose column j is
-    G - S for S = lo + j. Each surviving vertex starts with its own index and
-    every removed vertex with n; sweeps over the edges lower each end to the
-    other's label until nothing changes, so every component ends up labeled
-    by its smallest vertex. A removed vertex is penalized by n in both
-    directions: it neither takes nor passes a label.
+    A column holds 1 << label per vertex: each component is labeled by its
+    least vertex, each absent vertex by n. The components that touch v's
+    lower neighbours `lower` merge with v and take the least of their labels,
+    or v when there is none. Works in place, with one boolean temporary."""
+    n, width = bits.shape
+    touched = np.full(width, 1 << v, dtype=np.int64)
+    for w in lower:
+        touched |= bits[w]
+    touched &= ~(1 << n)  # an absent neighbour touches nothing
+    merged = touched & -touched  # the lowest bit
+    below = bits[:v]
+    # a single bit b is in touched exactly when b ^ touched < touched
+    below ^= touched
+    hit = below < touched
+    below ^= touched
+    np.copyto(below, merged, where=hit)
+    bits[v] = merged
+
+
+def _odd_component_blocks(graph: Graph) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, odd) per block of vertex bitmasks S in [lo, lo + len(odd)), in
+    mask order: odd[j] is the number of odd components of G - S, S = lo + j.
+
+    A subset DP over kept sets R = V - S. The labels of G[R] (each component
+    by its least vertex) are built once for every R of the low 12 vertices,
+    adding vertices in increasing order, each by one merge with the labels of
+    R minus its top vertex, and kept as one byte per vertex. A block fixes
+    the high vertices of S, and extends that table by one merge per high
+    vertex it keeps. odd(G[R]) is the popcount of the XOR of 1 << label over
+    the vertices: a component sets its label's bit when its size is odd, and
+    the bit n of the absent vertices is masked off. The deadline is read
+    before the table and before each block.
     """
     n = graph.n
-    masks = np.arange(lo, hi, dtype=np.int64)
-    penalty = np.array([(masks >> v) & 1 for v in range(n)], dtype=np.int16)
-    penalty = penalty.reshape(n, len(masks)) * np.int16(n)
-    labels = np.maximum(penalty, np.arange(n, dtype=np.int16)[:, None])
-    scratch = np.empty(len(masks), dtype=np.int16)
-    sweep = list(graph.edges) + [(v, u) for u, v in reversed(graph.edges)]
-    while True:
-        before = labels.copy()
-        for u, v in sweep:
-            np.add(labels[v], penalty[u], out=scratch)
-            np.minimum(labels[u], scratch, out=labels[u])
-        if np.array_equal(before, labels):
-            break
-    odd = np.zeros(len(masks), dtype=np.int64)
-    for root in range(n):
-        odd += np.count_nonzero(labels == root, axis=0) & 1
-    return odd
+    if n > 62:  # the bit 1 << n of an absent vertex fits an int64
+        raise UsageError(f"the Berge sweep takes at most 62 vertices, got {n}")
+    low = min(n, _LOW_VERTICES)
+    lower = [[w for w in graph.adjacency[v] if w < v] for v in range(n)]
+    check_time("the Berge sweep")
+    bits = np.full((n, 1 << low), 1 << n, dtype=np.int64)
+    for v in range(low):
+        bits[:, 1 << v : 2 << v] = bits[:, : 1 << v]
+        _add_top_vertex(bits[:, 1 << v : 2 << v], v, lower[v])
+    # S = lo + j keeps the low vertices of mask 2^low - 1 - j; (1 << label) - 1
+    # has label ones, so the table holds the labels as uint8
+    bits -= 1
+    table = np.bitwise_count(bits[:, ::-1])
+    for high in range(1 << (n - low)):
+        check_time("the Berge sweep")
+        np.left_shift(np.int64(1), table, out=bits)
+        for v in range(low, n):
+            if not high >> (v - low) & 1:
+                _add_top_vertex(bits, v, lower[v])
+        parity = np.bitwise_xor.reduce(bits, axis=0) & ~(1 << n)
+        yield high << low, np.bitwise_count(parity).astype(np.int64)
 
 
 def _odd_component_count(graph: Graph, removed: int) -> int:
     """Number of odd components of graph minus the vertex bitmask `removed`."""
-    return int(_odd_component_counts(graph, removed, removed + 1)[0])
+    if not 0 <= removed < 1 << graph.n:
+        raise UsageError(f"{removed} is not a vertex bitmask of {graph}")
+    blocks = _odd_component_blocks(graph)
+    lo, odd = next((lo, odd) for lo, odd in blocks if removed < lo + len(odd))
+    return int(odd[removed - lo])
 
 
 def berge_deficiency(graph: Graph, cap: int = BERGE_CAP) -> tuple[int, frozenset[str]]:
     """max over S of (odd components of G minus S) - |S|, with an argmax witness.
 
-    Exhaustive over all vertex subsets, in vectorized blocks, so refuses above
-    `cap` vertices. The witness is the first maximizing subset in mask order.
+    Exhaustive over all vertex subsets, in vectorized blocks of the subset DP
+    of _odd_component_blocks, so refuses above `cap` vertices (and above 62
+    under any cap) and reads the deadline once per block. The witness is the
+    first maximizing subset in mask order.
     """
     if graph.n > cap:
         raise BudgetExceededError(
             f"berge_deficiency is exhaustive over 2^{graph.n} subsets; "
             f"cap is {cap} vertices (use deficiency() instead, or raise the cap)"
         )
-    best = None
-    best_mask = 0
-    total = 1 << graph.n
-    for lo in range(0, total, _SUBSET_BLOCK):
-        hi = min(lo + _SUBSET_BLOCK, total)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        sizes = sum((masks >> v) & 1 for v in range(graph.n))
-        values = _odd_component_counts(graph, lo, hi) - sizes  # odd(G - S) - |S|
+    best, best_mask = None, 0
+    for lo, odd in _odd_component_blocks(graph):
+        masks = np.arange(lo, lo + len(odd), dtype=np.int64)
+        values = odd - np.bitwise_count(masks)  # odd(G - S) - |S|
         j = int(np.argmax(values))
         if best is None or values[j] > best:
-            best = int(values[j])
-            best_mask = lo + j
+            best, best_mask = int(values[j]), lo + j
     witness = frozenset(
         graph.labels[v] for v in range(graph.n) if best_mask & (1 << v)
     )

@@ -10,6 +10,7 @@ import pytest
 
 from edge_ideal_lab import assprimes, monomials
 from edge_ideal_lab.assprimes import (
+    AssWitness,
     IrreducibleComponent,
     associated_primes,
     associated_primes_witness_oracle,
@@ -22,10 +23,12 @@ from edge_ideal_lab.errors import BudgetExceededError, UsageError, bounded
 from edge_ideal_lab.fixtures import assce, fig9
 from edge_ideal_lab.graphs import Graph, connected_graphs, disjoint_union, edge_ideal
 from edge_ideal_lab.monomials import (
+    Monomial,
     MonomialIdeal,
     MonomialPrime,
     VariableSet,
     maximal_prime,
+    membership_mask,
 )
 
 
@@ -348,6 +351,39 @@ class TestVertexCovers:
             assert covers == prime_supports, str(g)
 
 
+def reference_witness_oracle(target: MonomialIdeal) -> tuple[AssWitness, ...]:
+    """The witness oracle with S as a boolean row per outside cell, the rows
+    deduplicated by one lexicographic row sort: the same definition, no
+    integer key."""
+    occurring = np.flatnonzero(target.exponent_array.any(axis=0))
+    rows = target.exponent_array[:, occurring]
+    u = rows.max(axis=0).tolist()
+    shape = tuple(e + 1 for e in u)
+    total = prod(shape)
+    member = membership_mask(rows, u).ravel()
+    outside = np.flatnonzero(~member)
+    raised = np.full(len(outside), total - 1, dtype=np.int64)
+    in_prime = np.empty((len(occurring), len(outside)), dtype=bool)
+    stride = total
+    for j, side in enumerate(shape):
+        stride //= side
+        c = outside // stride % side
+        in_prime[j] = member[np.where(c < u[j], outside + stride, outside)]
+        raised -= np.where(in_prime[j], (u[j] - c) * stride, 0)
+    realized = ~member[raised]
+    supports, first = np.unique(in_prime[:, realized].T, axis=0, return_index=True)
+    exps = np.zeros((len(supports), target.vset.n), dtype=np.int64)
+    exps[:, occurring] = np.transpose(np.unravel_index(outside[realized][first], shape))
+    witnesses = [
+        AssWitness(
+            MonomialPrime.from_indices(target.vset, occurring[support]),
+            Monomial(target.vset, tuple(row)),
+        )
+        for support, row in zip(supports, exps.tolist())
+    ]
+    return tuple(sorted(witnesses, key=lambda w: w.prime))
+
+
 class TestWitnessOracle:
     def test_single_edge_witnesses(self):
         i = ideal((1, 1))
@@ -388,6 +424,26 @@ class TestWitnessOracle:
     def test_cap_refusal(self):
         with bounded(box_cells=10), pytest.raises(BudgetExceededError):
             associated_primes_witness_oracle(assce().power(2))
+
+    def test_matches_the_row_sort_reference(self):
+        # the same primes and the same first witnesses in C order
+        targets = [
+            power for g in connected_graphs(2, 5) for power in edge_ideal(g).powers(3)
+        ]
+        targets += edge_ideal(fig9()).powers(4)
+        targets += assce().powers(4)
+        targets += random_ideals(seed=20, count=300)
+        for target in targets:
+            got = associated_primes_witness_oracle(target)
+            assert got == reference_witness_oracle(target), str(target)
+
+    def test_at_most_62_occurring_variables(self):
+        # the path on 63 variables is refused for the width of its keys; on
+        # 62 the key fits and the box cap refuses its 2^62 cells
+        for n, refusal in ((63, UsageError), (62, BudgetExceededError)):
+            target = edge_ideal(Graph.path(n))
+            with pytest.raises(refusal, match="62 variables" if n == 63 else "cells"):
+                associated_primes_witness_oracle(target)
 
     def test_independent_of_the_decomposition_engine(self, monkeypatch):
         # the oracle is a cross-check: it must not reach the corner scan or

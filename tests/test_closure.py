@@ -337,7 +337,7 @@ class TestLpSweepMatchesReference:
                     ), (f"{ideal} k={k}", a)
 
     def test_assce(self, monkeypatch):
-        self.check([(assce(), k) for k in (1, 2, 3)], monkeypatch)
+        self.check([(assce(), k) for k in (1, 2, 3, 4)], monkeypatch)
 
     def test_seeded_equigenerated(self, monkeypatch):
         cases = seeded_equigenerated(60, 23)

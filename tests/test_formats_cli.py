@@ -278,7 +278,7 @@ class TestCli:
 
     def test_spent_budget_is_a_refusal(self, tmp_path):
         # the deadline is read inside every power, not only between powers:
-        # FIG9 to k=8 would run for about 20 s
+        # FIG9 to k=8 would run for about 3.3 s
         proc = run_cli(
             "analyze", "fig9.graph", "--max-power", "8", "--closure-cap", "400000000",
             "--budget-seconds", "0.5",

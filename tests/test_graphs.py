@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from edge_ideal_lab import graphs
-from edge_ideal_lab.errors import BudgetExceededError, UsageError
+from edge_ideal_lab.errors import BudgetExceededError, UsageError, bounded
 from edge_ideal_lab.fixtures import fig7, fig9, graph_catalog
 from edge_ideal_lab.graphs import (
-    _SUBSET_BLOCK,
+    _LOW_VERTICES,
     Graph,
     ParallelGraph,
+    _odd_component_blocks,
     _odd_component_count,
-    _odd_component_counts,
     berge_deficiency,
     connected_graphs,
     deficiency,
@@ -143,14 +143,32 @@ def reference_odd_counts(g: Graph) -> list[int]:
     return counts
 
 
-def reference_berge(g: Graph) -> tuple[int, frozenset[str]]:
-    """(max of odd - |S|, the first maximizing S in mask order)."""
-    values = [
-        odd - bin(mask).count("1") for mask, odd in enumerate(reference_odd_counts(g))
-    ]
+def reference_berge(
+    g: Graph, odd_counts: list[int] | None = None
+) -> tuple[int, frozenset[str]]:
+    """(max of odd - |S|, the first maximizing S in mask order), from the
+    flood-fill counts, computed here unless given."""
+    if odd_counts is None:
+        odd_counts = reference_odd_counts(g)
+    values = [odd - bin(mask).count("1") for mask, odd in enumerate(odd_counts)]
     best = max(values)
     mask = values.index(best)
     return best, frozenset(g.labels[v] for v in range(g.n) if mask >> v & 1)
+
+
+def reference_labels(g: Graph, kept: int) -> list[int]:
+    """Each vertex of G[kept] labeled by the least vertex of its component,
+    each vertex outside the bitmask `kept` by n, by flood fill."""
+    labels = [g.n] * g.n
+    for start in range(g.n):
+        if kept >> start & 1 and labels[start] == g.n:
+            labels[start], frontier = start, [start]
+            while frontier:
+                for w in g.adjacency[frontier.pop()]:
+                    if kept >> w & 1 and labels[w] == g.n:
+                        labels[w] = start
+                        frontier.append(w)
+    return labels
 
 
 def kernel_graphs() -> list[Graph]:
@@ -160,19 +178,73 @@ def kernel_graphs() -> list[Graph]:
     return list(connected_graphs(2, 5)) + small + sample_graphs(6, (7, 12), seed=11)
 
 
+def kernel_counts(g: Graph) -> list[int]:
+    """The kernel's odd counts for every mask, its blocks checked to tile
+    [0, 2^n) in mask order."""
+    blocks = list(_odd_component_blocks(g))
+    starts = [lo for lo, _ in blocks]
+    assert starts == [0, *np.cumsum([len(odd) for _, odd in blocks])[:-1]]
+    counts = np.concatenate([odd for _, odd in blocks])
+    assert counts.dtype == np.int64 and len(counts) == 1 << g.n
+    return counts.tolist()
+
+
 class TestOddComponentKernel:
     def test_counts_match_reference_flood_fill(self):
         for g in kernel_graphs():
-            got = _odd_component_counts(g, 0, 1 << g.n).tolist()
-            assert got == reference_odd_counts(g), str(g)
+            assert kernel_counts(g) == reference_odd_counts(g), str(g)
+
+    def test_a_merge_labels_by_the_least_vertex(self):
+        # adding v to every kept set R below it relabels each component that
+        # v joins, and v itself, by the least vertex of the merged component;
+        # a column holds 1 << label per vertex
+        for g in kernel_graphs():
+            for v in range(g.n):
+                kept = range(1 << v)
+                columns = [[1 << x for x in reference_labels(g, r)] for r in kept]
+                bits = np.array(columns, dtype=np.int64).T.copy()
+                lower = [w for w in g.adjacency[v] if w < v]
+                graphs._add_top_vertex(bits, v, lower)
+                want = [[1 << x for x in reference_labels(g, r | 1 << v)] for r in kept]
+                assert bits.T.tolist() == want, (str(g), v)
 
     def test_one_mask_read_and_subranges(self):
         g = sample_graphs(1, (9, 9), seed=5)[0]
         expected = reference_odd_counts(g)
-        assert _odd_component_counts(g, 100, 173).tolist() == expected[100:173]
+        assert kernel_counts(g)[100:173] == expected[100:173]
         assert [_odd_component_count(g, s) for s in (0, 7, 300, 511)] == [
             expected[s] for s in (0, 7, 300, 511)
         ]
+        for bad in (-1, 512):
+            with pytest.raises(UsageError):
+                _odd_component_count(g, bad)
+        # 13 vertices: the second block holds the masks with x13 removed
+        g = sample_graphs(1, (13, 13), seed=3)[0]
+        assert [lo for lo, _ in _odd_component_blocks(g)] == [0, 1 << _LOW_VERTICES]
+        expected = reference_odd_counts(g)
+        masks = (0, 4095, 4096, 5000, 8191)
+        assert [_odd_component_count(g, s) for s in masks] == [
+            expected[s] for s in masks
+        ]
+
+    def test_sixteen_vertex_parallelizations(self):
+        # four high vertices, so 16 blocks, on three parallelizations of FIG9
+        # that double different vertices
+        for a in ((2, 2, 2, 2, 2, 2, 2, 1, 1), (1, 2, 2, 1, 2, 2, 2, 2, 2),
+                  (2, 1, 2, 2, 2, 2, 1, 2, 2)):
+            flat = parallelize(fig9(), a).flat
+            assert flat.n == 16
+            expected = reference_odd_counts(flat)
+            assert kernel_counts(flat) == expected, a
+            assert berge_deficiency(flat) == reference_berge(flat, expected), a
+
+    def test_seventeen_vertices_at_cap_17(self):
+        g = sample_graphs(1, (17, 17), seed=2, edge_prob=0.2)[0]
+        expected = reference_odd_counts(g)
+        assert kernel_counts(g) == expected
+        with pytest.raises(BudgetExceededError):
+            berge_deficiency(g)
+        assert berge_deficiency(g, cap=17) == reference_berge(g, expected)
 
     def test_berge_value_and_first_witness_match_reference(self):
         for g in kernel_graphs():
@@ -191,7 +263,7 @@ class TestOddComponentKernel:
     def test_several_blocks(self):
         # 2^13 subsets span two blocks; the star's only maximizer {x13} lies
         # in the second, and the seeded graph is checked against the oracle
-        assert 1 << 13 > _SUBSET_BLOCK
+        assert 13 > _LOW_VERTICES
         star = Graph.from_edges(
             [f"x{i}" for i in range(1, 14)], [(i, 12) for i in range(12)]
         )
@@ -204,6 +276,30 @@ class TestOddComponentKernel:
             assert g.n == 13
             assert berge_deficiency(g) == reference_berge(g), str(g)
             assert (berge_deficiency(g)[0] == 0) == has_perfect_matching(g)
+
+    def test_a_tie_across_high_blocks_keeps_the_first(self):
+        # x1, x2 - x13 - x14 - x3, x4 beside eight isolated vertices: S =
+        # {x13}, {x14} and {x13, x14} (blocks two, three and four) all reach
+        # 10, and every S inside the first block less
+        tie = Graph.from_edges(
+            [f"x{i}" for i in range(1, 15)],
+            [(0, 12), (1, 12), (2, 13), (3, 13), (12, 13)],
+        )
+        expected = reference_odd_counts(tie)
+        assert kernel_counts(tie) == expected
+        values = [odd - bin(s).count("1") for s, odd in enumerate(expected)]
+        assert max(values[: 1 << _LOW_VERTICES]) < 10
+        assert [s >> 12 for s, v in enumerate(values) if v == 10] == [1, 2, 3]
+        assert berge_deficiency(tie) == (10, frozenset({"x13"}))
+        assert berge_deficiency(tie) == reference_berge(tie, expected)
+
+    def test_at_most_62_vertices(self):
+        # the path on 63 vertices is refused for the width of its label bits,
+        # under any cap; on 62 the sweep starts, and a spent deadline stops it
+        with pytest.raises(UsageError, match="62 vertices"):
+            berge_deficiency(Graph.path(63), cap=63)
+        with bounded(seconds=0), pytest.raises(BudgetExceededError, match="Berge"):
+            berge_deficiency(Graph.path(62), cap=62)
 
     def test_memory_stays_per_block(self):
         flat = parallelize(fig9(), (2, 2, 2, 2, 2, 2, 2, 1, 1)).flat

@@ -26,7 +26,7 @@ from edge_ideal_lab.errors import (
     check_box,
 )
 from edge_ideal_lab.fixtures import assce, fig9
-from edge_ideal_lab.graphs import Graph, edge_ideal
+from edge_ideal_lab.graphs import Graph, berge_deficiency, edge_ideal
 from edge_ideal_lab.monomials import membership_mask
 from edge_ideal_lab.stability import power_chain
 
@@ -110,6 +110,9 @@ ENGINES = {
     # one read per axis of each prefix scan and one per window: five for the
     # bitset of I^3, then five windows, so it stops among the windows
     "colon": (lambda: colon_identity_holds(C5, 2), 5 + 2, "colon identity"),
+    # one read before the table of the low twelve vertices and one per block
+    # of 4096 subsets: three on 13 vertices, so it stops after the table
+    "berge": (lambda: berge_deficiency(Graph.path(13)), 1, "Berge sweep"),
 }
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import inf, prod
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ from .monomials import (
     MonomialIdeal,
     MonomialPrime,
     VariableSet,
+    integer_power,
     membership_mask,
 )
 
@@ -288,7 +289,7 @@ def disjoint_union_ass(
     """Associated primes of the k-th power of a sum of ideals in pairwise
     disjoint variables: unions of per-part primes at powers k_i >= 1 with
     sum (k_i - 1) = k - 1."""
-    if not parts or k < 1:
+    if not parts or integer_power(k, -inf, "the disjoint-union rule") < 1:
         raise UsageError("need at least one part and a positive power")
     for part in parts:
         _require_decomposable(part)

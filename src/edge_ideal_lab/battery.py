@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import product as iter_product
-from math import prod
+from math import inf, prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -359,7 +359,7 @@ def run_battery(
     """The default property battery: exhaustive small graphs plus seeded ones."""
     from .fixtures import graph_catalog, ideal_catalog
 
-    if max_power < 1:
+    if integer_power(max_power, -inf, "the battery") < 1:
         raise UsageError("max power must be >= 1")
     if samples < 0:
         raise UsageError("samples must be >= 0")

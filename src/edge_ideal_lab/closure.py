@@ -35,12 +35,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LP_CAP, BudgetExceededError, UsageError, check_box, check_time
+from .errors import COVER_CAP, LP_CAP, BudgetExceededError, UsageError
+from .errors import check_box, check_time
 from .graphs import Graph, power_index
 from .linalg import feasible_nonneg, separating_direction
 from .monomials import Monomial, MonomialIdeal, integer_power, integers
-
-FAST_PATH_MAX_VARS = 12  # cover-vector grid is 3^n
 
 
 def _power_lp(ideal: MonomialIdeal, k: int):
@@ -70,20 +69,28 @@ def _cover_slack(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
     and y_u + y_v >= 2 on every edge (twice the vertices of the fractional
     vertex-cover polytope, the dual points of the matching LP), then a row of
     -1 for the degree to place; and later[c, j] = sum(u_i : i > j, d[c, i] =
-    +1), u the max exponents, so k * later sums the bounds k * u_i."""
+    +1), u the max exponents, so k * later sums the bounds k * u_i.
+
+    A valid y lies above y_C for its support C, a vertex cover: 2 on the
+    vertices of C with a neighbour outside C (forced), 1 on the rest of C, and
+    valid itself. The valid set is upward closed, so y_C is minimal exactly
+    when no 1 can drop to 0: each 1 has a neighbour below 2. C runs over 2^n sets."""
     n = ideal.vset.n
-    valid = np.ones((3,) * n, dtype=bool)
+    if n > COVER_CAP:
+        raise BudgetExceededError(f"closure covers exceed COVER_CAP = {COVER_CAP}")
     # every generator is squarefree of degree 2: its row has two nonzeros
-    for u, v in np.nonzero(ideal.exponent_array)[1].reshape(-1, 2).tolist():
-        y = np.moveaxis(valid, (u, v), (0, 1))  # a view with y_u, y_v first
-        y[0, :2] = y[1, 0] = False
-    # minimal cells of the upward-closed valid set: none valid one step below
-    minimal = valid.copy()
-    for axis in range(n):
-        lead = (slice(None),) * axis
-        minimal[lead + (slice(1, None),)] &= ~valid[lead + (slice(0, -1),)]
-    d = np.argwhere(minimal) - 1
-    d = np.vstack((d[d.min(axis=1) < 0], np.full(n, -1)))
+    edges = np.nonzero(ideal.exponent_array)[1].reshape(-1, 2).tolist()
+    sets, bits = np.arange(2**n - 1), [1 << v for v in range(n)]  # all C but V
+    for u, v in edges:  # one edge at a time: a reduce over all holds |E| * 2^n
+        sets = sets[(sets & (bits[u] | bits[v])) != 0]
+    y = np.array([(sets & b) != 0 for b in bits], dtype=np.int16)  # 1_C by vertex
+    arcs = edges + [[v, u] for u, v in edges]
+    for u, v in arcs:  # 2 on the forced vertices
+        y[u, y[v] == 0] = 2
+    low = np.zeros(y.shape, dtype=bool)  # a neighbour below 2
+    for u, v in arcs:
+        low[u] |= y[v] < 2
+    d = np.vstack((y[:, ((y != 1) | low).all(axis=0)].T - 1, np.full(n, -1)))
     plus = np.maximum(d, 0) * np.array(ideal.max_exponents())
     d = d.astype(np.int16)
     later = plus[:, ::-1].cumsum(axis=1)[:, ::-1] - plus
@@ -163,9 +170,9 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     Requires the ideal to be generated in a single degree, so the closure's
     minimal generators stay inside the componentwise-maximum box of the power's
     generators (k times the base maxima), whose cells count against the box
-    cap. Edge ideals on at most FAST_PATH_MAX_VARS variables test the cover
-    inequalities on the box's degree-2k slice only (module docstring); other
-    ideals take the exact LP sweep, refused above LP_CAP box points. The
+    cap. Every degree-2 squarefree ideal tests its cover inequalities on the
+    box's degree-2k slice only (module docstring), refused above COVER_CAP
+    variables; others take the exact LP sweep, refused above LP_CAP points. The
     checks run on every call; the sweep is memoized on (ideal, k) alone, so
     a cached closure still refuses under a cap below its box.
     """
@@ -182,7 +189,7 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 def _closure_sweep(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     degree = ideal.generated_degree()
     bounds = tuple(k * e for e in ideal.max_exponents())
-    if degree == 2 and ideal.is_squarefree and ideal.vset.n <= FAST_PATH_MAX_VARS:
+    if degree == 2 and ideal.is_squarefree:
         # one degree in C order is canonical order; all members are minimal
         members = _closure_fast_path(ideal, k, bounds)
         return MonomialIdeal._canonical(ideal.vset, members)

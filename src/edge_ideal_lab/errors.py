@@ -13,7 +13,7 @@ from math import inf
 # and the closure box are all [0, k*u], so one cap on cells bounds all three.
 BOX_CELLS = 40_000_000
 BERGE_CAP = 16  # vertices of a Berge sweep over all 2^n subsets
-COVER_CAP = 20  # vertices of the 2^n vertex-cover enumeration
+COVER_CAP = 20  # vertices of minimal_vertex_covers and of the closure's cover rows
 LP_CAP = 500_000  # box points of the exact LP closure sweep
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import Iterator, Sequence
 
 from .assprimes import associated_primes
@@ -22,6 +23,7 @@ from .linalg import integer_rank
 from .monomials import (
     MonomialIdeal,
     MonomialPrime,
+    integer_power,
     maximal_prime,
     primes_to_lists,
 )
@@ -163,7 +165,7 @@ class PowerStep:
 def power_chain(ideal: MonomialIdeal, max_power: int) -> Iterator[PowerStep]:
     """The steps k = 1..max_power of ``ideal``, one at a time, each under
     the run limits of :mod:`errors` (a spent deadline refuses the next)."""
-    for k in range(1, max_power + 1):
+    for k in range(1, integer_power(max_power, 0, "the power chain") + 1):
         check_time("the power chain")
         yield PowerStep(ideal, k)
 
@@ -187,7 +189,7 @@ def both_chains(
     """
     if mode not in ("ass", "closure", "both"):
         raise UsageError(f"unknown chain mode {mode!r}: use ass, closure or both")
-    if max_power < 1:
+    if integer_power(max_power, -inf, "the power chain") < 1:
         raise UsageError("max power must be >= 1")
     ass, closure = mode != "closure", mode != "ass"
     with bounded(closure_cap):

@@ -513,6 +513,15 @@ class TestDisjointUnion:
         with pytest.raises(UsageError):
             disjoint_union_ass([i, i], 2)
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [(0, "positive power"), (1.5, "integer power"), ("2", "integer power")],
+    )
+    def test_bad_power_refused(self, k, message):
+        # 1.5 reached range() and raised a bare TypeError
+        with pytest.raises(UsageError, match=message):
+            disjoint_union_ass([edge_ideal(Graph.cycle(3))], k)
+
 
 class TestMaximalStep:
     def test_once_in_always_in(self):

@@ -316,6 +316,14 @@ def test_sweeps_report_the_first_planted_fault(
     assert list(sweep(named)) == [(name, False, detail)]
 
 
+@pytest.mark.parametrize(
+    "k, message", [(0, "max power must be >= 1"), (1.5, "integer power"), ("2", "integer power")]
+)
+def test_run_battery_refuses_bad_max_power(k, message):
+    with pytest.raises(UsageError, match=message):
+        run_battery(max_vertices=3, max_power=k, samples=1)
+
+
 def test_run_battery_refuses_negative_samples():
     # library callers get the same refusal as the command line
     with pytest.raises(UsageError, match="samples must be >= 0"):

@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import product as iter_product
 from math import prod
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -19,17 +20,18 @@ from edge_ideal_lab.closure import (
 )
 from edge_ideal_lab.errors import (
     BOX_CELLS,
+    COVER_CAP,
     LP_CAP,
     BudgetExceededError,
     UsageError,
     bounded,
 )
 from edge_ideal_lab.fixtures import assce, fig7, fig9, graph_catalog
+from edge_ideal_lab.formats import parse_ideal
 from edge_ideal_lab.graphs import (
     Graph,
     connected_graphs,
     edge_ideal,
-    power_index,
     sample_graphs,
 )
 from edge_ideal_lab.monomials import Monomial, MonomialIdeal, VariableSet
@@ -388,6 +390,109 @@ def reference_covers(ideal: MonomialIdeal) -> np.ndarray:
     return grid[minimal].astype(np.int64)
 
 
+def reference_cover_rows(ideal: MonomialIdeal) -> np.ndarray:
+    """_cover_slack's rows by the 3^n grid: d = y - 1 for every minimal cover
+    y with a zero, then a row of -1 for the degree to place."""
+    d = reference_covers(ideal) - 1
+    return np.vstack((d[d.min(axis=1) < 0], np.full(ideal.vset.n, -1)))
+
+
+def atlas_graphs(sizes) -> list[Graph]:
+    """One connected graph per isomorphism class on each number of vertices
+    in ``sizes`` (networkx's atlas stops at 7)."""
+    return [
+        Graph.from_edges([f"x{i}" for i in range(1, h.number_of_nodes() + 1)], list(h.edges))
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() in sizes and nx.is_connected(h)
+    ]
+
+
+class TestCoverRows:
+    """The cover rows from the 2^n vertex sets against the 3^n grid."""
+
+    @staticmethod
+    def mismatches(ideals) -> list[MonomialIdeal]:
+        bad = []
+        for ideal in ideals:
+            rows = closure._cover_slack.__wrapped__(ideal)[0]
+            want = reference_cover_rows(ideal)
+            same = set(map(tuple, rows.tolist())) == set(map(tuple, want.tolist()))
+            if not (same and len(rows) == len(want) and (rows[-1] == -1).all()):
+                bad.append(ideal)
+        return bad
+
+    def test_corpus_and_atlas(self):
+        # every labeled graph on 2-5 vertices, every class on 6 and 7
+        graphs = list(connected_graphs(2, 5)) + atlas_graphs((6, 7))
+        assert len(graphs) == 771 + 112 + 853
+        assert self.mismatches(map(edge_ideal, graphs)) == []
+
+    def test_seeded_graphs_up_to_twelve_vertices(self):
+        graphs = sample_graphs(30, (6, 12), 28)
+        assert max(g.n for g in graphs) == 12
+        assert self.mismatches(map(edge_ideal, graphs)) == []
+
+    def test_catalog(self):
+        assert self.mismatches(map(edge_ideal, graph_catalog().values())) == []
+
+    def test_unused_variables(self):
+        # x4 and x6 lie in no generator: every minimal cover is 0 there
+        ideal = parse_ideal(
+            "vars: x1 x2 x3 x4 x5 x6\nx1*x2\nx2*x3\nx1*x3\nx3*x5\n",
+            allow_unused_vars=True,
+        )
+        assert self.mismatches([ideal]) == []
+        rows = closure._cover_slack.__wrapped__(ideal)[0][:-1]
+        assert (rows[:, [3, 5]] == -1).all()
+
+    def test_cap(self):
+        # C20 is bipartite, so its edge ideal is normal; C21 is refused
+        c20 = edge_ideal(Graph.cycle(20))
+        assert integral_closure_power(c20, 1) == c20
+        with pytest.raises(BudgetExceededError, match=f"COVER_CAP = {COVER_CAP}"):
+            integral_closure_power(edge_ideal(Graph.cycle(21)), 1)
+
+
+def slice_by_matchings(graph: Graph, k: int) -> tuple[MonomialIdeal, int]:
+    """The closure of I(G)^k, checked against nu(G^(2a)) >= 2k on every point
+    of the degree-2k slice of [0, k*u], and the number of points checked. No
+    cover, LP or pruning is involved in the check; every generator has degree
+    2k, so on the slice a member is a generator."""
+    ideal = edge_ideal(graph)
+    closure_k = integral_closure_power(ideal, k)
+    members = set(map(tuple, closure_k.exponent_array.tolist()))
+    points = reference_slice(tuple(k * e for e in ideal.max_exponents()), 2 * k)
+    for a in points.tolist():
+        assert (tuple(a) in members) == closure_member_matching_oracle(graph, a, k), a
+    return closure_k, len(points)
+
+
+class TestPastTwelveVariables:
+    """Edge ideals on 13 or more variables take the cover slice like any
+    other: the LP sweep refuses their boxes above LP_CAP points."""
+
+    def test_c13_square(self):
+        assert 3**13 > LP_CAP
+        closure2, checked = slice_by_matchings(Graph.cycle(13), 2)
+        assert checked == 1651
+        assert closure2 == edge_ideal(Graph.cycle(13)).power(2)
+
+    def test_two_triangles_and_a_path_cubed(self):
+        # x1*...*x6 is in the closure of I^3, not in I^3; the box of 4^13
+        # cells needs a raised cap
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        edges += [(i, i + 1) for i in range(6, 12)]
+        graph = Graph.from_edges([f"x{i}" for i in range(1, 14)], edges)
+        with bounded(box_cells=10**8):
+            closure3, checked = slice_by_matchings(graph, 3)
+        assert checked == 17_381
+        power3 = edge_ideal(graph).power(3)
+        assert (len(closure3), len(power3)) == (365, 364)
+        assert power3.is_subset_of(closure3)
+        extra = [g.exps for g in closure3.gens if not power3.contains(g)]
+        assert extra == [(1,) * 6 + (0,) * 7]
+
+
 def reference_closure(ideal: MonomialIdeal, k: int) -> np.ndarray:
     """The whole degree-2k slice, then a.y >= 2k for every minimal cover."""
     points = reference_slice(tuple(k * e for e in ideal.max_exponents()), 2 * k)
@@ -459,16 +564,9 @@ class TestSliceMatchesReference:
 
 
 def test_fig9_fourth_closure_by_matchings():
-    # x^a is in the closure of I^k exactly when nu(G^(2a)) >= 2k: no cover,
-    # LP or pruning involved, and the LP cannot reach this 5^9 box. Every
-    # generator has degree 8, so on the degree-8 slice a member is a generator
-    graph = fig9()
-    closure4 = integral_closure_power(edge_ideal(graph), 4)
-    members = set(map(tuple, closure4.exponent_array.tolist()))
-    points = reference_slice((4,) * 9, 8)
-    assert len(points) == 11_385 and 5**9 > LP_CAP
-    for a in points.tolist():
-        assert (tuple(a) in members) == (power_index(graph, [2 * v for v in a]) >= 8), a
+    # the LP cannot reach this 5^9 box
+    assert 5**9 > LP_CAP
+    assert slice_by_matchings(fig9(), 4)[1] == 11_385
 
 
 class TestMatchingOracle:

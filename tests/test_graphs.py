@@ -110,11 +110,18 @@ class TestDeficiencyAndBerge:
         value, witness = berge_deficiency(Graph.cycle(3))
         assert value == 1 and witness == frozenset()
 
-    def test_berge_cap(self):
-        big = Graph.path(17)
-        with pytest.raises(BudgetExceededError):
-            berge_deficiency(big)
-        assert berge_deficiency(big, cap=17)[0] == deficiency(big)
+    def test_berge_charges_the_box_cap(self):
+        # n * 2^n cells per sweep: one cell less refuses, and 17 vertices fit
+        # the default cap
+        big, cells = Graph.path(17), 17 << 17
+        with bounded(box_cells=cells - 1):
+            with pytest.raises(BudgetExceededError, match=f"Berge sweep needs {cells}"):
+                berge_deficiency(big)
+            with pytest.raises(BudgetExceededError, match="Berge sweep"):
+                _odd_component_count(big, 0)
+        with bounded(box_cells=cells):
+            assert berge_deficiency(big)[0] == deficiency(big)
+        assert berge_deficiency(big)[0] == deficiency(big)
 
     def test_tutte_iff_perfect_matching(self):
         # Tutte's condition is Berge's formula at value 0
@@ -238,13 +245,11 @@ class TestOddComponentKernel:
             assert kernel_counts(flat) == expected, a
             assert berge_deficiency(flat) == reference_berge(flat, expected), a
 
-    def test_seventeen_vertices_at_cap_17(self):
+    def test_seventeen_vertices_under_the_default_cap(self):
         g = sample_graphs(1, (17, 17), seed=2, edge_prob=0.2)[0]
         expected = reference_odd_counts(g)
         assert kernel_counts(g) == expected
-        with pytest.raises(BudgetExceededError):
-            berge_deficiency(g)
-        assert berge_deficiency(g, cap=17) == reference_berge(g, expected)
+        assert berge_deficiency(g) == reference_berge(g, expected)
 
     def test_berge_value_and_first_witness_match_reference(self):
         for g in kernel_graphs():
@@ -296,10 +301,11 @@ class TestOddComponentKernel:
     def test_at_most_62_vertices(self):
         # the path on 63 vertices is refused for the width of its label bits,
         # under any cap; on 62 the sweep starts, and a spent deadline stops it
-        with pytest.raises(UsageError, match="62 vertices"):
-            berge_deficiency(Graph.path(63), cap=63)
-        with bounded(seconds=0), pytest.raises(BudgetExceededError, match="Berge"):
-            berge_deficiency(Graph.path(62), cap=62)
+        with bounded(box_cells=10**30):
+            with pytest.raises(UsageError, match="62 vertices"):
+                berge_deficiency(Graph.path(63))
+            with bounded(seconds=0), pytest.raises(BudgetExceededError, match="Berge"):
+                berge_deficiency(Graph.path(62))
 
     def test_memory_stays_per_block(self):
         flat = parallelize(fig9(), (2, 2, 2, 2, 2, 2, 2, 1, 1)).flat
@@ -493,6 +499,20 @@ class TestBreadthFirstQueries:
     def test_odd_girth(self, inputs):
         for g, _ in inputs:
             assert g.odd_girth() == reference_odd_girth(g), str(g)
+
+
+class TestConnectedGraphs:
+    def test_charges_the_edge_masks_of_the_most_vertices(self):
+        # 2^10 edge masks on five vertices, charged before the first graph;
+        # the 2^28 on eight exceed the default cap
+        with bounded(box_cells=1023):
+            with pytest.raises(BudgetExceededError, match="corpus needs 1024 cells"):
+                next(connected_graphs(2, 5))
+        with bounded(box_cells=1024):
+            assert len(list(connected_graphs(2, 5))) == 771
+        with pytest.raises(BudgetExceededError, match=f"needs {1 << 28} cells"):
+            next(connected_graphs(2, 8))
+        assert list(connected_graphs(9, 8)) == list(connected_graphs(-3, 1)) == []
 
 
 class TestSampleGraphs:

@@ -11,6 +11,7 @@ from edge_ideal_lab import assprimes, errors
 from edge_ideal_lab.assprimes import (
     associated_primes_witness_oracle,
     irreducible_decomposition,
+    minimal_vertex_covers,
 )
 from edge_ideal_lab.battery import colon_identity_holds
 from edge_ideal_lab.closure import (
@@ -26,7 +27,7 @@ from edge_ideal_lab.errors import (
     check_box,
 )
 from edge_ideal_lab.fixtures import assce, fig9
-from edge_ideal_lab.graphs import Graph, berge_deficiency, edge_ideal
+from edge_ideal_lab.graphs import Graph, berge_deficiency, connected_graphs, edge_ideal
 from edge_ideal_lab.monomials import membership_mask
 from edge_ideal_lab.stability import power_chain
 
@@ -113,6 +114,10 @@ ENGINES = {
     # one read before the table of the low twelve vertices and one per block
     # of 4096 subsets: three on 13 vertices, so it stops after the table
     "berge": (lambda: berge_deficiency(Graph.path(13)), 1, "Berge sweep"),
+    # one read per subset size: six on C5
+    "covers": (lambda: minimal_vertex_covers(Graph.cycle(5)), 2, "cover enumeration"),
+    # one read per vertex count: four on 2..5 vertices
+    "corpus": (lambda: list(connected_graphs(2, 5)), 2, "graph corpus"),
 }
 
 
@@ -146,13 +151,9 @@ def _module_level_names(tree: ast.Module):
 
 def test_limits_live_only_in_errors():
     # no module but errors.py defines a cap, and no function takes a limit
-    # as a parameter, except the benchmark-pinned both_chains keyword and
-    # the Berge vertex cap that --berge-cap sets; a deadline is set only by
-    # bounded(seconds=...)
-    allowed = {
-        ("stability.py", "both_chains"): {"closure_cap"},
-        ("graphs.py", "berge_deficiency"): {"cap"},
-    }
+    # as a parameter, except the benchmark-pinned both_chains keyword; a
+    # deadline is set only by bounded(seconds=...)
+    allowed = {("stability.py", "both_chains"): {"closure_cap"}}
     caps, takers = {}, set()
     package = Path(edge_ideal_lab.__file__).parent
     for path in sorted(package.glob("*.py")):
@@ -169,9 +170,7 @@ def test_limits_live_only_in_errors():
                 assert taken <= allowed.get(where, set()), (where, taken)
                 if taken:
                     takers.add(where)
-    assert caps == dict.fromkeys(
-        ("BOX_CELLS", "BERGE_CAP", "COVER_CAP", "LP_CAP"), "errors.py"
-    )
+    assert caps == dict.fromkeys(("BOX_CELLS", "LP_CAP"), "errors.py")
     assert takers == set(allowed)
 
 

@@ -182,6 +182,15 @@ def test_non_integer_max_power_refused(walk, k):
         CHAIN_WALKS[walk](k)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("walk", CHAIN_WALKS)
+def test_max_power_below_one_refused(walk, k):
+    # a chain of no power read as normal, and as consistent, with nothing
+    # computed
+    with pytest.raises(UsageError, match="max power must be >= 1"):
+        CHAIN_WALKS[walk](k)
+
+
 class TestChainProducts:
     """The chains walk one power chain, built only where the Ass side needs it."""
 
@@ -198,10 +207,11 @@ class TestChainProducts:
         assert len(product_count) == 3
 
     def test_refusal_stops_at_its_power(self, product_count):
-        # the closure box of C5 is 2^5 at k=1 and 3^5 at k=2: refused at k=2,
-        # after I^2 and before I^3
+        # the boxes of C5 hold 2^5 cells at k=1 and 3^5 at k=2, its closure's
+        # cover rows 5 * 2^5 at every k: refused at k=2, after I^2 and
+        # before I^3
         with pytest.raises(BudgetExceededError):
-            both_chains(edge_ideal(Graph.cycle(5)), 3, closure_cap=100)
+            both_chains(edge_ideal(Graph.cycle(5)), 3, closure_cap=200)
         assert len(product_count) == 1
 
     def test_both_chains_on_fig9_build_no_generator_objects(self, monkeypatch):

@@ -3,9 +3,11 @@
 Membership in the closure of the k-th power is membership of the exponent
 vector in k times the Newton polyhedron of the base ideal, an exact rational
 LP. A general ideal walks the box [0, k*u] of the power's generators in
-degree order, one LP per undominated lattice point that no kept y rejects:
-an LP that puts a outside gives y >= 0 with a.y < k * min_g g.y over the
-generators g, and every b in k * conv(V) + R^n_+ has b.y >= k * min_g g.y.
+degree order. An undominated lattice point in I^k is a member by definition,
+a generator of I^k divides it, and is accepted by I^k's bitsets with no LP;
+every other one that no kept y rejects takes one LP: an LP that puts a
+outside gives y >= 0 with a.y < k * min_g g.y over the generators g, and
+every b in k * conv(V) + R^n_+ has b.y >= k * min_g g.y.
 That sweep is also the oracle of the edge-ideal path. For I = I(G),
 membership is min_y a.y >= 2k over the minimal half-integral vertex covers y
 (the duals of the matching LP), and the minimal generators are the members
@@ -129,7 +131,7 @@ def _closure_lp_path(
     ideal: MonomialIdeal, k: int, bounds: tuple[int, ...], degree_floor: int
 ) -> np.ndarray:
     columns, weights, scale = _power_lp(ideal, k)
-    gens = ideal.exponent_array.tolist()
+    gens, power = ideal.exponent_array.tolist(), ideal.power(k)
     shape = tuple(b + 1 for b in bounds)
     points = np.indices(shape).reshape(len(bounds), -1).T  # row i is cell i
     strides = [prod(shape[i + 1 :]) for i in range(len(shape))]  # C order
@@ -149,9 +151,12 @@ def _closure_lp_path(
         fresh = ~dominated[cells]
         for cell, row in zip(cells[fresh].tolist(), block[fresh].tolist()):
             check_time("the LP closure sweep")
-            if any(sum(map(mul, row, y)) < floor for y, floor in kept):
+            if power.contains(Monomial(ideal.vset, row)):
+                y = None  # a generator of I^k divides x^a: a member, no LP
+            elif any(sum(map(mul, row, y)) < floor for y, floor in kept):
                 continue
-            y = separating_direction(columns, row, weights, scale)
+            else:
+                y = separating_direction(columns, row, weights, scale)
             if y is None:
                 found.append(row)
                 dominated[cell] = True

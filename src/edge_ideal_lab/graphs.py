@@ -314,7 +314,7 @@ def _add_top_vertex(bits: np.ndarray, v: int, lower: list[int]) -> None:
     lower neighbours `lower` merge with v and take the least of their labels,
     or v when there is none. Works in place, with one boolean temporary."""
     n, width = bits.shape
-    touched = np.full(width, 1 << v, dtype=np.int64)
+    touched = np.full(width, 1 << v, dtype=bits.dtype)
     for w in lower:
         touched |= bits[w]
     touched &= ~(1 << n)  # an absent neighbour touches nothing
@@ -339,7 +339,8 @@ def _odd_component_blocks(graph: Graph) -> Iterator[tuple[int, np.ndarray]]:
     the high vertices of S, and extends that table by one merge per high
     vertex it keeps. odd(G[R]) is the popcount of the XOR of 1 << label over
     the vertices: a component sets its label's bit when its size is odd, and
-    the bit n of the absent vertices is masked off. It charges n * 2^n cells,
+    the bit n of the absent vertices is masked off. The columns are int32
+    while that bit fits one (n <= 30), else int64. It charges n * 2^n cells,
     and reads the deadline before the table and before each block.
     """
     n = graph.n
@@ -349,7 +350,8 @@ def _odd_component_blocks(graph: Graph) -> Iterator[tuple[int, np.ndarray]]:
     low = min(n, _LOW_VERTICES)
     lower = [[w for w in graph.adjacency[v] if w < v] for v in range(n)]
     check_time("the Berge sweep")
-    bits = np.full((n, 1 << low), 1 << n, dtype=np.int64)
+    dtype = np.int32 if n <= 30 else np.int64
+    bits = np.full((n, 1 << low), 1 << n, dtype=dtype)
     for v in range(low):
         bits[:, 1 << v : 2 << v] = bits[:, : 1 << v]
         _add_top_vertex(bits[:, 1 << v : 2 << v], v, lower[v])
@@ -359,7 +361,7 @@ def _odd_component_blocks(graph: Graph) -> Iterator[tuple[int, np.ndarray]]:
     table = np.bitwise_count(bits[:, ::-1])
     for high in range(1 << (n - low)):
         check_time("the Berge sweep")
-        np.left_shift(np.int64(1), table, out=bits)
+        np.left_shift(dtype(1), table, out=bits)
         for v in range(low, n):
             if not high >> (v - low) & 1:
                 _add_top_vertex(bits, v, lower[v])
@@ -546,9 +548,50 @@ def _parallel_layout(
     return a, start, adj
 
 
+def _berge_bound(graph: Graph, a: Sequence[int], removed: set[int]) -> int:
+    """a(S) + sum of floor(a(K) / 2) over the components K of G[supp a - S]
+    that have an edge, for S = removed: at least nu(G^a) (power_index)."""
+    seen = [not m or v in removed for v, m in enumerate(a)]
+    bound = sum(a[v] for v in removed)
+    for start in range(graph.n):
+        if not seen[start]:
+            seen[start] = True
+            comp = [start]
+            for v in comp:  # the list is the queue, as in Graph._bfs
+                for w in graph.adjacency[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            if len(comp) > 1:
+                bound += sum(a[v] for v in comp) // 2
+    return bound
+
+
 def power_index(graph: Graph, multiplicity: Sequence[int]) -> int:
-    """nu(G^a): x^a lies in exactly the powers I(G)^k with k at most this value."""
-    _, start, adj = _parallel_layout(graph, multiplicity)
+    """nu(G^a): x^a lies in exactly the powers I(G)^k with k at most this value.
+
+    A greedy b-matching of G with capacities a (each edge in turn takes the
+    least residual capacity r of its ends) is a matching of G^a. It is maximum
+    when its size meets _berge_bound at S = {} or at S = N(X) - X for X = {v :
+    r_v > 0}: every matching edge of G^a meets one of the a(S) copies of S or
+    lies inside one component of G^a - S^a, which holds at most floor(a(K)/2)
+    of them; the copies of a vertex isolated in G[supp a - S] are isolated, so
+    such a component holds no edge. Only when neither bound closes is G^a
+    laid out for the blossom."""
+    a = _multiplicities(graph, multiplicity)
+    r, size = list(a), 0
+    for u, v in graph.edges:
+        m = min(r[u], r[v])
+        r[u] -= m
+        r[v] -= m
+        size += m
+    if size == _berge_bound(graph, a, set()):
+        return size
+    spare = {v for v in range(graph.n) if r[v]}
+    removed = {w for v in spare for w in graph.adjacency[v]} - spare
+    if size == _berge_bound(graph, a, removed):
+        return size
+    _, start, adj = _parallel_layout(graph, a)
     return _matching_size(start[-1], adj)
 
 
@@ -598,7 +641,8 @@ def factor_by_matching(graph: Graph, multiplicity: Sequence[int]) -> Factorizati
 def edge_subring_member(graph: Graph, multiplicity: Sequence[int]) -> bool:
     """Whether x^a is a product of edge monomials, i.e. the parallelization
     has a perfect matching."""
-    return 2 * power_index(graph, multiplicity) == sum(multiplicity)
+    a = _multiplicities(graph, multiplicity)
+    return 2 * power_index(graph, a) == sum(a)
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,11 @@ def seeded_equigenerated(count: int, seed: int) -> list[tuple[MonomialIdeal, int
 
 
 class TestLpSweepMatchesReference:
-    """The LP sweep that rejects points by kept separating directions against
-    one LP per undominated point: the same rows, byte for byte, and every
-    point rejected without an LP violates a kept direction y >= 0."""
+    """The LP sweep that accepts points of I^k and rejects points by kept
+    separating directions against one LP per undominated point: the same
+    rows, byte for byte, every row accepted without an LP divisible by a
+    generator of I^k, and every point rejected without an LP violating a
+    kept direction y >= 0."""
 
     @staticmethod
     def check(cases, monkeypatch):
@@ -328,6 +330,10 @@ class TestLpSweepMatchesReference:
             assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes(), (
                 f"{ideal} k={k}"
             )
+            power = ideal.power(k).exponent_array
+            for a in map(tuple, rows.tolist()):
+                if a not in asked:
+                    assert (power <= a).all(axis=1).any(), (f"{ideal} k={k}", a)
             # the certificate, on Python ints: a.y < k * min_g g.y with y >= 0
             gens = ideal.exponent_array.tolist()
             floors = [(y, k * min(dot(g, y) for g in gens)) for y in directions]
@@ -339,6 +345,16 @@ class TestLpSweepMatchesReference:
 
     def test_assce(self, monkeypatch):
         self.check([(assce(), k) for k in (1, 2, 3, 4)], monkeypatch)
+
+    def test_assce_lp_counts(self, monkeypatch):
+        # 20, 66, 220 and 616 LPs when members of I^k took one each
+        asked = [recorded_lp_sweep(assce(), k, monkeypatch)[1] for k in (1, 2, 3, 4)]
+        assert list(map(len, asked)) == [10, 11, 10, 10]
+
+    def test_a_membership_test_that_accepts_everything_is_caught(self, monkeypatch):
+        monkeypatch.setattr(MonomialIdeal, "contains", lambda self, m: True)
+        with pytest.raises(AssertionError):
+            self.check([(assce(), 2)], monkeypatch)
 
     def test_seeded_equigenerated(self, monkeypatch):
         cases = seeded_equigenerated(60, 23)

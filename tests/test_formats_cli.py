@@ -153,7 +153,9 @@ def child_env() -> dict[str, str]:
 
 def run_python(*args: str, files: dict[str, str] | None = None, tmp_path=None):
     """Run ``python *args`` in ``tmp_path`` (after writing ``files`` there)
-    when ``files`` is given, else in the current directory."""
+    when ``files`` is given, else in the current directory. Every call here
+    ends within a second or two, so one that runs a minute is a refusal that
+    regressed into a sweep: it fails with ``TimeoutExpired``, not a hang."""
     cwd = None
     if files is not None:
         for name, content in files.items():
@@ -165,6 +167,7 @@ def run_python(*args: str, files: dict[str, str] | None = None, tmp_path=None):
         text=True,
         cwd=cwd,
         env=child_env(),
+        timeout=60,
     )
 
 

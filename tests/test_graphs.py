@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product as iter_product
 
 import networkx as nx
@@ -204,12 +205,12 @@ class TestOddComponentKernel:
     def test_a_merge_labels_by_the_least_vertex(self):
         # adding v to every kept set R below it relabels each component that
         # v joins, and v itself, by the least vertex of the merged component;
-        # a column holds 1 << label per vertex
-        for g in kernel_graphs():
+        # a column holds 1 << label per vertex, in either word width
+        for g, dtype in iter_product(kernel_graphs(), (np.int32, np.int64)):
             for v in range(g.n):
                 kept = range(1 << v)
                 columns = [[1 << x for x in reference_labels(g, r)] for r in kept]
-                bits = np.array(columns, dtype=np.int64).T.copy()
+                bits = np.array(columns, dtype=dtype).T.copy()
                 lower = [w for w in g.adjacency[v] if w < v]
                 graphs._add_top_vertex(bits, v, lower)
                 want = [[1 << x for x in reference_labels(g, r | 1 << v)] for r in kept]
@@ -297,6 +298,19 @@ class TestOddComponentKernel:
         assert [s >> 12 for s, v in enumerate(values) if v == 10] == [1, 2, 3]
         assert berge_deficiency(tie) == (10, frozenset({"x13"}))
         assert berge_deficiency(tie) == reference_berge(tie, expected)
+
+    def test_thirty_and_thirty_one_vertices(self):
+        # the label words are int32 up to 30 vertices, whose absent bit 1 << 30
+        # still fits, and int64 from 31 on: the first block of each width
+        # against the flood fill
+        for n in (30, 31):
+            g = sample_graphs(1, (n, n), seed=n, edge_prob=0.1)[0]
+            with bounded(box_cells=n << n):
+                lo, odd = next(_odd_component_blocks(g))
+            assert lo == 0
+            for s in range(0, 1 << _LOW_VERTICES, 97):
+                sizes = Counter(x for x in reference_labels(g, ~s) if x < n)
+                assert odd[s] == sum(c % 2 for c in sizes.values()), (n, s)
 
     def test_at_most_62_vertices(self):
         # the path on 63 vertices is refused for the width of its label bits,
@@ -595,6 +609,8 @@ class TestPowerIndexFromBlocks:
         assert power_index(Graph.cycle(3), (0, 1, 3)) == 1
 
     def test_same_adjacency_and_partners_as_labeled_graph(self, monkeypatch):
+        # only vectors whose greedy b-matching meets no bound reach the
+        # blossom, with G^a laid out exactly as the labeled parallelization
         g, rng, runs = fig9(), random.Random(41), []
         blossom = graphs._blossom_matching
 
@@ -604,19 +620,27 @@ class TestPowerIndexFromBlocks:
             return match
 
         monkeypatch.setattr(graphs, "_blossom_matching", recording)
-        for _ in range(50):
+        reached = 0
+        for _ in range(200):
             a = tuple(rng.randint(0, 3) for _ in range(9))
             flat = parallelize(g, a).flat
             runs.clear()
             power_index(g, a)
-            [(n, adj, match)] = runs
-            assert (n, adj) == (flat.n, flat.adjacency), a
-            assert match == blossom(flat.n, flat.adjacency), a
+            if runs:
+                [(n, adj, match)] = runs
+                assert (n, adj) == (flat.n, flat.adjacency), a
+                assert match == blossom(flat.n, flat.adjacency), a
+                reached += 1
+        assert reached >= 10, reached
 
     def test_partner_array_must_be_an_involution(self, monkeypatch):
+        # the path x3 - x1 - x2 - x4: the greedy takes x1x2 alone, and both
+        # bounds read 2, so power_index runs the blossom
+        p4 = Graph.from_edges(("x1", "x2", "x3", "x4"), [(0, 1), (0, 2), (1, 3)])
+        assert power_index(p4, (1, 1, 1, 1)) == 2
         monkeypatch.setattr(graphs, "_blossom_matching", lambda n, adj: [1, -1])
         with pytest.raises(AssertionError, match="disjoint"):
-            power_index(Graph.single_edge(), (1, 1))
+            power_index(p4, (1, 1, 1, 1))
         with pytest.raises(AssertionError, match="disjoint"):
             matching_number(Graph.single_edge())
         with pytest.raises(AssertionError, match="disjoint"):
@@ -642,6 +666,98 @@ class TestPowerIndexFromBlocks:
         with pytest.raises(UsageError, match="non-negative"):
             parallelize(Graph.cycle(3), (0, -1, 1))
         assert power_index(Graph.cycle(3), (np.int64(2), 1, 1)) == 2
+
+
+def blossom_power_index(g: Graph, a) -> int:
+    """Reference: the blossom on G^a laid out from block offsets, with no
+    greedy certificate."""
+    _, start, adj = graphs._parallel_layout(g, a)
+    return graphs._matching_size(start[-1], adj)
+
+
+def reference_bound(g: Graph, a, removed: set[int]) -> int:
+    """a(S) plus floor(a(K) / 2) per component K of G[supp a - S] that has an
+    edge, by networkx."""
+    kept = to_networkx(g).subgraph(v for v in range(g.n) if a[v] and v not in removed)
+    parts = [c for c in nx.connected_components(kept) if len(c) > 1]
+    return sum(a[v] for v in removed) + sum(sum(a[v] for v in c) // 2 for c in parts)
+
+
+def corpus_vectors(seed: int) -> list[tuple[Graph, tuple[int, ...]]]:
+    """Four seeded vectors with entries 0..4 per corpus graph on 2-5 vertices."""
+    rng = random.Random(seed)
+    return [
+        (g, tuple(rng.randint(0, 4) for _ in range(g.n)))
+        for g in connected_graphs(2, 5)
+        for _ in range(4)
+    ]
+
+
+def first_bound_fault(cases):
+    """The first (graph, a, S) where _berge_bound leaves the networkx count,
+    or (graph, a) where its least value over every S is not nu(G^a): for G^a
+    that is the Tutte-Berge formula, as the copies of a vertex are twins and
+    the Gallai-Edmonds set is a union of whole copy classes."""
+    for g, a in cases:
+        values = []
+        for mask in range(1 << g.n):
+            removed = {v for v in range(g.n) if mask >> v & 1}
+            values.append(graphs._berge_bound(g, a, removed))
+            if values[-1] != reference_bound(g, a, removed):
+                return str(g), a, removed
+        if min(values) != blossom_power_index(g, a):
+            return str(g), a
+    return None
+
+
+def fig9_blossom_runs(monkeypatch) -> int:
+    """How many of FIG9's 3^9 vectors in {0,1,2}^9 lay out G^a for the blossom."""
+    runs, layout = [], graphs._parallel_layout
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_parallel_layout", lambda *x: runs.append(1) or layout(*x))
+        for a in iter_product(range(3), repeat=9):
+            power_index(fig9(), a)
+    return len(runs)
+
+
+class TestPowerIndexCertificate:
+    """power_index stops where a greedy b-matching meets _berge_bound; the
+    blossom on G^a decides every other vector and is the reference here."""
+
+    def test_fig9_exhaustive_entries_up_to_two(self):
+        g = fig9()
+        for a in iter_product(range(3), repeat=9):
+            assert power_index(g, a) == blossom_power_index(g, a), a
+
+    def test_corpus_seeded_entries_up_to_four(self):
+        for g, a in corpus_vectors(31):
+            assert power_index(g, a) == blossom_power_index(g, a), (str(g), a)
+
+    def test_bound_over_every_subset(self):
+        assert first_bound_fault(corpus_vectors(32)[::3]) is None
+
+    def test_most_fig9_vectors_close_without_the_blossom(self, monkeypatch):
+        # a bound that overcounts gives no wrong answer, only more layouts:
+        # 17 426 of the 19 683 vectors close by the certificate
+        assert fig9_blossom_runs(monkeypatch) == 2257
+
+    @pytest.mark.parametrize("planted", ["singleton counted", "a(S) dropped"])
+    def test_planted_bound_faults_are_caught(self, planted, monkeypatch):
+        bound = graphs._berge_bound
+
+        def faulty(g, a, removed):
+            if planted == "a(S) dropped":
+                return bound(g, a, removed) - sum(a[v] for v in removed)
+            alone = [
+                v for v in range(g.n)
+                if a[v] and v not in removed
+                and all(not a[w] or w in removed for w in g.adjacency[v])
+            ]
+            return bound(g, a, removed) + sum(a[v] // 2 for v in alone)
+
+        monkeypatch.setattr(graphs, "_berge_bound", faulty)
+        assert first_bound_fault(corpus_vectors(32)[::3]) is not None
+        assert fig9_blossom_runs(monkeypatch) > 2257
 
 
 class TestPowerIndexAndFactorization:
@@ -705,6 +821,12 @@ class TestPowerIndexAndFactorization:
         # 1.5 must not be truncated to 1, which would make x1*x2 of (1.5, 1)
         with pytest.raises(UsageError, match="integers"):
             edge_subring_member(Graph.single_edge(), (1.5, 1))
+        # the multiplicities are read once, as Python ints: an iterator is
+        # not spent before the sum, and uint8 entries do not wrap in it
+        assert edge_subring_member(Graph.single_edge(), iter([1, 1]))
+        assert edge_subring_member(
+            Graph.single_edge(), np.array([200, 200], dtype=np.uint8)
+        )
 
     def test_membership_coherence_exhaustive_small(self):
         for g in connected_graphs(2, 3):

@@ -1,5 +1,8 @@
 """Edge-ideal laboratory: associated primes of powers, integral closures, and
-matching-theoretic graph invariants, all in exact arithmetic."""
+matching-theoretic graph invariants, all in exact arithmetic.
+
+Each module memo keeps its last answer, a base ideal owns its power chain, and
+nothing else holds an ideal, so a run keeps no more than the walk in hand."""
 
 from .errors import (
     BudgetExceededError,

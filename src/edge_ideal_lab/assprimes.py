@@ -170,7 +170,7 @@ def associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
     return _associated_primes(ideal)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def _associated_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
     occurring, u, cells = _corner_cells(ideal)
     # each support as a bit code over the occurring variables

@@ -41,7 +41,7 @@ from .errors import LP_CAP, BudgetExceededError, UsageError
 from .errors import check_box, check_time
 from .graphs import Graph, power_index
 from .linalg import feasible_nonneg, separating_direction
-from .monomials import Monomial, MonomialIdeal, integer_power, integers
+from .monomials import Monomial, MonomialIdeal, _check_same, integer_power, integers
 
 
 def _power_lp(ideal: MonomialIdeal, k: int):
@@ -59,13 +59,14 @@ def np_member(
     if ideal.is_zero:
         raise UsageError("closure membership needs a nonzero ideal")
     if isinstance(exponents, Monomial):
+        _check_same(ideal.vset, exponents.vset)
         exponents = exponents.exps
     a = Monomial(ideal.vset, exponents).exps  # integer entries, length and sign
     columns, weights, scale = _power_lp(ideal, k)
     return feasible_nonneg(columns, a, weights, scale)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _cover_slack(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
     """Rows d = y - 1 for the componentwise-minimal y in {0,1,2}^n with a zero
     and y_u + y_v >= 2 on every edge (twice the vertices of the fractional
@@ -192,7 +193,7 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     return _closure_sweep(ideal, k)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _closure_sweep(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     degree = ideal.generated_degree()
     bounds = tuple(k * e for e in ideal.max_exponents())

@@ -88,7 +88,7 @@ def parse_ideal(text: str, allow_unused_vars: bool = False) -> MonomialIdeal:
             for factor in line.split("*"):
                 name, _, power = factor.partition("^")
                 if power:
-                    if not power.isdigit() or int(power) < 1:
+                    if not (power.isascii() and power.isdigit()) or int(power) < 1:
                         raise ParseError(f"bad exponent in {factor!r}", lineno)
                     e = int(power)
                 else:

@@ -381,8 +381,9 @@ class MonomialIdeal:
 
     @cached_property
     def _chain(self) -> list[MonomialIdeal]:
-        """I, I^2, ... as far as any walk of :meth:`powers` has built them."""
-        return [self]
+        """I^2, I^3, ... as far as any walk has built them; not I, since a
+        chain that held its owner would make every walked ideal a cycle."""
+        return []
 
     def powers(self, max_power: int) -> Iterator[MonomialIdeal]:
         """I, I^2, ..., I^max_power, each one the previous one times I.
@@ -399,9 +400,9 @@ class MonomialIdeal:
     def _chain_step(self, k: int) -> MonomialIdeal:
         """I^(k+1), built from I^k when no walk has reached it yet."""
         chain = self._chain
-        if k == len(chain):
-            chain.append(chain[-1].product(self))
-        return chain[k]
+        if k > len(chain):
+            chain.append((chain[-1] if chain else self).product(self))
+        return chain[k - 1] if k else self
 
     def power(self, k: int) -> MonomialIdeal:
         """The k-th element of the power chain; k = 0 gives the unit ideal."""

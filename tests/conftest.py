@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -55,6 +56,17 @@ def expiring_clock(monkeypatch):
         return reads
 
     return install
+
+
+@pytest.fixture
+def no_gc():
+    """The cyclic collector off while the test runs, so that an object is
+    freed by its reference count alone or not at all."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from edge_ideal_lab.errors import (
     BOX_CELLS,
     LP_CAP,
     BudgetExceededError,
+    MismatchedVariablesError,
     UsageError,
     bounded,
 )
@@ -67,6 +68,16 @@ class TestNpMember:
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
             np_member((1, 1), edge_ideal(Graph.cycle(3)), 1)
+
+    def test_monomial_over_other_variables_refused(self):
+        # same length, other names: answered True, where contains refuses
+        i = edge_ideal(Graph.cycle(3))
+        other = Monomial(VariableSet(("y1", "y2", "y3")), (1, 1, 0))
+        with pytest.raises(MismatchedVariablesError):
+            i.contains(other)
+        with pytest.raises(MismatchedVariablesError):
+            np_member(other, i, 1)
+        assert np_member(Monomial(i.vset, (1, 1, 0)), i, 1)
 
     def test_negative_exponent_refused(self):
         with pytest.raises(UsageError, match="non-negative"):

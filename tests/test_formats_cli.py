@@ -269,6 +269,18 @@ class TestCli:
             assert proc.stderr == "error: exponent overflow\n"
             assert proc.stdout == ""
 
+    def test_non_ascii_digit_exponent_is_a_parse_error(self, tmp_path):
+        # "²".isdigit() holds but int("²") raises: a traceback and exit 1
+        for exponent in ("²", "٣"):
+            proc = run_cli(
+                "analyze", "sup.ideal",
+                files={"sup.ideal": f"vars: x1 x2\nx1^{exponent}*x2\n"},
+                tmp_path=tmp_path,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == f"error: line 2: bad exponent in 'x1^{exponent}'\n"
+            assert proc.stdout == ""
+
     def test_budget_exit_code(self, tmp_path):
         proc = run_cli(
             "analyze", "fig9.graph", "--max-power", "5", "--closure-cap", "1000",

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from itertools import product as iter_product
 from pathlib import Path
@@ -282,6 +283,14 @@ class TestPowerChain:
         i = edge_ideal(Graph.cycle(5))
         assert all(colon_identity_holds(i, k) for k in (1, 2, 3))
         assert len(product_count) == 3
+
+    def test_walked_ideal_is_freed_by_its_reference_count(self, no_gc):
+        # a chain that held its own base made every walked ideal a cycle
+        i = edge_ideal(Graph.cycle(7))
+        chain = [weakref.ref(p) for p in i.powers(4)]
+        assert chain[0]() is i and all(p() is not None for p in chain)
+        del i
+        assert all(p() is None for p in chain)
 
     def test_chain_is_not_part_of_the_value(self):
         walked, fresh = edge_ideal(Graph.cycle(5)), edge_ideal(Graph.cycle(5))

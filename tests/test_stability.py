@@ -1,15 +1,18 @@
 """Chain reports, stability bounds, analytic spread, and the criteria batteries."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 import edge_ideal_lab
+from edge_ideal_lab import assprimes, closure
 from edge_ideal_lab.assprimes import associated_primes
 from edge_ideal_lab.battery import maximal_step_sweep, persistence_sweep
 from edge_ideal_lab.claims import _claim_assce
@@ -230,9 +233,91 @@ class TestChainProducts:
         both_chains(ideal, 4)
         built = list(created)
         closures = [integral_closure_power(ideal, k) for k in range(1, 5)]
-        assert all(any(c is i for i in built) for c in closures)
+        assert all(c in built for c in closures)
         assert all(power in built for power in list(ideal.powers(4))[1:])
         assert all("gens" not in vars(i) for i in [ideal, *built])
+
+    def test_fig9_memo_hits_reuse_the_last_answer(self):
+        # Ass of the closure where it equals the power (k = 1..3), and the
+        # cover rows at k = 2..4: a memo too small to keep the last answer
+        # loses these hits
+        memos = (assprimes._associated_primes, closure._cover_slack)
+        for memo in memos:
+            memo.cache_clear()
+        both_chains(edge_ideal(fig9()), 4)
+        assert [memo.cache_info().hits for memo in memos] == [3, 3]
+
+
+def atlas_classes(n: int) -> list[Graph]:
+    """One connected graph per isomorphism class on n <= 7 vertices, from
+    networkx's atlas (test-side only: without networkx this fails)."""
+    import networkx as nx
+
+    return [
+        Graph.from_edges([f"x{i}" for i in range(1, n + 1)], list(h.edges))
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() == n and nx.is_connected(h)
+    ]
+
+
+def theorems_hold(g: Graph, ideal: MonomialIdeal) -> bool:
+    """Both chains of I(G) to the stability bound + 1 ascend, the Ass chain
+    is constant from the bound on, and the stable sets are equal."""
+    bound = stability_bound(g)
+    report = both_chains(ideal, bound + 1, n1_bound=bound)
+    return report.ascending and report.n1_observed <= bound and report.stable_sets_equal
+
+
+MEMOS = (assprimes._associated_primes, closure._cover_slack, closure._closure_sweep)
+
+
+class TestAtlasChains:
+    """The paper's two theorems on every small connected graph, in one run
+    that keeps no more than the graph it walks."""
+
+    def test_six_vertex_classes(self, no_gc):
+        graphs, bases = atlas_classes(6), []
+        assert len(graphs) == 112
+        for g in graphs:
+            ideal = edge_ideal(g)
+            assert theorems_hold(g, ideal), g
+            bases.append(weakref.ref(ideal))
+        assert all(memo.cache_info().currsize <= 1 for memo in MEMOS)
+        assert all(base() is None for base in bases[:-1])
+
+    @pytest.mark.census
+    def test_seven_vertex_census_peaks_near_its_largest_graph(self):
+        # each run in a fresh child, so that its ru_maxrss is its own; the
+        # full census should peak near K7 alone, and not grow with the classes
+        def child(k7_only: bool) -> dict:
+            script = (
+                "import json, resource, sys\n"
+                f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+                "from test_stability import MEMOS, atlas_classes, theorems_hold\n"
+                "from edge_ideal_lab.errors import bounded\n"
+                "from edge_ideal_lab.graphs import edge_ideal\n"
+                f"graphs = [g for g in atlas_classes(7) if not {k7_only} or len(g.edges) == 21]\n"
+                "with bounded(box_cells=10**9):\n"
+                "    bad = [g.edges for g in graphs if not theorems_hold(g, edge_ideal(g))]\n"
+                "print(json.dumps({'classes': len(graphs), 'bad': bad,\n"
+                "    'hits': [memo.cache_info().hits for memo in MEMOS],\n"
+                "    'rss': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(Path(edge_ideal_lab.__file__).parents[1])},
+                timeout=900,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        k7, census = child(True), child(False)
+        assert (k7["classes"], k7["bad"]) == (1, [])
+        assert (census["classes"], census["bad"]) == (853, [])
+        assert census["hits"] == [5270, 4447, 0]
+        assert census["rss"] <= 2 * k7["rss"], (census["rss"], k7["rss"])
 
 
 class TestMaximalIdealCriteria:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, UsageError, check_box, check_time
+from .errors import UsageError, check_box, check_time
 from .graphs import Graph
 from .monomials import (
     Monomial,

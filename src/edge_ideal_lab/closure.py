@@ -37,8 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LP_CAP, BudgetExceededError, UsageError
-from .errors import check_box, check_time
+from .errors import UsageError, check_box, check_time
 from .graphs import Graph, power_index
 from .linalg import feasible_nonneg, separating_direction
 from .monomials import Monomial, MonomialIdeal, _check_same, integer_power, integers
@@ -134,23 +133,22 @@ def _closure_lp_path(
     columns, weights, scale = _power_lp(ideal, k)
     gens, power = ideal.exponent_array.tolist(), ideal.power(k)
     shape = tuple(b + 1 for b in bounds)
-    points = np.indices(shape).reshape(len(bounds), -1).T  # row i is cell i
     strides = [prod(shape[i + 1 :]) for i in range(len(shape))]  # C order
-    degrees = points.sum(axis=1)
+    axes = (np.arange(b, dtype=np.min_scalar_type(sum(bounds))) for b in shape)
+    degrees = sum(np.ix_(*axes)).ravel()  # with dominated, the only box arrays
     # dominated[p]: p is a member found so far or a multiple of one, filled
     # in degree order: p is dominated when it is a member or some p - e_i is
-    dominated = np.zeros(len(points), dtype=bool)
+    dominated = np.zeros(len(degrees), dtype=bool)
     found: list[list[int]] = []
     kept: list[tuple[list[int], int]] = []  # (y, k * min_g g.y) on Python ints
-    for s in range(degree_floor, int(degrees.max()) + 1):
+    for s in range(degree_floor, sum(bounds) + 1):
         cells = np.flatnonzero(degrees == s)
-        block = points[cells]
-        for i, stride in enumerate(strides):
-            # p - e_i, or p itself where p_i = 0
-            lower = np.where(block[:, i] > 0, cells - stride, cells)
-            dominated[cells] |= dominated[lower]
+        block = np.unravel_index(cells, shape)  # one coordinate array per axis
+        for axis, stride in zip(block, strides):  # p - e_i, or p where p_i = 0
+            dominated[cells] |= dominated[np.where(axis > 0, cells - stride, cells)]
         fresh = ~dominated[cells]
-        for cell, row in zip(cells[fresh].tolist(), block[fresh].tolist()):
+        rows = np.transpose(block)[fresh].tolist()
+        for cell, row in zip(cells[fresh].tolist(), rows):
             check_time("the LP closure sweep")
             if power.contains(Monomial(ideal.vset, row)):
                 y = None  # a generator of I^k divides x^a: a member, no LP
@@ -174,12 +172,11 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 
     Requires the ideal to be generated in a single degree, so the closure's
     minimal generators stay inside the componentwise-maximum box of the power's
-    generators (k times the base maxima), whose cells count against the box
-    cap. Every degree-2 squarefree ideal tests its cover inequalities on the
-    box's degree-2k slice only (module docstring), its cover rows n * 2^n cells
-    of the cap; others take the exact LP sweep, refused above LP_CAP points.
-    The checks run on every call; the sweep is memoized on (ideal, k) alone,
-    so a cached closure still refuses under a cap below its box or rows.
+    generators (k times the base maxima). A degree-2 squarefree ideal tests its
+    cover inequalities on the box's degree-2k slice (module docstring) for a
+    charge of the box and n * 2^n cover-row cells; others take the exact LP
+    sweep, n * box cells, as it reads n neighbours of each box cell. Charges
+    precede the memo on (ideal, k): a cached closure still refuses below them.
     """
     k = integer_power(k, 1, "the integral closure")
     if ideal.is_zero:
@@ -187,9 +184,12 @@ def integral_closure_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     degree = ideal.generated_degree()
     if degree is None:
         raise UsageError("integral closure sweep requires a single generator degree")
-    check_box(prod(k * e + 1 for e in ideal.max_exponents()), "closure box")
-    if degree == 2 and max(ideal.max_exponents()) == 1:  # squarefree: cover rows
-        check_box(ideal.vset.n << ideal.vset.n, "closure cover sweep")
+    n, box = ideal.vset.n, prod(k * e + 1 for e in ideal.max_exponents())
+    if degree == 2 and ideal.is_squarefree:  # the slice and its cover rows
+        check_box(box, "closure box")
+        check_box(n << n, "closure cover sweep")
+    else:
+        check_box(n * box, "LP closure sweep")
     return _closure_sweep(ideal, k)
 
 
@@ -201,12 +201,6 @@ def _closure_sweep(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         # one degree in C order is canonical order; all members are minimal
         members = _closure_fast_path(ideal, k, bounds)
         return MonomialIdeal._canonical(ideal.vset, members)
-    total = prod(b + 1 for b in bounds)
-    if total > LP_CAP:
-        raise BudgetExceededError(
-            f"LP closure sweep over {total} lattice points is impractical; "
-            "only degree-2 squarefree ideals have a fast path"
-        )
     members = _closure_lp_path(ideal, k, bounds, degree * k)
     return MonomialIdeal.from_exponents(ideal.vset, members)
 

@@ -10,9 +10,9 @@ from contextvars import ContextVar
 from math import inf
 
 # One cap on cells bounds every box ([0, k*u] for I^k of an equigenerated ideal)
-# and every sweep: n * 2^n cells over vertex sets, one per corpus edge mask.
+# and every sweep: n * 2^n over vertex sets, n * box for LP closures, one cell
+# per corpus edge mask.
 BOX_CELLS = 40_000_000
-LP_CAP = 500_000  # box points of the exact LP closure sweep
 
 
 class UsageError(ValueError):

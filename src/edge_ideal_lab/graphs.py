@@ -9,6 +9,7 @@ stay exact.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -28,7 +29,10 @@ Edge = tuple[int, int]
 def _canonical_edges(edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
     seen = set()
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        try:  # exactly two integer endpoints: no rounding, no dropped entry
+            u, v = map(operator.index, e)
+        except (TypeError, ValueError):
+            raise UsageError(f"an edge is two vertex indices, not {e!r}") from None
         if u == v:
             raise UsageError(f"loop at vertex index {u}")
         seen.add((min(u, v), max(u, v)))
@@ -45,11 +49,12 @@ class Graph:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise UsageError("vertex labels must be distinct")
-        # one pass: each edge is a tuple (u, v), 0 <= u < v < n, after the last one
+        # one pass: each edge a tuple of ints 0 <= u < v < n after the last, (0, 0)
+        # standing in for anything but a pair
         n, previous = self.n, ()
         for edge in self.edges:
-            u, v = edge
-            if not (type(edge) is tuple and 0 <= u < v < n and previous < edge):
+            u, v = edge if type(edge) is tuple and len(edge) == 2 else (0, 0)
+            if not (int is type(u) is type(v) and 0 <= u < v < n and previous < edge):
                 raise UsageError(f"edges must be sorted index pairs u < v < {n}")
             previous = edge
 

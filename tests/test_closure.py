@@ -20,7 +20,6 @@ from edge_ideal_lab.closure import (
 )
 from edge_ideal_lab.errors import (
     BOX_CELLS,
-    LP_CAP,
     BudgetExceededError,
     MismatchedVariablesError,
     UsageError,
@@ -177,6 +176,42 @@ class TestClosurePower:
             for g in integral_closure_power(i, k).gens:
                 assert np_member(g, i, k)
 
+    def test_assce_eighth_closure_under_the_default_cap(self):
+        # the box has 9^6 = 531 441 points, 6 * 9^6 cells of the cap; checked
+        # by containments and by np_member, which the sweep does not call
+        i = assce()
+        closure7, closure8 = integral_closure_power(i, 7), integral_closure_power(i, 8)
+        assert len(closure8) == 10_671
+        assert i.power(8).is_subset_of(closure8) and closure8.is_subset_of(closure7)
+        assert i.product(closure7).is_subset_of(closure8)
+        for g in random.Random(8).sample(closure8.gens, 100):
+            assert np_member(g, i, 8), g
+            for j in np.flatnonzero(g.exps).tolist():
+                down = list(g.exps)
+                down[j] -= 1
+                assert not np_member(down, i, 8), (g, j)
+
+    def test_lp_sweep_memory(self):
+        # ASSCE at k=7: 8^6 = 262 144 cells; the sweep keeps a byte of degree
+        # and a byte of mask per cell, where an int64 table of every cell's
+        # coordinates would take 12 MB alone
+        tracemalloc.start()
+        try:
+            _closure_lp_path(assce(), 7, (7,) * 6, 21)
+            assert tracemalloc.get_traced_memory()[1] <= 8 * 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_lp_sweep_charges_a_cell_per_neighbour(self):
+        # a squarefree cubic on 25 variables: its box of 2^25 cells fits the
+        # default cap, but the sweep reads 25 neighbours of each
+        vset = VariableSet.standard(25)
+        rows = [[int(j - i in (0, 1, 2)) for j in range(25)] for i in range(23)]
+        ideal = MonomialIdeal.from_exponents(vset, rows)
+        refusal = rf"LP closure sweep needs {25 << 25} cells \(cap {BOX_CELLS}\)"
+        with pytest.raises(BudgetExceededError, match=refusal):
+            integral_closure_power(ideal, 1)
+
     def test_assce_first_failure_at_two(self):
         i = assce()
         report = is_normal_up_to(i, 4)
@@ -204,7 +239,8 @@ class TestClosurePower:
             integral_closure_power(edge_ideal(fig9()), 5)
 
     def test_memo_ignores_call_form_and_cap(self):
-        # ASSCE at k=2 has a 3^6 = 729-point box
+        # ASSCE at k=2 has a 3^6 = 729-point box, and its LP sweep reads the 6
+        # neighbours of each point: 6 * 729 = 4374 cells of the cap
         ideal = assce()
         _closure_sweep.cache_clear()
         results = [integral_closure_power(ideal, 2), integral_closure_power(ideal, k=2)]
@@ -215,9 +251,10 @@ class TestClosurePower:
         assert (info.misses, info.hits) == (1, 3)
         assert all(r is results[0] for r in results)
         # the cap is checked before the lookup, so a cached closure still refuses
-        with bounded(box_cells=728), pytest.raises(BudgetExceededError):
+        refusal = r"LP closure sweep needs 4374 cells \(cap 4373\)"
+        with bounded(box_cells=4373), pytest.raises(BudgetExceededError, match=refusal):
             integral_closure_power(ideal, 2)
-        with bounded(box_cells=729):
+        with bounded(box_cells=4374):
             assert integral_closure_power(ideal, 2) is results[0]
 
 
@@ -246,8 +283,6 @@ class TestSliceMatchesLp:
         for g in sample_graphs(20, (6, 8), 2026):
             ideal = edge_ideal(g)
             for k in (1, 2):
-                if prod(k * e + 1 for e in ideal.max_exponents()) > LP_CAP:
-                    continue
                 fast, slow = _slice_and_lp(ideal, k)
                 assert fast == slow, f"{g} k={k}"
                 checked += 1
@@ -508,10 +543,11 @@ def slice_by_matchings(graph: Graph, k: int) -> tuple[MonomialIdeal, int]:
 
 class TestPastTwelveVariables:
     """Edge ideals on 13 or more variables take the cover slice like any
-    other: the LP sweep refuses their boxes above LP_CAP points."""
+    other. Matchings are the reference here: they read the degree-2k slice
+    alone, where the LP sweep would walk every degree of the box (3^13 cells
+    for C13 squared)."""
 
     def test_c13_square(self):
-        assert 3**13 > LP_CAP
         closure2, checked = slice_by_matchings(Graph.cycle(13), 2)
         assert checked == 1651
         assert closure2 == edge_ideal(Graph.cycle(13)).power(2)
@@ -603,8 +639,8 @@ class TestSliceMatchesReference:
 
 
 def test_fig9_fourth_closure_by_matchings():
-    # the LP cannot reach this 5^9 box
-    assert 5**9 > LP_CAP
+    # matchings read the 11 385 points of the degree-8 slice, where the LP
+    # sweep would walk all 5^9 cells of the box
     assert slice_by_matchings(fig9(), 4)[1] == 11_385
 
 

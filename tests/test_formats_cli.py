@@ -306,6 +306,16 @@ class TestCli:
         )
         assert proc.stdout == ""
 
+    def test_lp_closure_past_half_a_million_points(self, tmp_path):
+        # ASSCE's eighth power has a box of 9^6 = 531 441 points: its LP sweep
+        # is charged 6 * 9^6 cells of the default cap and answers
+        proc = run_cli(
+            "analyze", "assce.ideal", "--max-power", "8", "--mode", "closure",
+            files={"assce.ideal": serialize_ideal(assce())}, tmp_path=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Ass(R/closure(I^8))" in proc.stdout
+
     def test_spent_budget_is_a_refusal(self, tmp_path):
         # the deadline is read inside every power, not only between powers:
         # FIG9 to k=8 would run for about 3.3 s

@@ -443,9 +443,26 @@ class TestStructure:
             ((0, 3),),  # out of range
             ((-1, 0),),
             ([0, 1],),  # not a tuple
+            ((0, 0.5),),  # not an index: adjacency could not read it
+            ((0, 1.0),),
+            ((0, 1, 2),),  # three entries
+            ((0,),),
+            ((False, True),),  # bools are not vertex indices here
+            ((np.int64(0), 1),),  # from_edges converts; the constructor does not
         ):
             with pytest.raises(UsageError):
                 Graph(labels, edges)
+
+    def test_from_edges_takes_exactly_two_integer_endpoints(self):
+        # no endpoint is rounded or parsed, and no third entry is dropped
+        labels = ("a", "b", "c")
+        for bad in ((0, 1.7), ("0", "1"), (0, 1, 2), (0,), 5, None):
+            with pytest.raises(UsageError, match="an edge is two vertex indices"):
+                Graph.from_edges(labels, [bad, (1, 2)])
+        # integer types other than int go through operator.index to int
+        g = Graph.from_edges(labels, [(np.int64(2), np.uint8(1)), [0, True]])
+        assert g.edges == ((0, 1), (1, 2))
+        assert all(type(v) is int for e in g.edges for v in e)
 
 
 def bfs_graphs() -> list[Graph]:

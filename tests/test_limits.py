@@ -137,6 +137,12 @@ def test_deadline_stops_the_engine_partway(engine, expiring_clock):
     assert len(reads) == live + 2
 
 
+def _module_trees():
+    package = Path(edge_ideal_lab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
 def _module_level_names(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, ast.Assign):
@@ -155,33 +161,61 @@ def test_limits_live_only_in_errors():
     # deadline is set only by bounded(seconds=...)
     allowed = {("stability.py", "both_chains"): {"closure_cap"}}
     caps, takers = {}, set()
-    package = Path(edge_ideal_lab.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for module, tree in _module_trees():
         for name in _module_level_names(tree):
             if name.endswith(("_CAP", "_CELLS")):
-                caps[name] = path.name
+                caps[name] = module
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
                 params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
                 taken = params & {"cap", "closure_cap", "budget_seconds"}
-                where = (path.name, node.name)
+                where = (module, node.name)
                 assert taken <= allowed.get(where, set()), (where, taken)
                 if taken:
                     takers.add(where)
-    assert caps == dict.fromkeys(("BOX_CELLS", "LP_CAP"), "errors.py")
+    assert caps == {"BOX_CELLS": "errors.py"}
     assert takers == set(allowed)
+
+
+def test_every_refusal_passes_through_errors():
+    # BudgetExceededError is raised by check_box and check_time alone, so no
+    # module can refuse by a cap or clock of its own
+    raisers = set()
+    for module, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc).split(".")[-1] == "BudgetExceededError":
+                    raisers.add(module)
+    assert raisers == {"errors.py"}
+
+
+def test_every_imported_name_is_used():
+    # the package __init__ re-exports, and __future__ imports are directives
+    unused = []
+    for module, tree in _module_trees():
+        if module == "__init__.py":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append((module, bound))
+    assert unused == []
 
 
 def test_json_is_written_only_by_the_cli():
     # one emitter: every JSON document the package prints goes through cli._emit
-    package = Path(edge_ideal_lab.__file__).parent
     writers = set()
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for module, tree in _module_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
-                writers.add(path.name)
+                writers.add(module)
             if isinstance(node, ast.ImportFrom) and node.module == "json":
-                writers.update(path.name for a in node.names if a.name == "dumps")
+                writers.update(module for a in node.names if a.name == "dumps")
     assert writers == {"cli.py"}

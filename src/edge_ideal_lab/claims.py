@@ -15,7 +15,7 @@ from .assprimes import associated_primes, disjoint_union_ass, minimal_vertex_cov
 from .closure import closure_member_matching_oracle, integral_closure_power
 from .graphs import (
     Graph,
-    _odd_component_count,
+    _berge_bound,
     berge_deficiency,
     deficiency,
     edge_ideal,
@@ -88,8 +88,7 @@ def _claim_fig7(graphs, ideals):
     g = graphs["FIG7"]
     value, witness = berge_deficiency(g)
     s_34 = {g.labels.index("x3"), g.labels.index("x4")}
-    mask = sum(1 << v for v in s_34)
-    achieved = _odd_component_count(g, mask) - 2
+    achieved = g.n - 2 * _berge_bound(g, (1,) * g.n, s_34)  # odd(G - S) - |S|
     return (
         deficiency(g) == 2 and value == 2 and achieved == 2,
         f"deficiency 2, berge witness S={sorted(witness)}",

@@ -3,11 +3,11 @@
 Membership in the closure of the k-th power is membership of the exponent
 vector in k times the Newton polyhedron of the base ideal, an exact rational
 LP. A general ideal walks the box [0, k*u] of the power's generators in
-degree order. An undominated lattice point in I^k is a member by definition,
-a generator of I^k divides it, and is accepted by I^k's bitsets with no LP;
-every other one that no kept y rejects takes one LP: an LP that puts a
-outside gives y >= 0 with a.y < k * min_g g.y over the generators g, and
-every b in k * conv(V) + R^n_+ has b.y >= k * min_g g.y.
+degree order. An undominated lattice point is rejected with no LP when a
+kept y puts it outside, accepted with no LP when I^k's bitsets find a
+generator of I^k dividing it (a member by definition), and otherwise takes
+one LP: an LP that puts a outside gives y >= 0 with a.y < k * min_g g.y over
+the generators g, and every b in k * conv(V) + R^n_+ has b.y >= k * min_g g.y.
 That sweep is also the oracle of the edge-ideal path. For I = I(G),
 membership is min_y a.y >= 2k over the minimal half-integral vertex covers y
 (the duals of the matching LP), and the minimal generators are the members
@@ -150,10 +150,10 @@ def _closure_lp_path(
         rows = np.transpose(block)[fresh].tolist()
         for cell, row in zip(cells[fresh].tolist(), rows):
             check_time("the LP closure sweep")
-            if power.contains(Monomial(ideal.vset, row)):
-                y = None  # a generator of I^k divides x^a: a member, no LP
-            elif any(sum(map(mul, row, y)) < floor for y, floor in kept):
+            if any(sum(map(mul, row, y)) < floor for y, floor in kept):
                 continue
+            if power._contains_row(row):
+                y = None  # a generator of I^k divides x^a: a member, no LP
             else:
                 y = separating_direction(columns, row, weights, scale)
             if y is None:

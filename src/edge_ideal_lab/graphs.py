@@ -100,18 +100,21 @@ class Graph:
     def has_isolated_vertices(self) -> bool:
         return any(d == 0 for d in self.degrees)
 
-    def _bfs(self, starts: Iterable[int]) -> tuple[list[list[int]], list[int]]:
-        """A breadth-first walk from each start that no earlier one reached:
-        the vertices of each component it enters, in visit order, and every
-        vertex's distance from its component's start (-1 where unreached)."""
-        dist = [-1] * self.n
-        comps = []
+    def _bfs(
+        self, starts: Iterable[int], skip: Iterable[int] = ()
+    ) -> tuple[list[list[int]], list[int]]:
+        """A breadth-first walk of G - skip from each start no earlier one
+        reached: each component's vertices in visit order, and each vertex's
+        distance from its component's start (-1 unreached, -2 skipped)."""
+        dist, adjacency, comps = [-1] * self.n, self.adjacency, []
+        for v in skip:
+            dist[v] = -2
         for start in starts:
             if dist[start] == -1:
                 dist[start] = 0
                 comp = [start]
                 for v in comp:  # the list is the queue: it grows as it is read
-                    for w in self.adjacency[v]:
+                    for w in adjacency[v]:
                         if dist[w] == -1:
                             dist[w] = dist[v] + 1
                             comp.append(w)
@@ -192,7 +195,8 @@ def _greedy_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _blossom_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
-    """Partner array of a maximum matching (-1 for exposed vertices)."""
+    """Partner array of a maximum matching (-1 for exposed vertices); reads
+    the deadline before each augmenting search."""
     match = _greedy_matching(n, adj)
     parent = [-1] * n
     base = list(range(n))
@@ -259,6 +263,7 @@ def _blossom_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
 
     for v in range(n):
         if match[v] == -1:
+            check_time("the blossom matching")
             find_augmenting_path(v)
     return match
 
@@ -374,22 +379,14 @@ def _odd_component_blocks(graph: Graph) -> Iterator[tuple[int, np.ndarray]]:
         yield high << low, np.bitwise_count(parity).astype(np.int64)
 
 
-def _odd_component_count(graph: Graph, removed: int) -> int:
-    """Number of odd components of graph minus the vertex bitmask `removed`."""
-    if not 0 <= removed < 1 << graph.n:
-        raise UsageError(f"{removed} is not a vertex bitmask of {graph}")
-    blocks = _odd_component_blocks(graph)
-    lo, odd = next((lo, odd) for lo, odd in blocks if removed < lo + len(odd))
-    return int(odd[removed - lo])
-
-
 def berge_deficiency(graph: Graph) -> tuple[int, frozenset[str]]:
     """max over S of (odd components of G minus S) - |S|, with an argmax witness.
 
     Exhaustive over all vertex subsets, in vectorized blocks of the subset DP
     of _odd_component_blocks: it charges n * 2^n cells to the box cap, refuses
     above 62 vertices under any cap and reads the deadline once per block. The
-    witness is the first maximizing subset in mask order.
+    witness is the first maximizing subset in mask order, checked against its
+    Tutte-Berge bound: n - 2 * _berge_bound(G, 1, S) = odd(G - S) - |S|.
     """
     best, best_mask = None, 0
     for lo, odd in _odd_component_blocks(graph):
@@ -398,11 +395,10 @@ def berge_deficiency(graph: Graph) -> tuple[int, frozenset[str]]:
         j = int(np.argmax(values))
         if best is None or values[j] > best:
             best, best_mask = int(values[j]), lo + j
-    witness = frozenset(
-        graph.labels[v] for v in range(graph.n) if best_mask & (1 << v)
-    )
-    assert best is not None
-    return best, witness
+    removed = {v for v in range(graph.n) if best_mask >> v & 1}
+    if graph.n - 2 * _berge_bound(graph, (1,) * graph.n, removed) != best:
+        raise AssertionError(f"Berge witness {removed} does not reach {best}")
+    return best, frozenset(graph.labels[v] for v in removed)
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +418,23 @@ def _multiplicities(graph: Graph, multiplicity: Sequence[int]) -> tuple[int, ...
     return a
 
 
+def _charge_copies(graph: Graph, a: tuple[int, ...]) -> None:
+    """Charge a layout of G^a to the box cap: a cell per copy and per copy edge."""
+    check_box(sum(a) + sum(a[u] * a[v] for u, v in graph.edges), "G^a layout")
+
+
 @dataclass(frozen=True)
 class ParallelGraph:
     """The graph obtained by deleting multiplicity-0 vertices and duplicating
-    vertex i to multiplicity[i] copies, joining copies of adjacent vertices."""
+    vertex i to multiplicity[i] copies, joining copies of adjacent vertices.
+    Construction charges its copies and copy edges to the box cap."""
 
     base: Graph
     multiplicity: tuple[int, ...]
 
     def __post_init__(self):
         a = _multiplicities(self.base, self.multiplicity)
+        _charge_copies(self.base, a)
         object.__setattr__(self, "multiplicity", a)
 
     @cached_property
@@ -544,6 +547,7 @@ def _parallel_layout(
     Copy c of vertex i is start[i] + c - 1 and all copies of i share the blocks
     of i's neighbours: G^a.flat's adjacency, tuple for tuple."""
     a = _multiplicities(graph, multiplicity)
+    _charge_copies(graph, a)
     start = list(accumulate(a, initial=0))
     blocks = list(map(range, start, start[1:]))
     adj = []
@@ -556,19 +560,11 @@ def _parallel_layout(
 def _berge_bound(graph: Graph, a: Sequence[int], removed: set[int]) -> int:
     """a(S) + sum of floor(a(K) / 2) over the components K of G[supp a - S]
     that have an edge, for S = removed: at least nu(G^a) (power_index)."""
-    seen = [not m or v in removed for v, m in enumerate(a)]
+    skip = [v for v, m in enumerate(a) if not m or v in removed]
     bound = sum(a[v] for v in removed)
-    for start in range(graph.n):
-        if not seen[start]:
-            seen[start] = True
-            comp = [start]
-            for v in comp:  # the list is the queue, as in Graph._bfs
-                for w in graph.adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-            if len(comp) > 1:
-                bound += sum(a[v] for v in comp) // 2
+    for comp in graph._bfs(range(graph.n), skip)[0]:
+        if len(comp) > 1:
+            bound += sum([a[v] for v in comp]) // 2
     return bound
 
 

@@ -353,8 +353,12 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         """Whether some generator divides m: one bitset AND per variable."""
         _check_same(self.vset, m.vset)
+        return self._contains_row(m.exps)
+
+    def _contains_row(self, exps: Sequence[int]) -> bool:
+        """contains for a row of n exponents, taken as given."""
         acc = -1  # every generator
-        for e, (values, masks) in zip(m.exps, self._bitsets):
+        for e, (values, masks) in zip(exps, self._bitsets):
             acc &= masks[bisect_right(values, e)]
             if not acc:
                 return False

@@ -1,5 +1,6 @@
 """Newton-polyhedron membership and integral closure sweeps."""
 
+import hashlib
 import random
 import tracemalloc
 from itertools import product as iter_product
@@ -398,9 +399,35 @@ class TestLpSweepMatchesReference:
         assert list(map(len, asked)) == [10, 11, 10, 10]
 
     def test_a_membership_test_that_accepts_everything_is_caught(self, monkeypatch):
-        monkeypatch.setattr(MonomialIdeal, "contains", lambda self, m: True)
+        monkeypatch.setattr(MonomialIdeal, "_contains_row", lambda self, row: True)
         with pytest.raises(AssertionError):
             self.check([(assce(), 2)], monkeypatch)
+
+    def test_assce_rows_and_lp_counts_to_six(self, monkeypatch):
+        # the sha256 of each row table and the LP count, as the sweep gave
+        # them when it tested membership in I^k before the kept directions
+        pins = {
+            1: ("61d79f0968ec6b4b466e1b79053eeacb7e1d9f3d8a9f63f46fdfaf60a8265242", 10),
+            2: ("9090a6b21fc2e5c1b635a3e0e1c6e291380f7aef370faac34ff0edb0dc1498bb", 11),
+            3: ("ce966ef7c31b904c6c44be3535484663bb28e8f545a0ddcc386ff20433dcd883", 10),
+            4: ("dc47ac5526c0f2e54c92eee4e6d7e2533d6d9a9297285d367390aeb25da01e2b", 10),
+            5: ("ac882ffa900f3bb34a1e7b4e46f3698687ef76bb9a5ae482728a4532c5d482e7", 10),
+            6: ("99f30992eafb0657f5dc9ad3e7617be713c1b176e3b560f774085374a8328311", 10),
+        }
+        for k, pin in pins.items():
+            rows, asked, _ = recorded_lp_sweep(assce(), k, monkeypatch)
+            assert rows.dtype == np.int64
+            assert (hashlib.sha256(rows.tobytes()).hexdigest(), len(asked)) == pin, k
+
+    def test_builds_no_monomial_per_point(self, monkeypatch):
+        # membership in I^k is read on the raw row
+        def refuse(*_):
+            raise AssertionError("a Monomial was built")
+
+        want = _closure_lp_path(assce(), 3, (3,) * 6, 9)
+        monkeypatch.setattr(closure, "Monomial", refuse)
+        got = _closure_lp_path(assce(), 3, (3,) * 6, 9)
+        assert got.tobytes() == want.tobytes() and len(got) == 210
 
     def test_seeded_equigenerated(self, monkeypatch):
         cases = seeded_equigenerated(60, 23)

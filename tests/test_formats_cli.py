@@ -218,6 +218,20 @@ class TestCli:
         assert proc.returncode == 0
         assert "'value': 0" in proc.stdout
 
+    def test_graph_parallelize_past_the_cap_refuses_at_once(self, tmp_path):
+        # 3000 copies per vertex of FIG9: 10 * 3000^2 copy edges are charged
+        # to the box cap before G^a is built
+        proc = run_cli(
+            "graph", "fig9.graph", "parallelize", "--mult", ",".join(["3000"] * 9),
+            "--then", "deficiency",
+            files={"fig9.graph": serialize_graph(fig9())},
+            tmp_path=tmp_path,
+        )
+        assert proc.returncode == 3, proc.stderr
+        cells = 9 * 3000 + 10 * 3000**2
+        assert proc.stderr.startswith(f"refused: G^a layout needs {cells} cells")
+        assert proc.stdout == ""
+
     def test_graph_duplicate_then_deficiency(self, tmp_path):
         proc = run_cli(
             "graph", "fig7.graph", "duplicate", "--edge", "x3 x4",

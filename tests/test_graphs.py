@@ -16,8 +16,8 @@ from edge_ideal_lab.graphs import (
     _LOW_VERTICES,
     Graph,
     ParallelGraph,
+    _berge_bound,
     _odd_component_blocks,
-    _odd_component_count,
     berge_deficiency,
     connected_graphs,
     deficiency,
@@ -103,8 +103,8 @@ class TestDeficiencyAndBerge:
         g = fig7()
         value, _ = berge_deficiency(g)
         assert value == 2
-        mask = (1 << g.labels.index("x3")) | (1 << g.labels.index("x4"))
-        assert _odd_component_count(g, mask) - 2 == 2
+        s_34 = {g.labels.index("x3"), g.labels.index("x4")}
+        assert g.n - 2 * _berge_bound(g, (1,) * g.n, s_34) == 2
 
     def test_berge_single_edge_and_triangle(self):
         assert berge_deficiency(Graph.single_edge())[0] == 0
@@ -119,7 +119,7 @@ class TestDeficiencyAndBerge:
             with pytest.raises(BudgetExceededError, match=f"Berge sweep needs {cells}"):
                 berge_deficiency(big)
             with pytest.raises(BudgetExceededError, match="Berge sweep"):
-                _odd_component_count(big, 0)
+                kernel_counts(big)
         with bounded(box_cells=cells):
             assert berge_deficiency(big)[0] == deficiency(big)
         assert berge_deficiency(big)[0] == deficiency(big)
@@ -197,6 +197,12 @@ def kernel_counts(g: Graph) -> list[int]:
     return counts.tolist()
 
 
+def ones_deficiency(g: Graph, mask: int) -> int:
+    """n - 2 * _berge_bound(G, 1, S) for the vertex bitmask S."""
+    removed = {v for v in range(g.n) if mask >> v & 1}
+    return g.n - 2 * _berge_bound(g, (1,) * g.n, removed)
+
+
 class TestOddComponentKernel:
     def test_counts_match_reference_flood_fill(self):
         for g in kernel_graphs():
@@ -217,22 +223,21 @@ class TestOddComponentKernel:
                 assert bits.T.tolist() == want, (str(g), v)
 
     def test_one_mask_read_and_subranges(self):
+        # a sub-range of the kernel's counts, and single sets read off the
+        # Tutte-Berge bound at a = 1, against the flood fill
         g = sample_graphs(1, (9, 9), seed=5)[0]
         expected = reference_odd_counts(g)
         assert kernel_counts(g)[100:173] == expected[100:173]
-        assert [_odd_component_count(g, s) for s in (0, 7, 300, 511)] == [
-            expected[s] for s in (0, 7, 300, 511)
+        assert [ones_deficiency(g, s) for s in (0, 7, 300, 511)] == [
+            expected[s] - bin(s).count("1") for s in (0, 7, 300, 511)
         ]
-        for bad in (-1, 512):
-            with pytest.raises(UsageError):
-                _odd_component_count(g, bad)
         # 13 vertices: the second block holds the masks with x13 removed
         g = sample_graphs(1, (13, 13), seed=3)[0]
         assert [lo for lo, _ in _odd_component_blocks(g)] == [0, 1 << _LOW_VERTICES]
         expected = reference_odd_counts(g)
         masks = (0, 4095, 4096, 5000, 8191)
-        assert [_odd_component_count(g, s) for s in masks] == [
-            expected[s] for s in masks
+        assert [ones_deficiency(g, s) for s in masks] == [
+            expected[s] - bin(s).count("1") for s in masks
         ]
 
     def test_sixteen_vertex_parallelizations(self):
@@ -251,6 +256,41 @@ class TestOddComponentKernel:
         expected = reference_odd_counts(g)
         assert kernel_counts(g) == expected
         assert berge_deficiency(g) == reference_berge(g, expected)
+
+    def test_bound_at_ones_is_odd_components_minus_the_set(self):
+        # n - 2 * _berge_bound(G, 1, S) = odd(G - S) - |S| for every S: a
+        # component K of G - S leaves |K| // 2 in the bound, and |K| % 2 odd
+        cases = list(CATALOG.values()) + sample_graphs(2, (9, 9), seed=5)
+        cases += sample_graphs(1, (13, 13), seed=3)
+        assert max(g.n for g in cases) == 13
+        for g in cases:
+            expected = reference_odd_counts(g)
+            got = [ones_deficiency(g, s) for s in range(1 << g.n)]
+            assert got == [odd - bin(s).count("1") for s, odd in enumerate(expected)]
+
+    def test_bound_at_one_set_needs_no_sweep(self, monkeypatch):
+        # past the sweep's 62 vertices and under a zero cap: one BFS
+        monkeypatch.setattr(graphs, "_odd_component_blocks", None)
+        path = Graph.path(100)
+        removed = set(range(2, 100, 3))  # 33 cuts: 33 edges and x100 alone
+        with bounded(box_cells=0):
+            assert _berge_bound(path, (1,) * 100, removed) == 33 + 33
+        assert reference_bound(path, (1,) * 100, removed) == 66
+
+    def test_a_witness_moved_by_one_vertex_is_caught(self, monkeypatch):
+        # a planted kernel fault: each set's count reported at the set with
+        # x1 toggled, so the sweep's maximizer is one vertex off the set that
+        # attains it; the witness check against _berge_bound refuses it
+        blocks = graphs._odd_component_blocks
+
+        def toggled(g):
+            for lo, odd in blocks(g):
+                yield lo, odd[np.arange(len(odd)) ^ 1]
+
+        monkeypatch.setattr(graphs, "_odd_component_blocks", toggled)
+        for g in CATALOG.values():
+            with pytest.raises(AssertionError, match="witness"):
+                berge_deficiency(g)
 
     def test_berge_value_and_first_witness_match_reference(self):
         for g in kernel_graphs():

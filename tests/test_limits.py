@@ -1,6 +1,8 @@
 """The run limits: one box cap and one deadline, set by ``errors.bounded``."""
 
 import ast
+import time
+import tracemalloc
 from math import inf
 from pathlib import Path
 
@@ -27,7 +29,16 @@ from edge_ideal_lab.errors import (
     check_box,
 )
 from edge_ideal_lab.fixtures import assce, fig9
-from edge_ideal_lab.graphs import Graph, berge_deficiency, connected_graphs, edge_ideal
+from edge_ideal_lab.graphs import (
+    Graph,
+    _parallel_layout,
+    berge_deficiency,
+    connected_graphs,
+    edge_ideal,
+    matching_number,
+    parallelize,
+    power_index,
+)
 from edge_ideal_lab.monomials import membership_mask
 from edge_ideal_lab.stability import power_chain
 
@@ -114,6 +125,11 @@ ENGINES = {
     # one read before the table of the low twelve vertices and one per block
     # of 4096 subsets: three on 13 vertices, so it stops after the table
     "berge": (lambda: berge_deficiency(Graph.path(13)), 1, "Berge sweep"),
+    # one read per augmenting search: the greedy matches the star's centre
+    # to one leaf, and each of the eight other leaves starts a search
+    "blossom": (
+        lambda: matching_number(Graph.complete_bipartite(1, 9)), 2, "blossom matching"
+    ),
     # one read per subset size: six on C5
     "covers": (lambda: minimal_vertex_covers(Graph.cycle(5)), 2, "cover enumeration"),
     # one read per vertex count: four on 2..5 vertices
@@ -135,6 +151,45 @@ def test_deadline_stops_the_engine_partway(engine, expiring_clock):
     # the entry read, the live reads and the one that refused, out of a run
     # that needs more
     assert len(reads) == live + 2
+
+
+class TestParallelLayouts:
+    """G^a is charged a cell per copy and per copy edge before it is laid out."""
+
+    def test_one_cell_over_the_cap_refuses(self):
+        # the path x3 - x1 - x2 - x4 at a = 1: the greedy takes x1x2 alone,
+        # both bounds read 2, and the blossom needs G^a: 4 copies, 3 edges
+        p4 = Graph.from_edges(("x1", "x2", "x3", "x4"), [(0, 1), (0, 2), (1, 3)])
+        for build in (power_index, _parallel_layout, parallelize):
+            with bounded(box_cells=6):
+                with pytest.raises(BudgetExceededError, match=r"G\^a layout needs 7 "):
+                    build(p4, (1, 1, 1, 1))
+            with bounded(box_cells=7):
+                build(p4, (1, 1, 1, 1))
+        with bounded(box_cells=0):  # the certificate closes (3, 3): no layout
+            assert power_index(Graph.single_edge(), (3, 3)) == 3
+
+    def test_refused_before_any_allocation(self):
+        # 10^6 copies per vertex of FIG9 would be 10^13 copy edges
+        a = (10**6,) * 9
+        tracemalloc.start()
+        try:
+            for build in (_parallel_layout, parallelize):
+                with pytest.raises(BudgetExceededError, match=r"G\^a layout"):
+                    build(fig9(), a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, peak
+
+    def test_the_deadline_stops_a_large_blossom(self):
+        # 4004 copies inside the cap: the blossom on G^a takes 47 s to its
+        # answer, and reads the deadline before each augmenting search
+        a = (0, 0, 0, 0, 1001, 1001, 1001, 0, 1001)
+        start = time.monotonic()
+        with bounded(seconds=1), pytest.raises(BudgetExceededError, match="blossom"):
+            power_index(fig9(), a)
+        assert time.monotonic() - start < 5
 
 
 def _module_trees():
@@ -219,3 +274,51 @@ def test_json_is_written_only_by_the_cli():
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 writers.update(module for a in node.names if a.name == "dumps")
     assert writers == {"cli.py"}
+
+
+def _functions(tree: ast.Module):
+    """Every function of a module with the name of its class, if any."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, ast.FunctionDef) and node.col_offset == 0:
+            yield node.name, node
+
+
+def _mentions(node: ast.AST, name: str) -> int:
+    """How often a tree reads `name`, bare or as an attribute."""
+    return sum(
+        getattr(n, "id", None) == name or getattr(n, "attr", None) == name
+        for n in ast.walk(node)
+    )
+
+
+def test_the_subset_sweep_has_one_caller():
+    # one-set Tutte-Berge questions go to _berge_bound, never to the 2^n sweep
+    trees = list(_module_trees())
+    assert sum(_mentions(tree, "_odd_component_blocks") for _, tree in trees) == 1
+    users = [
+        (module, name)
+        for module, tree in trees
+        for name, fn in _functions(tree)
+        if _mentions(fn, "_odd_component_blocks")
+    ]
+    assert users == [("graphs.py", "berge_deficiency")]
+
+
+def test_one_component_walk():
+    # the list-as-queue walk (a loop over a list that appends to it) lives in
+    # Graph._bfs alone; every other component question calls it
+    walks = [
+        (module, name)
+        for module, tree in _module_trees()
+        for name, fn in _functions(tree)
+        for loop in ast.walk(fn)
+        if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Name)
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call)
+        and ast.unparse(call.func) == f"{loop.iter.id}.append"
+    ]
+    assert walks == [("graphs.py", "Graph._bfs")]

@@ -31,6 +31,7 @@ from .graphs import (
     incidence_rank,
     matching_number,
     maximum_matching,
+    minimal_vertex_covers,
     parallelize,
     power_index,
 )
@@ -42,7 +43,6 @@ from .assprimes import (
     disjoint_union_ass,
     irreducible_decomposition,
     minimal_primes,
-    minimal_vertex_covers,
 )
 from .closure import (
     closure_member_matching_oracle,
@@ -81,6 +81,7 @@ __all__ = [
     "incidence_rank",
     "matching_number",
     "maximum_matching",
+    "minimal_vertex_covers",
     "parallelize",
     "power_index",
     "AssWitness",
@@ -90,7 +91,6 @@ __all__ = [
     "disjoint_union_ass",
     "irreducible_decomposition",
     "minimal_primes",
-    "minimal_vertex_covers",
     "closure_member_matching_oracle",
     "integral_closure_power",
     "is_normal_up_to",

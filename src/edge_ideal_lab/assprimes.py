@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import inf, prod
 from typing import Sequence
 
 import numpy as np
 
 from .errors import UsageError, check_box, check_time
-from .graphs import Graph
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -189,25 +188,6 @@ def minimal_primes(ideal: MonomialIdeal) -> tuple[MonomialPrime, ...]:
             for p, s in zip(primes, supports)
             if not any(o < s for o in supports)
         )
-    )
-
-
-def minimal_vertex_covers(graph: Graph) -> tuple[frozenset[str], ...]:
-    """Inclusion-minimal vertex sets meeting every edge, by direct enumeration
-    of the 2^n vertex sets (n * 2^n cells, a deadline read per set size)."""
-    if graph.has_isolated_vertices():
-        raise UsageError("vertex covers are for graphs without isolated vertices")
-    check_box(graph.n << graph.n, "cover enumeration")
-    covers = []
-    for r in range(graph.n + 1):
-        check_time("the cover enumeration")
-        for subset in combinations(range(graph.n), r):
-            s = set(subset)
-            if all(u in s or v in s for u, v in graph.edges):
-                if not any(c <= s for c in covers):
-                    covers.append(s)
-    return tuple(
-        sorted(frozenset(graph.labels[v] for v in c) for c in covers)
     )
 
 

@@ -17,12 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .assprimes import (
-    associated_primes,
-    irreducible_decomposition,
-    minimal_primes,
-    minimal_vertex_covers,
-)
+from .assprimes import associated_primes, irreducible_decomposition, minimal_primes
 from .closure import closure_member_matching_oracle, np_member
 from .errors import UsageError, check_box, check_time
 from .graphs import (
@@ -36,6 +31,7 @@ from .graphs import (
     edge_subring_member,
     factor_by_matching,
     matching_number,
+    minimal_vertex_covers,
     parallelize,
     power_index,
     sample_graphs,
@@ -162,9 +158,7 @@ def matching_battery(named_graphs: dict[str, Graph]) -> Iterator[Check]:
         yield f"berge-equals-deficiency[{name}]", value == direct, (
             f"berge {value} via S={sorted(witness)}, matching {direct}"
         )
-        # Tutte's condition is Berge's formula at value 0
         pm = direct == 0
-        yield f"tutte-iff-perfect-matching[{name}]", pm == (value == 0), f"pm={pm}"
 
         # duplicating any edge keeps a perfect matching exactly when one exists
         if g.edges:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .assprimes import associated_primes, disjoint_union_ass, minimal_vertex_covers
+from .assprimes import associated_primes, disjoint_union_ass
 from .closure import closure_member_matching_oracle, integral_closure_power
 from .graphs import (
     Graph,
@@ -22,6 +22,7 @@ from .graphs import (
     has_perfect_matching,
     incidence_rank,
     matching_number,
+    minimal_vertex_covers,
     parallelize,
     power_index,
 )

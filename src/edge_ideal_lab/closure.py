@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError, check_box, check_time
-from .graphs import Graph, power_index
+from .graphs import Graph, _cover_weights, power_index
 from .linalg import feasible_nonneg, separating_direction
 from .monomials import Monomial, MonomialIdeal, _check_same, integer_power, integers
 
@@ -67,30 +67,21 @@ def np_member(
 
 @lru_cache(maxsize=1)
 def _cover_slack(ideal: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
-    """Rows d = y - 1 for the componentwise-minimal y in {0,1,2}^n with a zero
-    and y_u + y_v >= 2 on every edge (twice the vertices of the fractional
-    vertex-cover polytope, the dual points of the matching LP), then a row of
-    -1 for the degree to place; and later[c, j] = sum(u_i : i > j, d[c, i] =
-    +1), u the max exponents, so k * later sums the bounds k * u_i.
-
-    A valid y lies above y_C for its support C, a vertex cover: 2 on the
-    vertices of C with a neighbour outside C (forced), 1 on the rest of C, and
-    valid itself. The valid set is upward closed, so y_C is minimal exactly
-    when no 1 can drop to 0: each 1 has a neighbour below 2. C runs over 2^n
-    sets, n * 2^n cells that integral_closure_power charges ahead of the memo."""
+    """Rows d = y - 1 for every componentwise-minimal y in {0,1,2}^n with a
+    zero and y_u + y_v >= 2 on every edge (51 on FIG9, 191 on C12: a superset
+    of twice the 25 and 29 vertices of the fractional vertex-cover polytope),
+    then a row of -1 for the degree to place; and later[c, j] = sum(u_i : i >
+    j, d[c, i] = +1), u the max exponents, so k * later sums the bounds k * u_i.
+    A valid y lies above the valid y_C of its support (graphs._cover_weights),
+    so y_C is minimal exactly when every 1 has a neighbour below 2."""
     n = ideal.vset.n
     # every generator is squarefree of degree 2: its row has two nonzeros
     edges = np.nonzero(ideal.exponent_array)[1].reshape(-1, 2).tolist()
-    sets, bits = np.arange(2**n - 1), [1 << v for v in range(n)]  # all C but V
-    for u, v in edges:  # one edge at a time: a reduce over all holds |E| * 2^n
-        sets = sets[(sets & (bits[u] | bits[v])) != 0]
-    y = np.array([(sets & b) != 0 for b in bits], dtype=np.int16)  # 1_C by vertex
-    arcs = edges + [[v, u] for u, v in edges]
-    for u, v in arcs:  # 2 on the forced vertices
-        y[u, y[v] == 0] = 2
+    y = _cover_weights(n, edges)
     low = np.zeros(y.shape, dtype=bool)  # a neighbour below 2
-    for u, v in arcs:
+    for u, v in edges:
         low[u] |= y[v] < 2
+        low[v] |= y[u] < 2
     d = np.vstack((y[:, ((y != 1) | low).all(axis=0)].T - 1, np.full(n, -1)))
     plus = np.maximum(d, 0) * np.array(ideal.max_exponents())
     d = d.astype(np.int16)

@@ -4,10 +4,12 @@ cap and deadline that :func:`bounded` sets for a block (like
 
 from __future__ import annotations
 
+import operator
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from math import inf
+from numbers import Integral, Real
 
 # One cap on cells bounds every box ([0, k*u] for I^k of an equigenerated ideal)
 # and every sweep: n * 2^n over vertex sets, n * box for LP closures, one cell
@@ -56,13 +58,18 @@ def check_time(what: str) -> None:
 @contextmanager
 def bounded(box_cells: int | None = None, seconds: float | None = None):
     """Run the body under a box cap and a deadline ``seconds`` from now (None
-    keeps the outer one; no deadline outlives it), restored on exit."""
+    keeps the outer one; no deadline outlives it), restored on exit. A cap not
+    an integer >= 0, or seconds not a real >= 0, is refused at the call."""
     cap, deadline = _LIMITS.get()
+    if box_cells is not None:
+        if not (isinstance(box_cells, Integral) and box_cells >= 0):
+            raise UsageError("box cells must be an integer >= 0")
+        cap = operator.index(box_cells)
     if seconds is not None:
-        if not seconds >= 0:  # NaN included
+        if not (isinstance(seconds, Real) and seconds >= 0):
             raise UsageError("budget seconds must be >= 0")
         deadline = min(deadline, time.monotonic() + seconds)
-    token = _LIMITS.set((cap if box_cells is None else box_cells, deadline))
+    token = _LIMITS.set((cap, deadline))
     try:
         yield
     finally:

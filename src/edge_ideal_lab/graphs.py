@@ -539,6 +539,36 @@ def incidence_rank(graph: Graph) -> int:
     return integer_rank(matrix)
 
 
+def _cover_weights(n: int, edges: Sequence[Sequence[int]]) -> np.ndarray:
+    """y_C, one int16 column per vertex cover C != V in mask order: 2 on the
+    vertices of C with a neighbour outside C, 1 on the rest of C. Reads the
+    deadline per edge filter; the callers charge the n * 2^n cells."""
+    sets, bits = np.arange(2**n - 1), [1 << v for v in range(n)]
+    for u, v in edges:  # one edge at a time: a reduce over all holds |E| * 2^n
+        check_time("the cover enumeration")
+        sets = sets[(sets & (bits[u] | bits[v])) != 0]
+    y = np.array([(sets & b) != 0 for b in bits], dtype=np.int16)  # 1_C by vertex
+    for u, v in edges:  # an entry at 0 stays 0, so the order is free
+        y[u, y[v] == 0] = 2
+        y[v, y[u] == 0] = 2
+    return y
+
+
+def minimal_vertex_covers(graph: Graph) -> tuple[frozenset[str], ...]:
+    """Inclusion-minimal vertex sets meeting every edge, by size, then by
+    vertex indices: the y_C with no 1, since C is minimal exactly when each
+    of its vertices has a neighbour outside it (V only when n = 0)."""
+    if graph.has_isolated_vertices():
+        raise UsageError("vertex covers are for graphs without isolated vertices")
+    check_box(graph.n << graph.n, "cover enumeration")
+    if not graph.n:
+        return (frozenset(),)
+    y = _cover_weights(graph.n, graph.edges)
+    covers = [np.flatnonzero(c).tolist() for c in y[:, (y != 1).all(axis=0)].T]
+    covers.sort(key=lambda c: (len(c), c))
+    return tuple(frozenset(graph.labels[v] for v in c) for c in covers)
+
+
 def _parallel_layout(
     graph: Graph, multiplicity: Sequence[int]
 ) -> tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]:
@@ -681,7 +711,7 @@ def sample_graphs(
         raise UsageError(f"vertex range must satisfy 2 <= lo <= hi, got {vertex_range}")
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    for _ in range(count):
         n = rng.randint(lo, hi)
         labels = tuple(f"x{i}" for i in range(1, n + 1))
         edges = [
@@ -690,13 +720,9 @@ def sample_graphs(
             for j in range(i + 1, n)
             if rng.random() < edge_prob
         ]
-        g = Graph.from_edges(labels, edges)
-        for v, d in enumerate(g.degrees):
+        for v, d in enumerate(Graph.from_edges(labels, edges).degrees):
             if d == 0:
                 w = rng.choice([u for u in range(n) if u != v])
                 edges.append((min(v, w), max(v, w)))
-                g = Graph.from_edges(labels, edges)
-        if not g.edges:
-            continue
-        out.append(g)
+        out.append(Graph.from_edges(labels, edges))
     return out

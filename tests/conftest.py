@@ -6,9 +6,10 @@ import gc
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from edge_ideal_lab import errors
+from edge_ideal_lab import closure, errors, graphs
 from edge_ideal_lab.assprimes import associated_primes
 from edge_ideal_lab.closure import integral_closure_power
 from edge_ideal_lab.errors import bounded
@@ -56,6 +57,21 @@ def expiring_clock(monkeypatch):
         return reads
 
     return install
+
+
+@pytest.fixture
+def unforced_covers(monkeypatch):
+    """graphs._cover_weights, for both of its callers, with the forced 2s
+    left at 1: y_C is then 1 on all of C. The cover-row memo is emptied
+    before and after, so no planted row outlives the test."""
+    original = graphs._cover_weights
+    for module in (graphs, closure):
+        monkeypatch.setattr(
+            module, "_cover_weights", lambda n, edges: np.minimum(original(n, edges), 1)
+        )
+    closure._cover_slack.cache_clear()
+    yield
+    closure._cover_slack.cache_clear()
 
 
 @pytest.fixture

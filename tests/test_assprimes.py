@@ -1,7 +1,7 @@
 """The decomposition engine, the witness oracle, and prime-set combinatorics."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 from typing import Sequence
 
@@ -17,11 +17,18 @@ from edge_ideal_lab.assprimes import (
     disjoint_union_ass,
     irreducible_decomposition,
     minimal_primes,
-    minimal_vertex_covers,
 )
 from edge_ideal_lab.errors import BudgetExceededError, UsageError, bounded
-from edge_ideal_lab.fixtures import assce, fig9
-from edge_ideal_lab.graphs import Graph, connected_graphs, disjoint_union, edge_ideal
+from edge_ideal_lab.fixtures import assce, fig9, graph_catalog
+from edge_ideal_lab.battery import min_ass_battery
+from edge_ideal_lab.graphs import (
+    Graph,
+    connected_graphs,
+    disjoint_union,
+    edge_ideal,
+    minimal_vertex_covers,
+    sample_graphs,
+)
 from edge_ideal_lab.monomials import (
     Monomial,
     MonomialIdeal,
@@ -112,10 +119,8 @@ class TestDecomposition:
             assert_irredundant_decomposition(target, irreducible_decomposition(target))
 
     def test_three_routes_agree_on_mid_size_ideals(self):
-        from itertools import combinations as combs
-
         k5 = Graph.from_edges(
-            tuple(f"x{i}" for i in range(1, 6)), list(combs(range(5), 2))
+            tuple(f"x{i}" for i in range(1, 6)), list(combinations(range(5), 2))
         )
         targets = [assce().power(2), assce().power(3), edge_ideal(k5).power(4)]
         for target in targets:
@@ -324,6 +329,20 @@ class TestAssociatedPrimes:
             assert set(minimal_primes(i)) == set(associated_primes(i))
 
 
+def reference_minimal_vertex_covers(graph: Graph) -> tuple[frozenset[str], ...]:
+    """The covers by Python set tests over the vertex sets in combinations
+    order (by size, then by indices), each kept when it holds no earlier one;
+    sorting an antichain by inclusion keeps that order."""
+    covers: list[set[int]] = []
+    for r in range(graph.n + 1):
+        for subset in combinations(range(graph.n), r):
+            s = set(subset)
+            if all(u in s or v in s for u, v in graph.edges):
+                if not any(c <= s for c in covers):
+                    covers.append(s)
+    return tuple(sorted(frozenset(graph.labels[v] for v in c) for c in covers))
+
+
 class TestVertexCovers:
     def test_triangle(self):
         assert set(minimal_vertex_covers(Graph.cycle(3))) == {
@@ -349,6 +368,35 @@ class TestVertexCovers:
             covers = set(minimal_vertex_covers(g))
             prime_supports = {frozenset(p.names) for p in minimal_primes(edge_ideal(g))}
             assert covers == prime_supports, str(g)
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            lambda: graph_catalog().values(),
+            lambda: connected_graphs(2, 5),
+            lambda: sample_graphs(60, (6, 13), 36),
+            lambda: [Graph((), ())],
+        ],
+        ids=["catalog", "corpus", "seeded", "no-vertex"],
+    )
+    def test_the_reference_tuples_in_order(self, graphs):
+        for g in graphs():
+            assert minimal_vertex_covers(g) == reference_minimal_vertex_covers(g), g
+
+    def test_by_size_then_indices_not_by_mask(self):
+        # the square x1 - x2 - x4 - x3: {x2, x3} has mask 6, {x1, x4} mask 9
+        edges = [(0, 1), (1, 3), (2, 3), (0, 2)]
+        square = Graph.from_edges(("x1", "x2", "x3", "x4"), edges)
+        assert minimal_vertex_covers(square) == (
+            frozenset({"x1", "x4"}),
+            frozenset({"x2", "x3"}),
+        )
+
+    def test_unforced_weights_fail_min_equals_ass(self, unforced_covers):
+        # y_C with its forced 2s left at 1 reads every vertex of a cover as
+        # free to leave it: no cover is minimal, against the corner engine
+        checks = list(min_ass_battery({"C5": Graph.cycle(5), "P4": Graph.path(4)}))
+        assert [ok for _, ok, _ in checks] == [False, False]
 
     def test_run_limits(self):
         # the 2^14 vertex sets of C14 charge 14 * 2^14 cells, and a spent

@@ -495,8 +495,57 @@ def atlas_graphs(sizes) -> list[Graph]:
     ]
 
 
+def sweep_cover_rows(ideal: MonomialIdeal) -> np.ndarray:
+    """_cover_slack's rows by its own sweep before the cover table moved to
+    graphs.py: the covers among all sets but V, one edge filter at a time,
+    y_C raised to 2 along each arc, then kept when each 1 has a neighbour
+    below 2."""
+    n = ideal.vset.n
+    edges = np.nonzero(ideal.exponent_array)[1].reshape(-1, 2).tolist()
+    sets, bits = np.arange(2**n - 1), [1 << v for v in range(n)]
+    for u, v in edges:
+        sets = sets[(sets & (bits[u] | bits[v])) != 0]
+    y = np.array([(sets & b) != 0 for b in bits], dtype=np.int16)
+    arcs = edges + [[v, u] for u, v in edges]
+    for u, v in arcs:
+        y[u, y[v] == 0] = 2
+    low = np.zeros(y.shape, dtype=bool)
+    for u, v in arcs:
+        low[u] |= y[v] < 2
+    d = np.vstack((y[:, ((y != 1) | low).all(axis=0)].T - 1, np.full(n, -1)))
+    return d.astype(np.int16)
+
+
 class TestCoverRows:
     """The cover rows from the 2^n vertex sets against the 3^n grid."""
+
+    @pytest.mark.parametrize(
+        "graphs, rows",
+        [
+            (lambda: [fig9()], 51),
+            (lambda: [Graph.cycle(12)], 191),
+            (lambda: connected_graphs(2, 5), None),
+        ],
+        ids=["FIG9", "C12", "corpus"],
+    )
+    def test_the_sweep_rows_byte_for_byte(self, graphs, rows):
+        for g in graphs():
+            ideal = edge_ideal(g)
+            got, want = closure._cover_slack.__wrapped__(ideal)[0], sweep_cover_rows(ideal)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), g
+            assert got.tobytes() == want.tobytes(), g
+            assert rows is None or len(got) == rows + 1  # and the degree row
+
+    def test_unforced_weights_fail_against_the_lp(self, unforced_covers):
+        # 1 on all of C is no cover when C misses a neighbour: too strong a
+        # row, so the slice loses members that the LP sweep keeps
+        wrong = [
+            str(g)
+            for g in connected_graphs(2, 4)
+            for fast, slow in [_slice_and_lp(edge_ideal(g), 1)]
+            if fast != slow
+        ]
+        assert len(wrong) > 0
 
     @staticmethod
     def mismatches(ideals) -> list[MonomialIdeal]:

@@ -546,10 +546,10 @@ GOLDEN = {
         0, "9a9e34e28d0922ecd90a059bab4303a8ad97bf1ebd11f0a2a899b964a7ae74c7"
     ),
     "property-battery --format json": (
-        0, "d5520b4c3c01eb80ec6a551c3c382b75a015871b801114d66a8661922e1e0b4c"
+        0, "2fa9fd184b630f61684e3a447ab4bec92093e0625ecff7dbbe9b0b8bc46e7dd6"
     ),
     "property-battery": (
-        0, "6f21446fe6833107179ecdc3836180ffee91d6164c5fccbd371125eacbcaa98e"
+        0, "3bdc4fb8e2ee44d459b0435c4126fac74016a04e84cf99aa91b88dc5741c792a"
     ),
     "analyze fig9.graph --max-power 5 --mode both --closure-cap 20000000 "
     "--format json": (

@@ -6,6 +6,7 @@ import tracemalloc
 from math import inf
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import edge_ideal_lab
@@ -13,7 +14,6 @@ from edge_ideal_lab import assprimes, errors
 from edge_ideal_lab.assprimes import (
     associated_primes_witness_oracle,
     irreducible_decomposition,
-    minimal_vertex_covers,
 )
 from edge_ideal_lab.battery import colon_identity_holds
 from edge_ideal_lab.closure import (
@@ -36,11 +36,12 @@ from edge_ideal_lab.graphs import (
     connected_graphs,
     edge_ideal,
     matching_number,
+    minimal_vertex_covers,
     parallelize,
     power_index,
 )
 from edge_ideal_lab.monomials import membership_mask
-from edge_ideal_lab.stability import power_chain
+from edge_ideal_lab.stability import both_chains, power_chain
 
 C5 = edge_ideal(Graph.cycle(5))
 C5_CUBE = C5.power(3)  # box 4^5: two leading axes, three packed in 64-cell words
@@ -74,11 +75,30 @@ class TestBounded:
         check_box(BOX_CELLS, "a box")
 
     def test_rejects_a_negative_or_nan_budget(self):
-        for bad in (-1.0, float("nan")):
+        for bad in (-1.0, float("nan"), "1"):
             with pytest.raises(UsageError, match="budget seconds must be >= 0"):
                 with bounded(seconds=bad):
-                    pass
+                    pytest.fail("the body ran")
         assert limits() == (BOX_CELLS, inf)
+
+    def test_rejects_a_cap_that_is_not_a_cap(self):
+        # a NaN cap would let every check_box pass; a string or a float
+        # would fail only at the first check
+        for bad in (float("nan"), "100", 1.5, -1):
+            refusal = "box cells must be an integer >= 0"
+            with pytest.raises(UsageError, match=refusal), bounded(box_cells=bad):
+                pytest.fail("the body ran")
+            with pytest.raises(UsageError, match=refusal):
+                both_chains(C5, 1, closure_cap=bad)
+        assert limits() == (BOX_CELLS, inf)
+
+    def test_accepts_any_integer_cap(self):
+        for cap in (0, 10**30, np.int64(7)):
+            with bounded(box_cells=cap):
+                assert limits()[0] == cap and type(limits()[0]) is int
+                check_box(cap, "a box")
+                with pytest.raises(BudgetExceededError):
+                    check_box(cap + 1, "a box")
 
     def test_one_cap_bounds_the_corner_mask_the_closure_and_the_oracle(self):
         # FIG9's cube: the corner mask, the k=3 closure box and the oracle box
@@ -130,7 +150,7 @@ ENGINES = {
     "blossom": (
         lambda: matching_number(Graph.complete_bipartite(1, 9)), 2, "blossom matching"
     ),
-    # one read per subset size: six on C5
+    # one read per edge filter of the cover table: five on C5
     "covers": (lambda: minimal_vertex_covers(Graph.cycle(5)), 2, "cover enumeration"),
     # one read per vertex count: four on 2..5 vertices
     "corpus": (lambda: list(connected_graphs(2, 5)), 2, "graph corpus"),
@@ -322,3 +342,27 @@ def test_one_component_walk():
         and ast.unparse(call.func) == f"{loop.iter.id}.append"
     ]
     assert walks == [("graphs.py", "Graph._bfs")]
+
+
+def test_one_cover_table():
+    # graphs._cover_weights is the one 2^n cover enumeration: the Ass engine
+    # imports neither graphs.py nor combinations, and the table has its two
+    # readers alone
+    trees = dict(_module_trees())
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(trees["assprimes.py"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert [i for i in imports if "graphs" in i or "combinations" in i] == []
+    assert sum(_mentions(tree, "_cover_weights") for tree in trees.values()) == 2
+    users = [
+        (module, name)
+        for module, tree in trees.items()
+        for name, fn in _functions(tree)
+        if _mentions(fn, "_cover_weights")
+    ]
+    assert users == [
+        ("closure.py", "_cover_slack"),
+        ("graphs.py", "minimal_vertex_covers"),
+    ]

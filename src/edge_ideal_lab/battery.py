@@ -181,8 +181,8 @@ def matching_battery(named_graphs: dict[str, Graph]) -> Iterator[Check]:
 
 def certificate_battery(named_graphs: dict[str, Graph]) -> Iterator[Check]:
     for name, g in named_graphs.items():
-        # the labeled G^a is the reference: power_index shares the unlabeled
-        # layout of factor_by_matching, so it misses its faults
+        # the labeled G^a is the reference: power_index reads the b-matching
+        # of factor_by_matching, so it misses its faults
         failures = (
             f"a={a}"
             for a in _multiplicity_samples(g.n)

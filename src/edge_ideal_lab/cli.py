@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from functools import partial
 from pathlib import Path
 
 from .battery import run_battery
@@ -38,11 +40,26 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
+def decimal_number(raw: str, kind: type = int) -> int | float:
+    """The one reader of numbers on the command line: ASCII decimal notation,
+    an optional minus, digits and (for a float) one fractional part. int() and
+    float() also take '_' separators, a '+' and the digits of other scripts."""
+    match = re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", raw)
+    if not match or (kind is int and match[1]):
+        what = "an integer" if kind is int else "a number"
+        raise argparse.ArgumentTypeError(f"expected {what} in decimal digits, got {raw!r}")
+    return kind(raw)
+
+
 def positive_int(raw: str) -> int:
-    value = int(raw)
+    value = decimal_number(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _decimal_numbers(raw: str) -> tuple[int, ...]:
+    return tuple(map(decimal_number, raw.split(",")))
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -58,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="prime chains of powers and closures")
     analyze.add_argument("input", type=Path)
-    analyze.add_argument("--max-power", type=int, default=3)
+    analyze.add_argument("--max-power", type=decimal_number, default=3)
     analyze.add_argument("--mode", choices=("ass", "closure", "both"), default="both")
     analyze.add_argument("--allow-unused-vars", action="store_true")
     analyze.add_argument(
@@ -66,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cells of the largest exponent box a power may scan (refused above)",
     )
     analyze.add_argument(
-        "--budget-seconds", type=float, default=None,
+        "--budget-seconds", type=partial(decimal_number, kind=float), default=None,
         help="hard deadline for the whole walk; a spent budget refuses (exit 3)",
     )
     _common_flags(analyze)
@@ -77,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         "subcommand",
         choices=("matching", "deficiency", "berge", "parallelize", "duplicate"),
     )
-    graph.add_argument("--mult", type=str, default=None, help="comma-separated multiplicities")
+    graph.add_argument("--mult", type=_decimal_numbers, help="comma-separated multiplicities")
     graph.add_argument("--edge", type=str, default=None, help="edge as 'u v'")
     graph.add_argument(
         "--then",
@@ -92,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(verify)
 
     battery = sub.add_parser("property-battery", help="run the theorem sweeps")
-    battery.add_argument("--max-vertices", type=int, default=5)
-    battery.add_argument("--max-power", type=int, default=3)
-    battery.add_argument("--sample-seed", type=int, default=2014)
-    battery.add_argument("--samples", type=int, default=12)
+    battery.add_argument("--max-vertices", type=decimal_number, default=5)
+    battery.add_argument("--max-power", type=decimal_number, default=3)
+    battery.add_argument("--sample-seed", type=decimal_number, default=2014)
+    battery.add_argument("--samples", type=decimal_number, default=12)
     _common_flags(battery)
 
     return parser
@@ -139,18 +156,6 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _parse_mult(raw: str, n: int) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v) for v in raw.split(","))
-    except ValueError:
-        raise UsageError(f"bad multiplicity vector {raw!r}")
-    if len(values) != n or any(v < 0 for v in values):
-        raise UsageError(
-            f"multiplicity vector needs {n} non-negative entries, got {raw!r}"
-        )
-    return values
-
-
 def _graph_measurement(graph: Graph, which: str) -> dict:
     if which == "matching":
         cert = maximum_matching(graph)
@@ -188,7 +193,7 @@ def _cmd_graph(args) -> int:
         if args.subcommand == "parallelize":
             if args.mult is None:
                 raise UsageError("parallelize needs --mult")
-            pg = parallelize(graph, _parse_mult(args.mult, graph.n))
+            pg = parallelize(graph, args.mult)
         else:
             if args.edge is None:
                 raise UsageError("duplicate needs --edge 'u v'")

@@ -59,14 +59,14 @@ def check_time(what: str) -> None:
 def bounded(box_cells: int | None = None, seconds: float | None = None):
     """Run the body under a box cap and a deadline ``seconds`` from now (None
     keeps the outer one; no deadline outlives it), restored on exit. A cap not
-    an integer >= 0, or seconds not a real >= 0, is refused at the call."""
+    an integer >= 0, or seconds not a real >= 0 (a bool is neither), is refused."""
     cap, deadline = _LIMITS.get()
     if box_cells is not None:
-        if not (isinstance(box_cells, Integral) and box_cells >= 0):
+        if not isinstance(box_cells, Integral) or isinstance(box_cells, bool) or box_cells < 0:
             raise UsageError("box cells must be an integer >= 0")
         cap = operator.index(box_cells)
     if seconds is not None:
-        if not (isinstance(seconds, Real) and seconds >= 0):
+        if not isinstance(seconds, Real) or isinstance(seconds, bool) or not seconds >= 0:
             raise UsageError("budget seconds must be >= 0")
         deadline = min(deadline, time.monotonic() + seconds)
     token = _LIMITS.set((cap, deadline))

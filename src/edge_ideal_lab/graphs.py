@@ -294,12 +294,8 @@ def maximum_matching(graph: Graph) -> MatchingCertificate:
     )
 
 
-def _matching_size(n: int, adj: Sequence[Sequence[int]]) -> int:
-    return sum(w > v for v, w in enumerate(_checked_matching(n, adj)))
-
-
 def matching_number(graph: Graph) -> int:
-    return _matching_size(graph.n, graph.adjacency)
+    return sum(w > v for v, w in enumerate(_checked_matching(graph.n, graph.adjacency)))
 
 
 def deficiency(graph: Graph) -> int:
@@ -589,7 +585,7 @@ def _parallel_layout(
 
 def _berge_bound(graph: Graph, a: Sequence[int], removed: set[int]) -> int:
     """a(S) + sum of floor(a(K) / 2) over the components K of G[supp a - S]
-    that have an edge, for S = removed: at least nu(G^a) (power_index)."""
+    that have an edge, for S = removed: at least nu(G^a) (_b_matching)."""
     skip = [v for v, m in enumerate(a) if not m or v in removed]
     bound = sum(a[v] for v in removed)
     for comp in graph._bfs(range(graph.n), skip)[0]:
@@ -598,32 +594,44 @@ def _berge_bound(graph: Graph, a: Sequence[int], removed: set[int]) -> int:
     return bound
 
 
-def power_index(graph: Graph, multiplicity: Sequence[int]) -> int:
-    """nu(G^a): x^a lies in exactly the powers I(G)^k with k at most this value.
+def _b_matching(graph: Graph, a: tuple[int, ...]) -> list[int]:
+    """Per edge of G, its multiplicity in a maximum b-matching with capacities
+    a: a maximum matching of G^a, whose size is nu(G^a).
 
-    A greedy b-matching of G with capacities a (each edge in turn takes the
-    least residual capacity r of its ends) is a matching of G^a. It is maximum
-    when its size meets _berge_bound at S = {} or at S = N(X) - X for X = {v :
-    r_v > 0}: every matching edge of G^a meets one of the a(S) copies of S or
-    lies inside one component of G^a - S^a, which holds at most floor(a(K)/2)
-    of them; the copies of a vertex isolated in G[supp a - S] are isolated, so
-    such a component holds no edge. Only when neither bound closes is G^a
-    laid out for the blossom."""
-    a = _multiplicities(graph, multiplicity)
-    r, size = list(a), 0
+    The greedy b-matching (each edge in turn takes the least residual capacity
+    r of its ends) is a matching of G^a. It is maximum when its size meets
+    _berge_bound at S = {} or at S = N(X) - X for X = {v : r_v > 0}: every
+    matching edge of G^a meets one of the a(S) copies of S or lies inside one
+    component of G^a - S^a, which holds at most floor(a(K)/2) of them; the
+    copies of a vertex isolated in G[supp a - S] are isolated, so such a
+    component holds no edge. Only when neither bound closes is G^a laid out
+    for the blossom, whose pairs are counted per base edge."""
+    r, taken = list(a), []
     for u, v in graph.edges:
         m = min(r[u], r[v])
         r[u] -= m
         r[v] -= m
-        size += m
+        taken.append(m)
+    size = sum(taken)
     if size == _berge_bound(graph, a, set()):
-        return size
+        return taken
     spare = {v for v in range(graph.n) if r[v]}
     removed = {w for v in spare for w in graph.adjacency[v]} - spare
     if size == _berge_bound(graph, a, removed):
-        return size
+        return taken
     _, start, adj = _parallel_layout(graph, a)
-    return _matching_size(start[-1], adj)
+    base = [i for i, m in enumerate(a) for _ in range(m)]  # copy -> base vertex
+    index = {e: i for i, e in enumerate(graph.edges)}
+    counts = [0] * len(graph.edges)
+    for v, w in enumerate(_checked_matching(start[-1], adj)):
+        if w > v:  # blocks ascend, so base[v] <= base[w]
+            counts[index[base[v], base[w]]] += 1
+    return counts
+
+
+def power_index(graph: Graph, multiplicity: Sequence[int]) -> int:
+    """nu(G^a): x^a lies in exactly the powers I(G)^k with k at most this value."""
+    return sum(_b_matching(graph, _multiplicities(graph, multiplicity)))
 
 
 @dataclass(frozen=True)
@@ -641,39 +649,24 @@ class FactorizationCertificate:
 def factor_by_matching(graph: Graph, multiplicity: Sequence[int]) -> FactorizationCertificate:
     """Factor x^a into edges along a maximum matching of the parallelization,
     leaving a deficiency-degree remainder."""
-    a, start, adj = _parallel_layout(graph, multiplicity)
-    base = [i for i, m in enumerate(a) for _ in range(m)]  # copy -> base vertex
-    counts = [0] * len(graph.edges)
-    index = {e: i for i, e in enumerate(graph.edges)}
-    used = [0] * graph.n
-    for v, w in enumerate(_checked_matching(start[-1], adj)):
-        if w > v:  # blocks ascend, so i <= j
-            i, j = base[v], base[w]
-            counts[index[i, j]] += 1
-            used[i] += 1
-            used[j] += 1
-    delta = tuple(a[i] - used[i] for i in range(graph.n))
-    if any(d < 0 for d in delta):
+    a = _multiplicities(graph, multiplicity)
+    counts = _b_matching(graph, a)
+    delta = list(a)
+    for (u, v), c in zip(graph.edges, counts):
+        delta[u] -= c
+        delta[v] -= c
+    if min(delta, default=0) < 0:
         raise AssertionError("matching used a vertex beyond its multiplicity")
-    cert = FactorizationCertificate(
-        Monomial(VariableSet(graph.labels), delta), tuple(counts)
+    return FactorizationCertificate(
+        Monomial(VariableSet(graph.labels), tuple(delta)), tuple(counts)
     )
-    # the factorization must reproduce x^a exactly
-    rebuilt = list(cert.delta.exps)
-    for e_idx, c in enumerate(cert.edge_multiplicities):
-        u, v = graph.edges[e_idx]
-        rebuilt[u] += c
-        rebuilt[v] += c
-    if tuple(rebuilt) != a:
-        raise AssertionError("factorization does not reproduce the exponent vector")
-    return cert
 
 
 def edge_subring_member(graph: Graph, multiplicity: Sequence[int]) -> bool:
     """Whether x^a is a product of edge monomials, i.e. the parallelization
     has a perfect matching."""
     a = _multiplicities(graph, multiplicity)
-    return 2 * power_index(graph, a) == sum(a)
+    return 2 * sum(_b_matching(graph, a)) == sum(a)
 
 
 # ---------------------------------------------------------------------------

@@ -230,9 +230,14 @@ def test_run_battery_small_caps():
     assert not failures, failures[:5]
 
 
+CERTIFIED = ("E1", "STAR31", "C3", "C4", "P4", "C5")
+
+
 def test_certificate_battery_catches_a_layout_fault(monkeypatch):
     # every copy of G^a loses its last neighbour in the unlabeled layout that
-    # factor_by_matching and power_index share; the labeled G^a does not
+    # factor_by_matching and power_index share; the labeled G^a does not.
+    # Only vectors the greedy certificate leaves open reach the layout: on
+    # C3 the fault changes no answer, on C5 it loses an edge at a=(1,1,1,1,2)
     layout = graphs._parallel_layout
 
     def faulty(graph, multiplicity):
@@ -240,12 +245,24 @@ def test_certificate_battery_catches_a_layout_fault(monkeypatch):
         return a, start, [row[:-1] for row in adj]
 
     catalog = graph_catalog()
-    named = {name: catalog[name] for name in ("E1", "STAR31", "C3", "C4", "P4")}
+    named = {name: catalog[name] for name in CERTIFIED}
     assert all(ok for _, ok, _ in certificate_battery(named))
     monkeypatch.setattr(graphs, "_parallel_layout", faulty)
     checks = list(certificate_battery(named))
     assert [name for name, _, _ in checks] == [f"factorization[{n}]" for n in named]
-    assert ("factorization[E1]", False, "a=(1, 1)") in checks
+    assert ("factorization[C5]", False, "a=(1, 1, 1, 1, 2)") in checks
+
+
+def test_certificate_battery_catches_a_short_bound(monkeypatch):
+    # a Tutte-Berge bound one below its value stops the greedy b-matching
+    # before it is maximum; the blossom on the labeled G^a is not fooled
+    bound = graphs._berge_bound
+    monkeypatch.setattr(
+        graphs, "_berge_bound", lambda g, a, removed: bound(g, a, removed) - 1
+    )
+    catalog = graph_catalog()
+    checks = list(certificate_battery({name: catalog[name] for name in CERTIFIED}))
+    assert ("factorization[C3]", False, "a=(1, 1, 2)") in checks
 
 
 def test_closure_oracle_soundness_reports_the_first_failure(monkeypatch):

@@ -507,6 +507,50 @@ class TestCli:
             )
             assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["graph", "p3.graph", "parallelize", "--mult", "1_0,٣,+2"], "--mult"),
+            (["graph", "p3.graph", "parallelize", "--mult", "1,2,+3"], "--mult"),
+            (["analyze", "p3.graph", "--closure-cap", "1_000"], "--closure-cap"),
+            (["analyze", "p3.graph", "--max-power", "+2"], "--max-power"),
+            (["analyze", "p3.graph", "--budget-seconds", "٣"], "--budget-seconds"),
+            (["analyze", "p3.graph", "--budget-seconds", "1e3"], "--budget-seconds"),
+            (["property-battery", "--max-vertices", "٣"], "--max-vertices"),
+            (["property-battery", "--max-power", "2.0"], "--max-power"),
+            (["property-battery", "--sample-seed", " 7"], "--sample-seed"),
+            (["property-battery", "--samples", "1_2"], "--samples"),
+        ],
+    )
+    def test_numbers_are_ascii_decimals(self, argv, flag, capsys):
+        # int() and float() take '_' separators, a '+' and the digits of
+        # other scripts; the command line reads decimal digits alone, and
+        # refuses the rest as a usage error before any work
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 2 and out == ""
+        assert f"argument {flag}: expected " in err and " in decimal digits, got " in err
+
+    def test_decimal_numbers_are_read(self):
+        assert cli.decimal_number("-3") == -3
+        assert cli.decimal_number("007") == 7
+        assert cli.decimal_number("2.5", kind=float) == 2.5
+        assert cli.decimal_number("3", kind=float) == 3.0
+        args = cli.build_parser().parse_args(
+            ["graph", "p3.graph", "parallelize", "--mult", "10,3,2"]
+        )
+        assert args.mult == (10, 3, 2)
+
+    def test_mult_needs_one_entry_per_vertex(self, tmp_path, capsys):
+        # the parallelization checks the vector, in its own words
+        graph = tmp_path / "p3.graph"
+        graph.write_text("x1 x2\nx2 x3\n")
+        for mult, refusal in (("1,2", "length must equal"), ("1,2,-1", "non-negative")):
+            assert cli.main(["graph", str(graph), "parallelize", "--mult", mult]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: multiplicit") and refusal in err
+
     def test_analyze_refuses_negative_budget(self, tmp_path):
         proc = run_cli(
             "analyze", "c4.graph", "--budget-seconds", "-1", "--max-power", "3",

@@ -716,8 +716,10 @@ class TestPowerIndexFromBlocks:
             matching_number(Graph.single_edge())
         with pytest.raises(AssertionError, match="disjoint"):
             maximum_matching(Graph.single_edge())
+        # the certificate closes (1, 1) on an edge, so the blossom is asked
+        # only where it does not
         with pytest.raises(AssertionError, match="disjoint"):
-            factor_by_matching(Graph.single_edge(), (1, 1))
+            factor_by_matching(p4, (1, 1, 1, 1))
 
     def test_input_checks(self):
         with pytest.raises(UsageError, match="length"):
@@ -743,7 +745,7 @@ def blossom_power_index(g: Graph, a) -> int:
     """Reference: the blossom on G^a laid out from block offsets, with no
     greedy certificate."""
     _, start, adj = graphs._parallel_layout(g, a)
-    return graphs._matching_size(start[-1], adj)
+    return sum(w > v for v, w in enumerate(graphs._checked_matching(start[-1], adj)))
 
 
 def reference_bound(g: Graph, a, removed: set[int]) -> int:
@@ -812,6 +814,28 @@ class TestPowerIndexCertificate:
         # 17 426 of the 19 683 vectors close by the certificate
         assert fig9_blossom_runs(monkeypatch) == 2257
 
+    def test_factorization_over_fig9_entries_up_to_two(self, monkeypatch):
+        # the certificate reads power_index's b-matching; where it reaches
+        # the blossom, the labeled G^a is the reference
+        g, runs, layout = fig9(), [], graphs._parallel_layout
+        monkeypatch.setattr(
+            graphs, "_parallel_layout", lambda *x: runs.append(1) or layout(*x)
+        )
+        reached = 0
+        for a in iter_product(range(3), repeat=9):
+            runs.clear()
+            cert = factor_by_matching(g, a)
+            used = [0] * g.n
+            for (u, v), c in zip(g.edges, cert.edge_multiplicities):
+                used[u] += c
+                used[v] += c
+            assert all(x <= m for x, m in zip(used, a)), a
+            assert cert.matched_degree == power_index(g, a), a
+            if runs:
+                reached += 1
+                assert cert.matched_degree == matching_number(parallelize(g, a).flat), a
+        assert reached == 2257
+
     @pytest.mark.parametrize("planted", ["singleton counted", "a(S) dropped"])
     def test_planted_bound_faults_are_caught(self, planted, monkeypatch):
         bound = graphs._berge_bound
@@ -871,6 +895,11 @@ class TestPowerIndexAndFactorization:
     def test_factorization_parallel_edge(self):
         cert = factor_by_matching(Graph.single_edge(), (3, 3))
         assert cert.edge_multiplicities == (3,)
+        assert cert.delta.degree == 0
+        # the greedy certificate closes, so G^a is neither laid out nor charged
+        with bounded(box_cells=0):
+            cert = factor_by_matching(Graph.single_edge(), (10**6, 10**6))
+        assert cert.edge_multiplicities == (10**6,)
         assert cert.delta.degree == 0
 
     def test_factorization_fig7(self):

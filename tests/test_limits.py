@@ -35,6 +35,7 @@ from edge_ideal_lab.graphs import (
     berge_deficiency,
     connected_graphs,
     edge_ideal,
+    factor_by_matching,
     matching_number,
     minimal_vertex_covers,
     parallelize,
@@ -75,7 +76,8 @@ class TestBounded:
         check_box(BOX_CELLS, "a box")
 
     def test_rejects_a_negative_or_nan_budget(self):
-        for bad in (-1.0, float("nan"), "1"):
+        # True would be a one-second deadline
+        for bad in (-1.0, float("nan"), "1", True, False):
             with pytest.raises(UsageError, match="budget seconds must be >= 0"):
                 with bounded(seconds=bad):
                     pytest.fail("the body ran")
@@ -83,8 +85,9 @@ class TestBounded:
 
     def test_rejects_a_cap_that_is_not_a_cap(self):
         # a NaN cap would let every check_box pass; a string or a float
-        # would fail only at the first check
-        for bad in (float("nan"), "100", 1.5, -1):
+        # would fail only at the first check; True and False would be caps
+        # of 1 and 0
+        for bad in (float("nan"), "100", 1.5, -1, True, False, np.bool_(True)):
             refusal = "box cells must be an integer >= 0"
             with pytest.raises(UsageError, match=refusal), bounded(box_cells=bad):
                 pytest.fail("the body ran")
@@ -180,7 +183,7 @@ class TestParallelLayouts:
         # the path x3 - x1 - x2 - x4 at a = 1: the greedy takes x1x2 alone,
         # both bounds read 2, and the blossom needs G^a: 4 copies, 3 edges
         p4 = Graph.from_edges(("x1", "x2", "x3", "x4"), [(0, 1), (0, 2), (1, 3)])
-        for build in (power_index, _parallel_layout, parallelize):
+        for build in (power_index, factor_by_matching, _parallel_layout, parallelize):
             with bounded(box_cells=6):
                 with pytest.raises(BudgetExceededError, match=r"G\^a layout needs 7 "):
                     build(p4, (1, 1, 1, 1))
@@ -188,13 +191,15 @@ class TestParallelLayouts:
                 build(p4, (1, 1, 1, 1))
         with bounded(box_cells=0):  # the certificate closes (3, 3): no layout
             assert power_index(Graph.single_edge(), (3, 3)) == 3
+            assert factor_by_matching(Graph.single_edge(), (3, 3)).matched_degree == 3
 
     def test_refused_before_any_allocation(self):
-        # 10^6 copies per vertex of FIG9 would be 10^13 copy edges
+        # 10^6 copies per vertex of FIG9 would be 10^13 copy edges, and the
+        # greedy certificate does not close there
         a = (10**6,) * 9
         tracemalloc.start()
         try:
-            for build in (_parallel_layout, parallelize):
+            for build in (_parallel_layout, parallelize, factor_by_matching):
                 with pytest.raises(BudgetExceededError, match=r"G\^a layout"):
                     build(fig9(), a)
             _, peak = tracemalloc.get_traced_memory()
@@ -366,3 +371,37 @@ def test_one_cover_table():
         ("closure.py", "_cover_slack"),
         ("graphs.py", "minimal_vertex_covers"),
     ]
+
+
+def test_one_b_matching():
+    # graphs._b_matching answers every G^a question: it alone takes the
+    # greedy step and lays out G^a, the blossom is otherwise read only by the
+    # plain matching functions, and the blossom-only size helper is gone
+    trees = dict(_module_trees())
+    assert sum(_mentions(tree, "_parallel_layout") for tree in trees.values()) == 1
+    layouts = [
+        (module, name)
+        for module, tree in trees.items()
+        for name, fn in _functions(tree)
+        if _mentions(fn, "_parallel_layout")
+    ]
+    assert layouts == [("graphs.py", "_b_matching")]
+    greedy = [
+        (module, name)
+        for module, tree in trees.items()
+        for name, fn in _functions(tree)
+        if any(
+            isinstance(call, ast.Call) and ast.unparse(call) == "min(r[u], r[v])"
+            for call in ast.walk(fn)
+        )
+    ]
+    assert greedy == [("graphs.py", "_b_matching")]
+    blossoms = [
+        name
+        for name, fn in _functions(trees["graphs.py"])
+        if _mentions(fn, "_checked_matching")
+    ]
+    assert blossoms == ["maximum_matching", "matching_number", "_b_matching"]
+    names = {name for tree in trees.values() for name, _ in _functions(tree)}
+    assert "_matching_size" not in names
+    assert sum(_mentions(tree, "_matching_size") for tree in trees.values()) == 0
